@@ -6,13 +6,9 @@ falsy exactly when zero (Fraction and CyclotomicElement both qualify).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = [
     "rank",
     "row_reduce",
-    "independent_row_indices",
-    "kernel_basis",
     "mat_vec",
     "mat_mul",
     "int_det",
@@ -57,39 +53,6 @@ def row_reduce(rows):
 def rank(rows):
     _, pivots = row_reduce(rows)
     return len(pivots)
-
-
-def independent_row_indices(rows):
-    """Indices of a maximal linearly independent subset, greedy in order."""
-    basis = []
-    out = []
-    for idx, row in enumerate(rows):
-        candidate = list(row)
-        for b in basis:
-            # eliminate using b's pivot
-            p = next(j for j, x in enumerate(b) if x)
-            if candidate[p]:
-                c = candidate[p] / b[p]
-                candidate = [x - c * y for x, y in zip(candidate, b)]
-        if any(candidate):
-            basis.append(candidate)
-            out.append(idx)
-    return out
-
-
-def kernel_basis(rows, ncols):
-    """Basis of the right kernel {x : M x = 0}, as Fraction tuples."""
-    reduced, pivots = row_reduce([list(map(Fraction, r)) for r in rows])
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
 
 
 def mat_vec(m, v):

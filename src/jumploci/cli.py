@@ -53,7 +53,7 @@ from .presentation import (
     parse_presentation,
     presentation_from_json,
 )
-from .resonance import MalcevKind, ThreeForm, classify_malcev, r1_fullness
+from .resonance import MalcevKind, ThreeForm, classify_malcev
 from .seifert import (
     IntegralityError,
     brieskorn_seifert,
@@ -233,15 +233,12 @@ def run_classify(eta, config):
         out["rank"] = verdict.rank
     if verdict.kind is MalcevKind.Z_X_SURFACE:
         out["g"] = verdict.genus
-    if not eta.is_zero and eta.n % 2 == 1 and eta.n > 3:
-        rep = r1_fullness(eta, config.symbolic_threshold, config.trials, config.seed)
-        out["genericity_mode"] = {
-            "mode": rep.mode,
-            "trials": rep.trials,
-            "seed": rep.seed,
-        }
-    else:
-        out["genericity_mode"] = None
+    rep = verdict.fullness
+    out["genericity_mode"] = None if rep is None else {
+        "mode": rep.mode,
+        "trials": rep.trials,
+        "seed": rep.seed,
+    }
     return out
 
 

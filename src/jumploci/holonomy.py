@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from ._linalg import row_reduce
+
 __all__ = [
     "QuadraticData",
     "GradedRanks",
@@ -78,32 +80,8 @@ def holonomy_from_threeform(eta):
         row = [eta.value(i, j, k) for i, j in pairs]
         if any(row):
             rows.append(row)
-    reduced = _echelon(rows)
+    reduced, _ = row_reduce(rows)
     return QuadraticData(n=n, relations=tuple(tuple(r) for r in reduced))
-
-
-def _echelon(rows):
-    """Reduced echelon form over Q, dropping zero rows (dense lists)."""
-    work = [list(map(Fraction, r)) for r in rows]
-    out = []
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        pivot = next((i for i, r in enumerate(work) if r[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        row = work.pop(pivot)
-        inv = row[col]
-        row = [x / inv for x in row]
-        for other in out + work:
-            if other[col]:
-                c = other[col]
-                for j in range(col, ncols):
-                    other[j] -= c * row[j]
-        out.append(row)
-        col += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

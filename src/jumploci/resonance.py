@@ -20,7 +20,7 @@ n >= 1 (`zero_vector_in_r1`); the rank test of `in_r1` addresses x != 0 only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -141,14 +141,41 @@ class ThreeForm:
         return sum(c * v for c, v in zip(self.contract_pair(x, y), z))
 
     def transform(self, t):
-        """Pullback along the invertible matrix t: result(x,y,z) = eta(tx, ty, tz)."""
-        cols = [tuple(Fraction(t[i][a]) for i in range(self.n)) for a in range(self.n)]
-        coeffs = {}
-        for a, b, c in combinations(range(self.n), 3):
-            val = self.evaluate(cols[a], cols[b], cols[c])
-            if val:
-                coeffs[(a, b, c)] = val
-        return ThreeForm(self.n, coeffs)
+        """Pullback along the invertible matrix t: result(x,y,z) = eta(tx, ty, tz).
+
+        Exact integer arithmetic.  The coefficients and the entries of t are
+        scaled to integers by the lcm of their denominators; the coefficient
+        on (a, b, c) is then the sum over stored (i, j, k) of mu_ijk times the
+        3x3 minor of t on rows (i, j, k) and columns (a, b, c), and the common
+        scale is divided out once at the end.
+        """
+        n = self.n
+        frac = [[Fraction(t[i][a]) for a in range(n)] for i in range(n)]
+        t_den = lcm(*(x.denominator for row in frac for x in row))
+        m = [[x.numerator * (t_den // x.denominator) for x in row] for row in frac]
+        mu_den = lcm(*(c.denominator for c in self._coeffs.values()))
+        # Expanding each minor along its first row i: the terms sharing the
+        # trailing rows (j, k) combine into one weighted row sum of m.
+        weighted = {}
+        for (i, j, k), c in self._coeffs.items():
+            mu = c.numerator * (mu_den // c.denominator)
+            acc = weighted.setdefault((j, k), [0] * n)
+            for a, x in enumerate(m[i]):
+                acc[a] += mu * x
+        pairs = list(combinations(range(n), 2))
+        pos = {p: q for q, p in enumerate(pairs)}
+        triples = [(a, b, c, pos[b, c], pos[a, c], pos[a, b])
+                   for a, b, c in combinations(range(n), 3)]
+        totals = [0] * len(triples)
+        for (j, k), w in weighted.items():
+            rj, rk = m[j], m[k]
+            minor2 = [rj[b] * rk[c] - rj[c] * rk[b] for b, c in pairs]
+            for q, (a, b, c, bc, ac, ab) in enumerate(triples):
+                totals[q] += w[a] * minor2[bc] - w[b] * minor2[ac] + w[c] * minor2[ab]
+        scale = mu_den * t_den ** 3
+        coeffs = {(a, b, c): Fraction(s, scale)
+                  for (a, b, c, *_), s in zip(triples, totals) if s}
+        return ThreeForm(n, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
@@ -370,13 +397,16 @@ class IsotropyWitness:
 
 
 def _pair_masks(eta):
-    n = eta.n
-    basis = [tuple(Fraction(int(i == t)) for t in range(n)) for i in range(n)]
-    bad = [0] * n
-    for i, j in combinations(range(n), 2):
-        if any(eta.contract_pair(basis[i], basis[j])):
-            bad[i] |= 1 << j
-            bad[j] |= 1 << i
+    """Bit j of bad[i] is set exactly when eta(e_i, e_j, .) is nonzero.
+
+    That functional is nonzero exactly when some stored triple holds both
+    i and j, so the graph is read off the support.
+    """
+    bad = [0] * eta.n
+    for i, j, k in eta._coeffs:
+        bad[i] |= 1 << j | 1 << k
+        bad[j] |= 1 << i | 1 << k
+        bad[k] |= 1 << i | 1 << j
     return bad
 
 
@@ -419,11 +449,14 @@ def _random_invertible(n, rng):
 def isotropy_lower_bound(eta, budget=None, seed=0):
     """Search for a large isotropic subspace; the result is a verified lower bound.
 
-    Phases: exhaustive search over coordinate-subset subspaces (within the
-    budget), greedy extension, and seeded random basis changes followed by the
-    subset search in the new coordinates.  The exact isotropy index of an
-    arbitrary form is not decided here; for the model forms the bound is
-    sharp, and the witness always verifies under `is_isotropic`.
+    Phases: search over coordinate-subset subspaces, then seeded random basis
+    changes followed by the same search in the new coordinates.  The subset
+    search is exhaustive only while 2^n <= `budget.subset_limit` (n <= 12 by
+    default); above that it is a greedy extension in coordinate order.  Basis
+    changes are exact integer arithmetic (`ThreeForm.transform`).  The exact
+    isotropy index of an arbitrary form is not decided here; for the model
+    forms the bound is sharp, and the witness always verifies under
+    `is_isotropic`.
     """
     budget = budget or IsotropySearchBudget()
     n = eta.n
@@ -468,6 +501,8 @@ class MalcevClass:
     isotropy_index: int | None = None
     reason: str | None = None
     decided_by: str = ""
+    # the fullness report behind a verdict on a nonzero form with odd n >= 5
+    fullness: R1FullnessReport | None = field(default=None, compare=False)
 
 
 def classify_malcev(eta, symbolic_threshold=9, trials=200, seed=0):
@@ -476,7 +511,8 @@ def classify_malcev(eta, symbolic_threshold=9, trials=200, seed=0):
     Verdicts: zero form -> Trivial (n = 0) or Free(n); nonzero form with
     n = 3 -> ZxSurface(1); generic nonzero form with odd n >= 5 ->
     ZxSurface((n-1)/2); anything else -> Obstructed, naming the failed step.
-    Corank and isotropy index are attached to each classified verdict.
+    Corank and isotropy index are attached to each classified verdict, and
+    the `R1FullnessReport` to each verdict that needed one (odd n >= 5).
     The answer is conditional on the stated hypotheses about the group.
     """
     n = eta.n
@@ -508,11 +544,13 @@ def classify_malcev(eta, symbolic_threshold=9, trials=200, seed=0):
         return MalcevClass(
             kind=MalcevKind.Z_X_SURFACE, genus=g, corank=g, isotropy_index=g,
             decided_by=f"generic odd form (fullness mode: {report.mode})",
+            fullness=report,
         )
     return MalcevClass(
         kind=MalcevKind.OBSTRUCTED,
         reason="odd b1 with nonzero non-generic cup form",
         decided_by=f"resonance fills the whole space (fullness mode: {report.mode})",
+        fullness=report,
     )
 
 

@@ -1,11 +1,13 @@
 """Resonance membership, genericity, isotropy search, and classification."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from jumploci import cli, resonance
 from jumploci import (
     MalcevKind,
     Subspace,
@@ -23,6 +25,7 @@ from jumploci import (
     zero_vector_in_r1,
 )
 from jumploci._linalg import mat_vec, rank
+from jumploci.resonance import _pair_masks
 
 from _corpus import (
     random_invertible_matrix,
@@ -67,6 +70,36 @@ class TestThreeForm:
             assert pulled.evaluate(x, y, z) == eta.evaluate(
                 mat_vec(t, x), mat_vec(t, y), mat_vec(t, z)
             )
+
+    @staticmethod
+    def _reference_pullback(eta, t):
+        n = eta.n
+        cols = [tuple(t[i][a] for i in range(n)) for a in range(n)]
+        coeffs = {}
+        for a, b, c in combinations(range(n), 3):
+            val = eta.evaluate(cols[a], cols[b], cols[c])
+            if val:
+                coeffs[(a, b, c)] = val
+        return coeffs
+
+    def test_transform_matches_reference_pullback(self):
+        rng = random.Random(15)
+        fractional = 0
+        for trial in range(60):
+            n = rng.randint(0, 7)
+            eta = random_threeform(rng, n, density=rng.choice((0.2, 0.5, 1.0)))
+            fractional += any(c.denominator > 1 for c in eta.coeffs.values())
+            if trial % 2:
+                t = random_invertible_matrix(rng, n) if n else []
+            else:
+                t = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                     for _ in range(n)]
+            pulled = eta.transform(t)
+            ref = self._reference_pullback(eta, t)
+            assert pulled.coeffs == ref
+            assert list(pulled.coeffs) == list(ref)  # same canonical order
+            assert all(isinstance(c, Fraction) for c in pulled.coeffs.values())
+        assert fractional >= 30
 
 
 class TestContraction:
@@ -261,7 +294,60 @@ class TestGLEquivariance:
                 )
 
 
+def _contraction_pair_masks(eta):
+    n = eta.n
+    bad = [0] * n
+    for i, j in combinations(range(n), 2):
+        if any(eta.contract_pair(unit(n, i), unit(n, j))):
+            bad[i] |= 1 << j
+            bad[j] |= 1 << i
+    return bad
+
+
+# Pinned witnesses on seeded random forms with non-integer coefficients:
+# (rng seed, n, search seed) -> (dimension, method, basis).
+ISOTROPY_GOLDENS = [
+    ((1006, 6, 0), (2, "coordinate-subsets", ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)))),
+    ((1007, 7, 1), (2, "coordinate-subsets", ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)))),
+    ((1008, 8, 2), (1, "coordinate-subsets", ((1, 0, 0, 0, 0, 0, 0, 0),))),
+    ((1009, 9, 3), (1, "coordinate-subsets", ((1, 0, 0, 0, 0, 0, 0, 0, 0),))),
+]
+
+# forms on which a random basis change beats every coordinate subset
+RANDOM_BASIS_GOLDENS = [
+    (ThreeForm(4, {(0, 1, 2): Fraction(3, 2), (0, 1, 3): 1, (0, 2, 3): 1, (1, 2, 3): 1}),
+     11, ((2, 0, -2, -1), (2, -1, 0, -2))),
+    (ThreeForm(5, {(0, 1, 2): Fraction(1, 3), (0, 2, 4): Fraction(-2, 3), (0, 3, 4): 1,
+                   (1, 2, 3): -1, (1, 2, 4): -2, (1, 3, 4): -2, (2, 3, 4): Fraction(3, 2)}),
+     12, ((0, -2, 0, -2, 1), (1, 2, 2, -2, 1))),
+]
+
+
 class TestIsotropySearch:
+    def test_pair_masks_match_contractions(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            n = rng.randint(0, 7)
+            eta = random_threeform(rng, n, density=rng.choice((0.1, 0.3, 0.6)))
+            pulled = eta.transform(random_invertible_matrix(rng, n) if n else [])
+            for form in (eta, pulled):
+                assert _pair_masks(form) == _contraction_pair_masks(form)
+
+    @pytest.mark.parametrize("key, expected", ISOTROPY_GOLDENS,
+                             ids=[f"n{k[1]}" for k, _ in ISOTROPY_GOLDENS])
+    def test_golden_witnesses(self, key, expected):
+        rng_seed, n, seed = key
+        eta = random_threeform(random.Random(rng_seed), n)
+        res = isotropy_lower_bound(eta, seed=seed)
+        assert (res.dimension, res.method, res.witness.basis) == expected
+
+    @pytest.mark.parametrize("eta, seed, basis", RANDOM_BASIS_GOLDENS,
+                             ids=[f"n{g[0].n}" for g in RANDOM_BASIS_GOLDENS])
+    def test_golden_random_basis_witnesses(self, eta, seed, basis):
+        res = isotropy_lower_bound(eta, seed=seed)
+        assert (res.dimension, res.method, res.witness.basis) == (2, "random-basis", basis)
+        assert is_isotropic(eta, res.witness)
+
     def test_zero_form_full_dimension(self):
         res = isotropy_lower_bound(ThreeForm.zero(4), seed=0)
         assert res.dimension == 4
@@ -340,3 +426,25 @@ class TestClassify:
         for eta in (ThreeForm.zero(4), ThreeForm.zero(0), VOL, PROD_2):
             c = classify_malcev(eta)
             assert c.corank == c.isotropy_index
+
+    def test_fullness_computed_once(self, monkeypatch):
+        calls = []
+        real = resonance.r1_fullness
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "r1_fullness", counting)
+        # also catch a second call made through a name imported into the CLI
+        monkeypatch.setattr(cli, "r1_fullness", counting, raising=False)
+        out = cli.run_classify(PROD_2, cli.RunConfig())
+        assert len(calls) == 1
+        assert out["genericity_mode"] == {"mode": "symbolic", "trials": 0, "seed": 0}
+
+    def test_fullness_report_attached(self):
+        c = classify_malcev(PADDED)
+        assert c.fullness == r1_fullness(PADDED)
+        assert classify_malcev(VOL).fullness is None
+        # the report takes no part in equality of verdicts
+        assert c == replace(c, fullness=None)
