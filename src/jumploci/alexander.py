@@ -15,11 +15,12 @@ on the whole corpus, which guards the minor-shape convention.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from . import _linalg
-from .laurent import Character, LaurentPoly, evaluate, gcd_all, normalize_unit
+from .laurent import Character, LaurentPoly, evaluate, gcd_all
 from .presentation import abelianization, fox_derivative
 
 __all__ = [
@@ -50,10 +51,15 @@ class IdentityCharacterError(ValueError):
 
 @dataclass(frozen=True)
 class AlexanderMatrix:
-    """Fox Jacobian over the Laurent ring of the torsion-free abelianization."""
+    """Fox Jacobian over the Laurent ring of the torsion-free abelianization.
+
+    `ideal(d)` and `delta` are computed once per instance and then shared by
+    every consumer of the same matrix.
+    """
 
     entries: tuple
     abelianization: object
+    _ideals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_relators(self):
@@ -69,6 +75,21 @@ class AlexanderMatrix:
 
     def evaluated(self, chi):
         return [[evaluate(e, chi) for e in row] for row in self.entries]
+
+    def ideal(self, d):
+        """The elementary ideal E_d with the default minor cap, memoized."""
+        e = self._ideals.get(d)
+        if e is None:
+            e = self._ideals[d] = elementary_ideal(self, d)
+        return e
+
+    @cached_property
+    def delta(self):
+        """Unit-normalized gcd of the generators of E_1 (0 for the zero ideal)."""
+        e1 = self.ideal(1)
+        if e1.is_zero:
+            return LaurentPoly.zero(self.num_vars)
+        return gcd_all(e1.generators)
 
 
 def alexander_matrix(p):
@@ -158,10 +179,7 @@ def elementary_ideal(a, d, max_generators=DEFAULT_GENERATOR_CAP):
 
 def alexander_polynomial(a):
     """Unit-normalized gcd of the generators of E_1 (0 for the zero ideal)."""
-    e1 = elementary_ideal(a, 1)
-    if e1.is_zero:
-        return LaurentPoly.zero(a.num_vars)
-    return normalize_unit(gcd_all(e1.generators))
+    return a.delta
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +190,12 @@ def twisted_h1_dim(p, chi):
     """dim H^1 of the presentation 2-complex with coefficients twisted by chi != 1.
 
     Equals g - 1 - rank of the Alexander matrix evaluated at chi, with the
-    rank computed exactly over the cyclotomic field Q(zeta_m).
+    rank computed exactly over the cyclotomic field Q(zeta_m).  `p` is a
+    presentation or an AlexanderMatrix already built from one.
     """
     if chi.is_identity:
         raise IdentityCharacterError("twisted_h1_dim requires a non-identity character")
-    a = alexander_matrix(p)
+    a = p if isinstance(p, AlexanderMatrix) else alexander_matrix(p)
     if len(chi.exponents) != a.num_vars:
         raise ValueError(
             f"character has {len(chi.exponents)} exponents, expected {a.num_vars}"
@@ -239,8 +258,8 @@ class AlmostPrincipalReport:
 def almost_principal_sampled(a, trials, seed, orders=CHARACTER_ORDERS):
     if a.num_vars < 1:
         raise ValueError("almost-principality sampling requires b1 >= 1")
-    e1 = elementary_ideal(a, 1)
-    delta = alexander_polynomial(a)
+    e1 = a.ideal(1)
+    delta = a.delta
     bad = []
     for chi in sample_characters(a.num_vars, trials, seed, orders):
         in_variety = ideal_vanishes_at(e1, chi)

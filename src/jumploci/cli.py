@@ -38,11 +38,8 @@ from pathlib import Path
 
 from .alexander import (
     alexander_matrix,
-    alexander_polynomial,
     almost_principal_sampled,
-    elementary_ideal,
     ideal_vanishes_at,
-    in_vd,
     twisted_h1_dim,
 )
 from .holonomy import DEFAULT_DEGREE_CAP, QuadraticData, holonomy_from_threeform, lie_ranks
@@ -103,8 +100,19 @@ def _parse_rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
+
+
+class MalformedInputError(ValueError):
+    """Input file whose JSON does not have the documented shape (exit code 2)."""
+
+
+# what a wrongly shaped JSON value raises when its fields are read
+_SHAPE_ERRORS = (TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +128,16 @@ def load_presentation(path):
 
 
 def threeform_from_json(obj):
-    n = int(obj["n"])
-    coeffs = {}
-    for term in obj.get("terms", []):
-        key = (int(term["i"]) - 1, int(term["j"]) - 1, int(term["k"]) - 1)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + _parse_rational(term["c"])
+    if not isinstance(obj, dict):
+        raise MalformedInputError("3-form JSON must be an object")
+    try:
+        n = int(obj["n"])
+        coeffs = {}
+        for term in obj.get("terms", []):
+            key = (int(term["i"]) - 1, int(term["j"]) - 1, int(term["k"]) - 1)
+            coeffs[key] = coeffs.get(key, Fraction(0)) + _parse_rational(term["c"])
+    except _SHAPE_ERRORS as exc:
+        raise MalformedInputError(f"malformed 3-form: {exc}") from exc
     return ThreeForm(n, coeffs)
 
 
@@ -134,9 +147,12 @@ def load_threeform(path):
 
 def load_holonomy_input(path):
     obj = json.loads(Path(path).read_text())
-    if "relations" in obj:
-        n = int(obj["n"])
-        rels = tuple(tuple(_parse_rational(c) for c in row) for row in obj["relations"])
+    if isinstance(obj, dict) and "relations" in obj:
+        try:
+            n = int(obj["n"])
+            rels = tuple(tuple(_parse_rational(c) for c in row) for row in obj["relations"])
+        except _SHAPE_ERRORS as exc:
+            raise MalformedInputError(f"malformed holonomy relations: {exc}") from exc
         return QuadraticData(n=n, relations=rels)
     return holonomy_from_threeform(threeform_from_json(obj))
 
@@ -157,11 +173,10 @@ def parse_character(text):
 
 def run_alex(p, config, ideal_ds=(1,)):
     a = alexander_matrix(p)
-    delta = alexander_polynomial(a)
-    delta_str = poly_to_string(delta)
+    delta_str = poly_to_string(a.delta)
     ideals = []
     for d in sorted(set(ideal_ds)):
-        e = elementary_ideal(a, d)
+        e = a.ideal(d)
         ideals.append(
             {
                 "d": d,
@@ -196,15 +211,17 @@ def run_alex(p, config, ideal_ds=(1,)):
 
 
 def run_charvar(p, chi, d, config):
-    rank_based = in_vd(p, chi, d)
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     a = alexander_matrix(p)
-    ideal = elementary_ideal(a, d)
-    ideal_based = ideal_vanishes_at(ideal, chi)
+    h1 = twisted_h1_dim(a, chi)
+    rank_based = h1 >= d
+    ideal_based = ideal_vanishes_at(a.ideal(d), chi)
     return {
         "command": "charvar",
         "character": {"order": chi.order, "exponents": list(chi.exponents)},
         "d": d,
-        "twisted_h1_dim": twisted_h1_dim(p, chi),
+        "twisted_h1_dim": h1,
         "rank_based": rank_based,
         "ideal_based": ideal_based,
         "agree": rank_based == ideal_based,
@@ -483,7 +500,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         sys.stderr.write(render_json(_error_record("io", str(exc))))
         return 2
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, MalformedInputError) as exc:
         sys.stderr.write(render_json(_error_record("parse", str(exc))))
         return 2
     except IntegralityError as exc:

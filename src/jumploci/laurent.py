@@ -377,16 +377,21 @@ def gcd_all(ps):
     """Greatest common divisor in Z[t1^{±1},...,tn^{±1}], unit-normalized.
 
     The integer content is retained (gcd(2(t-1), 4(t-1)^2) = 2(t-1)); the
-    gcd of a list of zeros is 0.
+    gcd of a list of zeros is 0.  Inputs are taken fewest terms first and the
+    loop stops once the running gcd is +/-1; the normalized result does not
+    depend on the order.
     """
     ps = list(ps)
     if not ps:
         raise ValueError("gcd_all needs at least one polynomial")
     n = ps[0].num_vars
+    if any(p.num_vars != n for p in ps):
+        raise ValueError("variable-count mismatch in gcd_all")
+    units = ({(0,) * n: 1}, {(0,) * n: -1})
     g = {}
-    for p in ps:
-        if p.num_vars != n:
-            raise ValueError("variable-count mismatch in gcd_all")
+    for p in sorted(ps, key=lambda p: len(p.terms)):
+        if g in units:
+            break
         if p.is_zero:
             continue
         mins = p.min_exponents()

@@ -7,10 +7,13 @@ The module parses the textual grammar
     < g1, g2, ... | w1, w2, ... >
 
 where words juxtapose ``g``, ``g^-1``, ``g^k`` and nestable commutator sugar
-``[u, v]`` = u v u^-1 v^-1.  It also computes Smith normal forms of integer
-matrices, the abelianization data (Betti number, invariant factors, generator
-images), and free derivatives pushed through the maximal torsion-free abelian
-quotient, landing in the Laurent ring on b1 variables.
+``[u, v]`` = u v u^-1 v^-1, nested at most ``MAX_COMMUTATOR_DEPTH`` deep.
+The letters of a word, and of a power ``w^k``, are collected first and
+freely reduced in one pass, so parsing is linear in the expanded length.
+It also computes Smith normal forms of integer matrices, the abelianization
+data (Betti number, invariant factors, generator images), and free
+derivatives pushed through the maximal torsion-free abelian quotient,
+landing in the Laurent ring on b1 variables.
 
 Relators are not cyclically reduced automatically; derivatives of cyclic
 permutations of a relator differ by unit monomials, which the project-wide
@@ -76,12 +79,11 @@ class Word:
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, k):
+        # free reduction is confluent: reducing the |k|-fold concatenation once
+        # gives the same word as |k| successive products, in linear time
         k = int(k)
         base = self if k >= 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return Word(base.letters * abs(k))
 
     def cyclic_permutation(self, k):
         """The word rotated left by k letters (same conjugacy class)."""
@@ -164,6 +166,11 @@ class PresentationParseError(ValueError):
         self.offset = offset
 
 
+# bracket nesting allowed in a word; deeper input is refused by the parser
+# before the recursion can exhaust the interpreter stack
+MAX_COMMUTATOR_DEPTH = 100
+
+
 class _Cursor:
     def __init__(self, text):
         self.text = text
@@ -221,25 +228,29 @@ def _parse_exponent(cur):
     return sign * int(digits)
 
 
-def _parse_word(cur, gen_index, stop_chars):
-    word = Word()
+def _parse_word(cur, gen_index, stop_chars, depth=0):
+    letters = []
     while True:
         cur.skip_ws()
         ch = cur.peek()
         if ch == "" or ch in stop_chars:
-            return word
+            return Word(letters)
         if ch == "1":
             cur.pos += 1
             atom = Word()
         elif ch == "[":
             open_pos = cur.pos
+            if depth >= MAX_COMMUTATOR_DEPTH:
+                cur.fail(
+                    f"commutators nested deeper than {MAX_COMMUTATOR_DEPTH}", open_pos
+                )
             cur.pos += 1
-            u = _parse_word(cur, gen_index, ",]>")
+            u = _parse_word(cur, gen_index, ",]>", depth + 1)
             cur.skip_ws()
             if cur.peek() != ",":
                 cur.fail("unbalanced brackets: expected ',' in commutator", open_pos)
             cur.pos += 1
-            v = _parse_word(cur, gen_index, ",]>")
+            v = _parse_word(cur, gen_index, ",]>", depth + 1)
             cur.skip_ws()
             if cur.peek() != "]":
                 cur.fail("unbalanced brackets: expected ']'", open_pos)
@@ -259,7 +270,7 @@ def _parse_word(cur, gen_index, stop_chars):
             cur.pos += 1
             k = _parse_exponent(cur)
             atom = atom ** k
-        word = word * atom
+        letters.extend(atom.letters)
 
 
 def parse_word(text, generator_names):

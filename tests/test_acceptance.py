@@ -228,3 +228,20 @@ def test_criterion_8_determinism(tmp_path_factory=None):
                 assert code == 0, argv
                 outputs.append(buf.getvalue().encode())
             assert outputs[0] == outputs[1], f"non-deterministic output for {argv}"
+
+
+def test_large_power_alex_budget(tmp_path):
+    # x^32000 is expanded and freely reduced in one pass; a quadratic word
+    # power took longer than 20 s here
+    f = tmp_path / "power.grp"
+    f.write_text("<x | x^32000>\n")
+    buf = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(buf):
+        code = main(["alex", str(f)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(buf.getvalue())
+    assert report["b1"] == 0 and report["torsion"] == [32000]
+    assert report["matrix"] == [["32000"]]
+    assert elapsed < 5.0, f"alex on <x | x^32000> took {elapsed:.2f}s"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from jumploci import _linalg, alexander, cli, laurent
 from jumploci import (
     Character,
     IdentityCharacterError,
@@ -233,3 +234,53 @@ class TestCharacterSampling:
     def test_orders_from_menu(self):
         chars = sample_characters(2, 200, seed=12)
         assert {c.order for c in chars} <= {2, 3, 4, 5, 6, 8, 12}
+
+
+def _count_calls(monkeypatch, name, *holders):
+    """Replace `name` in every holder by one counting wrapper; return its call log."""
+    calls = []
+    real = getattr(holders[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for holder in holders:
+        monkeypatch.setattr(holder, name, counting, raising=False)
+    return calls
+
+
+Z3 = parse_presentation("<x, y, z | [x,y], [x,z], [y,z]>")
+
+
+class TestComputeOnce:
+    def test_matrix_memo(self):
+        a = alexander_matrix(TREFOIL)
+        assert a.ideal(1) is a.ideal(1)
+        assert alexander_polynomial(a) is a.delta
+        # the memo takes no part in equality or hashing
+        b = alexander_matrix(TREFOIL)
+        assert a == b and hash(a) == hash(b)
+        assert a.ideal(2) == elementary_ideal(b, 2)
+
+    def test_run_alex_builds_each_invariant_once(self, monkeypatch):
+        gcds = _count_calls(monkeypatch, "gcd_all", laurent, alexander, cli)
+        ideals = _count_calls(monkeypatch, "elementary_ideal", alexander, cli)
+        out = cli.run_alex(Z3, cli.RunConfig(trials=20), [2, 1, 2])
+        assert len(gcds) == 1
+        assert sorted(args[1] for args in ideals) == [1, 2]
+        assert out["delta"] == "1"
+        assert [e["d"] for e in out["ideals"]] == [1, 2]
+
+    def test_run_charvar_builds_one_matrix_and_one_rank(self, monkeypatch):
+        matrices = _count_calls(monkeypatch, "alexander_matrix", alexander, cli)
+        ranks = _count_calls(monkeypatch, "rank", _linalg)
+        out = cli.run_charvar(TREFOIL, Character(6, (1,)), 1, cli.RunConfig())
+        assert len(matrices) == 1
+        assert len(ranks) == 1
+        assert out["twisted_h1_dim"] == 1
+        assert out["rank_based"] and out["ideal_based"] and out["agree"]
+
+    def test_twisted_h1_dim_accepts_matrix(self):
+        for p, chi in ((SURFACE_2, Character(3, (1, 0, 2, 0))), (Z2, Character(3, (1, 2)))):
+            assert twisted_h1_dim(alexander_matrix(p), chi) == twisted_h1_dim(p, chi)

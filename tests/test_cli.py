@@ -9,6 +9,7 @@ from referencing import Registry, Resource
 
 import jumploci
 from jumploci.cli import main, parse_character
+from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
 SCHEMA_DIR = pathlib.Path(jumploci.__file__).parent / "schemas"
 
@@ -233,6 +234,32 @@ class TestErrors:
         code, out, err = run_cli(capsys, ["classify", str(f)])
         assert code == 2
         validate("error", json.loads(err))
+
+
+    @pytest.mark.parametrize("command", ["classify", "holonomy"])
+    @pytest.mark.parametrize("content", [
+        json.dumps({"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": "1/0"}]}),
+        json.dumps([{"n": 3}]),
+    ], ids=["zero-denominator", "json-array"])
+    def test_malformed_threeform(self, capsys, tmp_path, command, content):
+        f = tmp_path / "bad.form"
+        f.write_text(content)
+        code, out, err = run_cli(capsys, [command, str(f)])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+
+    def test_deep_commutator_nesting(self, capsys, tmp_path):
+        f = tmp_path / "deep.grp"
+        f.write_text("<x, y | " + "[" * 3000 + "x, x]" + ", y]" * 2999 + ">")
+        code, out, err = run_cli(capsys, ["alex", str(f)])
+        assert code == 2
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+        assert record["error"]["offset"] == 8 + MAX_COMMUTATOR_DEPTH
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from jumploci import laurent
 from jumploci import (
     Character,
     CyclotomicElement,
@@ -160,6 +161,35 @@ class TestGcd:
                 continue
             for p in ps:
                 assert divides(g, p)
+
+    def test_order_independent(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 2)
+            common = random_poly(rng, n, max_terms=3)
+            ps = [common * random_poly(rng, n) for _ in range(rng.randint(2, 5))]
+            ps.append(LaurentPoly.zero(n))
+            expected = gcd_all(ps)
+            for _ in range(3):
+                rng.shuffle(ps)
+                assert gcd_all(ps) == expected
+                # splitting the list anywhere gives the same gcd
+                i = rng.randint(1, len(ps) - 1)
+                assert gcd_all([gcd_all(ps[:i]), gcd_all(ps[i:])]) == expected
+
+    def test_unit_stops_early(self, monkeypatch):
+        x = t()
+        big = (x - 1) ** 40 * (x + 2) ** 40
+        seen = []
+        real = laurent._poly_gcd
+
+        def spy(a, b, n):
+            seen.append((a, b))
+            return real(a, b, n)
+
+        monkeypatch.setattr(laurent, "_poly_gcd", spy)
+        assert gcd_all([big, LaurentPoly.constant(1, -1)]) == LaurentPoly.one(1)
+        assert seen and all(len(a) <= 1 and len(b) <= 1 for a, b in seen)
 
     @pytest.mark.parametrize("num_vars", [1, 2])
     def test_product_property_with_divisor_oracle(self, num_vars):

@@ -19,6 +19,7 @@ from jumploci import (
     word_image,
 )
 from jumploci._linalg import int_det, mat_mul
+from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
 from _corpus import (
     FREE_1,
@@ -55,6 +56,25 @@ class TestWords:
         for _ in range(50):
             w = random_word(rng, 3, 8)
             assert (w * w.inverse()).is_empty
+
+    def test_power_matches_repeated_product(self):
+        rng = random.Random(21)
+        seam_cancellations = 0
+        for trial in range(80):
+            w = random_word(rng, 3, rng.randint(0, 8))
+            if trial % 2:
+                # a conjugate u w u^-1 cancels u^-1 u where two copies meet
+                u = random_word(rng, 3, rng.randint(1, 4))
+                w = u * w * u.inverse()
+            if len(w * w) < 2 * len(w):
+                seam_cancellations += 1
+            for k in range(-6, 7):
+                step = w if k >= 0 else w.inverse()
+                expected = Word()
+                for _ in range(abs(k)):
+                    expected = expected * step
+                assert w ** k == expected, (w, k)
+        assert seam_cancellations >= 20
 
 
 class TestParser:
@@ -102,6 +122,32 @@ class TestParser:
         with pytest.raises(PresentationParseError) as exc:
             parse_presentation("<x, y | [x,y >")
         assert "bracket" in str(exc.value)
+
+    @staticmethod
+    def _nested(depth):
+        # [[...[x, x], y]..., y]: every level collapses to the empty word
+        return "<x, y | " + "[" * depth + "x, x]" + ", y]" * (depth - 1) + ">"
+
+    def test_nesting_limit_is_a_parse_error(self):
+        text = self._nested(3000)
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert "nested" in exc.value.message
+        # the offset is that of the first '[' past the limit
+        assert exc.value.offset == text.index("[") + MAX_COMMUTATOR_DEPTH
+        assert text[exc.value.offset] == "["
+
+    def test_nesting_within_limit(self):
+        for depth in (50, MAX_COMMUTATOR_DEPTH):
+            p = parse_presentation(self._nested(depth))
+            assert p.relators[0].is_empty
+        with pytest.raises(PresentationParseError):
+            parse_presentation(self._nested(MAX_COMMUTATOR_DEPTH + 1))
+
+    def test_long_powers_and_words(self):
+        p = parse_presentation("<x, y | x^1000 y^-1, " + "x y^-1 " * 500 + ">")
+        assert p.relators[0].letters == ((0, 1),) * 1000 + ((1, -1),)
+        assert p.relators[1].letters == ((0, 1), (1, -1)) * 500
 
     def test_missing_close(self):
         with pytest.raises(PresentationParseError):
