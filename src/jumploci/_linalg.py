@@ -2,57 +2,65 @@
 
 Works generically over any field whose elements support +, -, *, / and are
 falsy exactly when zero (Fraction and CyclotomicElement both qualify).
+Every elimination over a field goes through the sparse kernel
+`echelon_insert`; `int_det` works over Z.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "rank",
-    "row_reduce",
+    "echelon_insert",
     "mat_vec",
     "mat_mul",
     "int_det",
 ]
 
 
-def row_reduce(rows):
-    """Reduced row-echelon form; returns (reduced nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    pivots = []
-    reduced = []
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        pivot_row = None
-        for i, r in enumerate(work):
-            if r[col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        row = work.pop(pivot_row)
-        inv = row[col]
-        row = [x / inv for x in row]
-        for other in reduced:
-            if other[col]:
-                c = other[col]
-                for j in range(col, ncols):
-                    other[j] = other[j] - c * row[j]
-        for other in work:
-            if other[col]:
-                c = other[col]
-                for j in range(col, ncols):
-                    other[j] = other[j] - c * row[j]
-        reduced.append(row)
-        pivots.append(col)
-        col += 1
-    return reduced, pivots
+def _sub_scaled(target, c, row):
+    """target -= c * row in place, dropping entries that cancel."""
+    for k, v in row.items():
+        s = target.get(k, 0) - c * v
+        if s:
+            target[k] = s
+        else:
+            del target[k]
+
+
+def echelon_insert(basis, vec):
+    """Reduce a sparse row against a reduced echelon basis; insert it if new.
+
+    `vec` maps ordered keys (column indices, tensor words, ...) to nonzero
+    entries.  `basis` maps each pivot key to its row; every row holds 1 at its
+    pivot and no other row's pivot, so one pass decides dependence and the
+    reduction needs no division.  An independent `vec` is normalized at its
+    pivot `min(vec)`, cleared from the other rows and inserted; its pivot is
+    returned.  A dependent `vec` leaves `basis` unchanged and gives None.
+    """
+    vec = dict(vec)
+    for pivot, row in basis.items():
+        c = vec.get(pivot)
+        if c:
+            _sub_scaled(vec, c, row)
+    if not vec:
+        return None
+    pivot = min(vec)
+    inv = vec[pivot]
+    vec = {k: v / inv for k, v in vec.items()}
+    for row in basis.values():
+        c = row.get(pivot)
+        if c:
+            _sub_scaled(row, c, vec)
+    basis[pivot] = vec
+    return pivot
 
 
 def rank(rows):
-    _, pivots = row_reduce(rows)
-    return len(pivots)
+    """Rank of a matrix given as dense rows."""
+    basis = {}
+    for row in rows:
+        echelon_insert(basis, {j: x for j, x in enumerate(row) if x})
+    return len(basis)
 
 
 def mat_vec(m, v):

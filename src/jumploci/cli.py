@@ -120,11 +120,16 @@ _SHAPE_ERRORS = (TypeError, ValueError)
 # ---------------------------------------------------------------------------
 
 def load_presentation(path):
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return presentation_from_json(json.loads(text))
-    return parse_presentation(text)
+    text = Path(path).read_text(encoding="utf-8")
+    if not text.lstrip().startswith("{"):
+        return parse_presentation(text)
+    obj = json.loads(text)
+    try:
+        return presentation_from_json(obj)
+    except PresentationParseError:
+        raise
+    except _SHAPE_ERRORS as exc:
+        raise MalformedInputError(f"malformed presentation: {exc}") from exc
 
 
 def threeform_from_json(obj):
@@ -136,24 +141,24 @@ def threeform_from_json(obj):
         for term in obj.get("terms", []):
             key = (int(term["i"]) - 1, int(term["j"]) - 1, int(term["k"]) - 1)
             coeffs[key] = coeffs.get(key, Fraction(0)) + _parse_rational(term["c"])
+        return ThreeForm(n, coeffs)
     except _SHAPE_ERRORS as exc:
         raise MalformedInputError(f"malformed 3-form: {exc}") from exc
-    return ThreeForm(n, coeffs)
 
 
 def load_threeform(path):
-    return threeform_from_json(json.loads(Path(path).read_text()))
+    return threeform_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_holonomy_input(path):
-    obj = json.loads(Path(path).read_text())
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(obj, dict) and "relations" in obj:
         try:
             n = int(obj["n"])
             rels = tuple(tuple(_parse_rational(c) for c in row) for row in obj["relations"])
+            return QuadraticData(n=n, relations=rels)
         except _SHAPE_ERRORS as exc:
             raise MalformedInputError(f"malformed holonomy relations: {exc}") from exc
-        return QuadraticData(n=n, relations=rels)
     return holonomy_from_threeform(threeform_from_json(obj))
 
 
@@ -500,7 +505,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         sys.stderr.write(render_json(_error_record("io", str(exc))))
         return 2
-    except (json.JSONDecodeError, KeyError, MalformedInputError) as exc:
+    except (json.JSONDecodeError, KeyError, MalformedInputError, UnicodeDecodeError) as exc:
         sys.stderr.write(render_json(_error_record("parse", str(exc))))
         return 2
     except IntegralityError as exc:

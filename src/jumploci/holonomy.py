@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._linalg import row_reduce
+from ._linalg import echelon_insert
 
 __all__ = [
     "QuadraticData",
@@ -47,6 +47,8 @@ class QuadraticData:
     relations: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("generator count must be non-negative")
         m = self.n * (self.n - 1) // 2
         rels = tuple(tuple(Fraction(c) for c in r) for r in self.relations)
         for r in rels:
@@ -75,13 +77,14 @@ def holonomy_from_threeform(eta):
     """
     n = eta.n
     pairs = wedge_basis(n)
-    rows = []
+    basis = {}
     for k in range(n):
-        row = [eta.value(i, j, k) for i, j in pairs]
-        if any(row):
-            rows.append(row)
-    reduced, _ = row_reduce(rows)
-    return QuadraticData(n=n, relations=tuple(tuple(r) for r in reduced))
+        row = (eta.value(i, j, k) for i, j in pairs)
+        echelon_insert(basis, {col: c for col, c in enumerate(row) if c})
+    relations = tuple(
+        tuple(basis[p].get(col, 0) for col in range(len(pairs))) for p in sorted(basis)
+    )
+    return QuadraticData(n=n, relations=relations)
 
 
 # ---------------------------------------------------------------------------
@@ -159,43 +162,6 @@ def _ad_generator(i, vec):
     return out
 
 
-def _sparse_echelon_insert(basis, vec):
-    """Reduce vec against a reduced sparse basis; insert and return its pivot.
-
-    The basis maps pivot key -> row dict, kept fully reduced (no row contains
-    another row's pivot), so a single pass decides dependence.
-    """
-    vec = dict(vec)
-    for pivot, row in basis.items():
-        c = vec.get(pivot)
-        if c:
-            factor = c / row[pivot]
-            for k, v in row.items():
-                s = vec.get(k, 0) - factor * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-    if not vec:
-        return None
-    pivot = min(vec)
-    inv = vec[pivot]
-    norm = {k: v / inv for k, v in vec.items()}
-    for p2, row in list(basis.items()):
-        c = row.get(pivot)
-        if c:
-            updated = dict(row)
-            for k, v in norm.items():
-                s = updated.get(k, 0) - c * v
-                if s:
-                    updated[k] = s
-                else:
-                    updated.pop(k, None)
-            basis[p2] = updated
-    basis[pivot] = norm
-    return pivot
-
-
 def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     """Graded dimensions of Lie(n)/ideal(relations) for degrees 1..up_to.
 
@@ -211,27 +177,19 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     n = q.n
     ranks = [n]
     pairs = wedge_basis(n)
-    ideal_basis = {}
-    ideal_rows = []
+    ideal = {}
     for r in q.relations:
         vec = {}
         for (i, j), c in zip(pairs, r):
             if c:
-                vec[(i, j)] = vec.get((i, j), 0) + c
-                vec[(j, i)] = vec.get((j, i), 0) - c
-        vec = {k: v for k, v in vec.items() if v}
-        if vec and _sparse_echelon_insert(ideal_basis, vec) is not None:
-            ideal_rows.append(vec)
+                vec[(i, j)] = c
+                vec[(j, i)] = -c
+        echelon_insert(ideal, vec)
     for d in range(2, up_to + 1):
-        lie_dim = len(lyndon_words(n, d))
         if d > 2:
-            new_basis = {}
-            new_rows = []
-            for vec in ideal_rows:
+            prev, ideal = ideal, {}
+            for row in prev.values():
                 for i in range(n):
-                    cand = _ad_generator(i, vec)
-                    if cand and _sparse_echelon_insert(new_basis, cand) is not None:
-                        new_rows.append(cand)
-            ideal_basis, ideal_rows = new_basis, new_rows
-        ranks.append(lie_dim - len(ideal_basis))
+                    echelon_insert(ideal, _ad_generator(i, row))
+        ranks.append(len(lyndon_words(n, d)) - len(ideal))
     return GradedRanks(ranks=tuple(ranks))

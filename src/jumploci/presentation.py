@@ -7,7 +7,9 @@ The module parses the textual grammar
     < g1, g2, ... | w1, w2, ... >
 
 where words juxtapose ``g``, ``g^-1``, ``g^k`` and nestable commutator sugar
-``[u, v]`` = u v u^-1 v^-1, nested at most ``MAX_COMMUTATOR_DEPTH`` deep.
+``[u, v]`` = u v u^-1 v^-1, nested at most ``MAX_COMMUTATOR_DEPTH`` deep; a
+word longer than ``MAX_WORD_LENGTH`` letters before free reduction is
+refused, and a power or commutator is checked before it is built.
 The letters of a word, and of a power ``w^k``, are collected first and
 freely reduced in one pass, so parsing is linear in the expanded length.
 It also computes Smith normal forms of integer matrices, the abelianization
@@ -170,6 +172,11 @@ class PresentationParseError(ValueError):
 # before the recursion can exhaust the interpreter stack
 MAX_COMMUTATOR_DEPTH = 100
 
+# letters a word may reach, counted before free reduction; powers and
+# commutators are checked before they are built, since each nesting level
+# doubles a word and a few bytes of input could otherwise exhaust memory
+MAX_WORD_LENGTH = 2**18
+
 
 class _Cursor:
     def __init__(self, text):
@@ -221,17 +228,25 @@ def _parse_exponent(cur):
         cur.pos += 1
     if not cur.peek().isdigit():
         cur.fail("malformed exponent", start)
-    digits = ""
+    first = cur.pos
     while cur.pos < len(cur.text) and cur.text[cur.pos].isdigit():
-        digits += cur.text[cur.pos]
         cur.pos += 1
-    return sign * int(digits)
+    try:
+        return sign * int(cur.text[first:cur.pos])
+    except ValueError:  # a digit int() rejects, or more digits than it converts
+        cur.fail("malformed exponent", start)
+
+
+def _check_length(cur, length, offset):
+    if length > MAX_WORD_LENGTH:
+        cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", offset)
 
 
 def _parse_word(cur, gen_index, stop_chars, depth=0):
     letters = []
     while True:
         cur.skip_ws()
+        start = cur.pos
         ch = cur.peek()
         if ch == "" or ch in stop_chars:
             return Word(letters)
@@ -239,22 +254,20 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
             cur.pos += 1
             atom = Word()
         elif ch == "[":
-            open_pos = cur.pos
             if depth >= MAX_COMMUTATOR_DEPTH:
-                cur.fail(
-                    f"commutators nested deeper than {MAX_COMMUTATOR_DEPTH}", open_pos
-                )
+                cur.fail(f"commutators nested deeper than {MAX_COMMUTATOR_DEPTH}", start)
             cur.pos += 1
             u = _parse_word(cur, gen_index, ",]>", depth + 1)
             cur.skip_ws()
             if cur.peek() != ",":
-                cur.fail("unbalanced brackets: expected ',' in commutator", open_pos)
+                cur.fail("unbalanced brackets: expected ',' in commutator", start)
             cur.pos += 1
             v = _parse_word(cur, gen_index, ",]>", depth + 1)
             cur.skip_ws()
             if cur.peek() != "]":
-                cur.fail("unbalanced brackets: expected ']'", open_pos)
+                cur.fail("unbalanced brackets: expected ']'", start)
             cur.pos += 1
+            _check_length(cur, len(letters) + 2 * (len(u) + len(v)), start)
             atom = commutator(u, v)
         elif _is_ident_start(ch):
             name, start = _parse_ident(cur)
@@ -269,7 +282,10 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
         if cur.peek() == "^":
             cur.pos += 1
             k = _parse_exponent(cur)
+            _check_length(cur, len(letters) + len(atom) * abs(k), start)
             atom = atom ** k
+        else:
+            _check_length(cur, len(letters) + len(atom), start)
         letters.extend(atom.letters)
 
 
@@ -341,10 +357,14 @@ def format_presentation(p):
 def presentation_from_json(obj):
     """Build a Presentation from {"generators": [...], "relators": [...]}."""
     try:
-        names = tuple(obj["generators"])
-        rel_texts = list(obj["relators"])
+        names = obj["generators"]
+        rel_texts = obj["relators"]
     except (KeyError, TypeError) as exc:
         raise ValueError("presentation JSON needs 'generators' and 'relators'") from exc
+    for field in (names, rel_texts):
+        if not isinstance(field, (list, tuple)) or not all(isinstance(x, str) for x in field):
+            raise ValueError("'generators' and 'relators' must be lists of strings")
+    names = tuple(names)
     relators = tuple(parse_word(text, names) for text in rel_texts)
     return Presentation(names, relators)
 

@@ -238,18 +238,62 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["classify", "holonomy"])
     @pytest.mark.parametrize("content", [
-        json.dumps({"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": "1/0"}]}),
-        json.dumps([{"n": 3}]),
-    ], ids=["zero-denominator", "json-array"])
+        json.dumps({"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": "1/0"}]}).encode(),
+        json.dumps([{"n": 3}]).encode(),
+        json.dumps({"n": 3, "terms": [{"i": 1, "j": 1, "k": 2, "c": 1}]}).encode(),
+        json.dumps({"n": 3, "terms": [{"i": 1, "j": 2, "k": 4, "c": 1}]}).encode(),
+        json.dumps({"n": -1, "terms": []}).encode(),
+        b'\xff\xfe{"n": 3, "terms": []}',
+    ], ids=["zero-denominator", "json-array", "repeated-index", "index-out-of-range",
+            "negative-n", "not-utf8"])
     def test_malformed_threeform(self, capsys, tmp_path, command, content):
         f = tmp_path / "bad.form"
-        f.write_text(content)
+        f.write_bytes(content)
         code, out, err = run_cli(capsys, [command, str(f)])
         assert code == 2
         assert out == ""
         record = json.loads(err)
         validate("error", record)
         assert record["error"]["type"] == "parse"
+
+    @pytest.mark.parametrize("content", [
+        {"n": 3, "relations": [[1, 2]]},
+        {"n": -1, "relations": [[1]]},
+    ], ids=["wrong-length", "negative-n"])
+    def test_malformed_holonomy_relations(self, capsys, tmp_path, content):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, ["holonomy", str(f)])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+
+    @pytest.mark.parametrize("content", [
+        {"generators": ["x"], "relators": [5]},
+        {"generators": "xy", "relators": []},
+        {"generators": ["x"]},
+    ], ids=["relator-not-string", "generators-string", "missing-relators"])
+    def test_malformed_json_presentation(self, capsys, tmp_path, content):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, ["alex", str(f)])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+
+    def test_word_length_limit(self, capsys, tmp_path):
+        f = tmp_path / "power.grp"
+        f.write_text("<x | x^1000000000000>")
+        code, out, err = run_cli(capsys, ["alex", str(f)])
+        assert code == 2
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+        assert record["error"]["offset"] == 5
 
     def test_deep_commutator_nesting(self, capsys, tmp_path):
         f = tmp_path / "deep.grp"

@@ -267,8 +267,22 @@ class TestFromThreeForm:
             assert rank(rows) == len(rows)
             assert rank(rows + raw) == len(rows)
 
+    def test_scaled_form_gives_equal_data(self):
+        # scaling eta by 3 scales every contraction, leaving their span and
+        # hence the reduced echelon basis unchanged
+        rng = random.Random(75)
+        forms = [ThreeForm.product_form(2), ThreeForm.volume()]
+        forms += [random_threeform(rng, n) for n in (3, 4, 5, 6, 7)]
+        for eta in forms:
+            scaled = ThreeForm(eta.n, {t: 3 * c for t, c in eta.coeffs.items()})
+            assert holonomy_from_threeform(scaled) == holonomy_from_threeform(eta)
+
 
 class TestValidation:
     def test_relation_length_checked(self):
         with pytest.raises(ValueError):
             QuadraticData(3, ((Fraction(1),),))
+
+    def test_negative_generator_count(self):
+        with pytest.raises(ValueError):
+            QuadraticData(-1, ((Fraction(1),),))

@@ -19,7 +19,7 @@ from jumploci import (
     word_image,
 )
 from jumploci._linalg import int_det, mat_mul
-from jumploci.presentation import MAX_COMMUTATOR_DEPTH
+from jumploci.presentation import MAX_COMMUTATOR_DEPTH, MAX_WORD_LENGTH
 
 from _corpus import (
     FREE_1,
@@ -143,6 +143,34 @@ class TestParser:
             assert p.relators[0].is_empty
         with pytest.raises(PresentationParseError):
             parse_presentation(self._nested(MAX_COMMUTATOR_DEPTH + 1))
+
+    @staticmethod
+    def _doubling(depth):
+        # [[...[x, y], y]..., y]: the reduced word has 2^(depth + 1) letters
+        return "<x, y | " + "[" * depth + "x, y]" + ", y]" * (depth - 1) + ">"
+
+    def test_word_length_limit(self):
+        p = parse_presentation(self._doubling(16))
+        assert len(p.relators[0]) == 2**17
+        text = self._doubling(17)
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert "longer than" in exc.value.message
+        assert exc.value.offset == text.index("[")
+        text = "<x, y | y x^1000000000000>"
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert exc.value.offset == text.index("x^")
+        # the letters already in the word count towards the limit
+        half = MAX_WORD_LENGTH // 2
+        assert len(parse_presentation(f"<x | x^{half} x^{half}>").relators[0]) == 2 * half
+        with pytest.raises(PresentationParseError):
+            parse_presentation(f"<x | x^{half} x^{half} x>")
+
+    def test_overlong_exponent(self):
+        # past int()'s digit limit where there is one, past the word length otherwise
+        with pytest.raises(PresentationParseError):
+            parse_presentation("<x | x^" + "1" * 5000 + ">")
 
     def test_long_powers_and_words(self):
         p = parse_presentation("<x, y | x^1000 y^-1, " + "x y^-1 " * 500 + ">")
