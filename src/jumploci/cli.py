@@ -53,6 +53,7 @@ from .presentation import (
 from .resonance import MalcevKind, ThreeForm, classify_malcev
 from .seifert import (
     IntegralityError,
+    SweepLimitError,
     brieskorn_seifert,
     integer_obstruction,
     is_one_formal_link,
@@ -292,9 +293,8 @@ def _brieskorn_record(exps, s, t, comps, tc):
 
 def run_brieskorn(exps, config):
     s = brieskorn_seifert(exps)
-    record = _brieskorn_record(
-        exps, s, torsion_data(s), v1_components(s), tangent_cone_report(s)
-    )
+    t = torsion_data(s)
+    record = _brieskorn_record(exps, s, t, v1_components(s, t), tangent_cone_report(s))
     record["command"] = "brieskorn"
     record["config"] = config.as_dict()
     return record
@@ -501,6 +501,9 @@ def main(argv=None):
         report = _dispatch(args, config)
     except PresentationParseError as exc:
         sys.stderr.write(render_json(_error_record("parse", exc.message, exc.offset)))
+        return 2
+    except SweepLimitError as exc:
+        sys.stderr.write(render_json(_error_record("config", str(exc))))
         return 2
     except FileNotFoundError as exc:
         sys.stderr.write(render_json(_error_record("io", str(exc))))

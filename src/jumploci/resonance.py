@@ -3,9 +3,12 @@
 A `ThreeForm` models the triple cup product of a closed orientable 3-manifold
 on H^1 = Q^n.  Contraction against a vector x gives a skew matrix A(x) with
 A(x) x = 0; a nonzero x avoids the degree-1 resonance variety exactly when
-rank A(x) = n - 1.  Whether resonance fills all of H^1 is decided symbolically
-(principal sub-Pfaffians of the generic contraction matrix) up to a size
-threshold, and by seeded random evaluation above it.
+rank A(x) = n - 1.  Whether resonance fills all of H^1 is decided exactly up to
+a size threshold: by a seeded random x with rank A(x) = n - 1 when one is
+found, which is an exact witness of non-fullness, and otherwise by expanding
+the principal sub-Pfaffians of the generic contraction matrix.  Above the
+threshold the same witness search runs, and a form without a witness is
+reported full at sampling confidence.
 
 `classify_malcev` applies the decision procedure for cup forms of groups that
 are simultaneously 1-formal, quasi-Kahler, and 3-manifold groups.  The
@@ -317,33 +320,34 @@ def _pfaffian(entries, idx, memo):
 def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     """Decide whether every vector resonates, reporting the mode used.
 
-    Even n: parity decides.  Odd n <= symbolic_threshold: all principal
-    sub-Pfaffians of the symbolic contraction matrix are expanded exactly
-    and tested for identical vanishing.  Larger odd n: seeded random rational
-    vectors are tried; a single witness of rank n - 1 settles non-fullness,
-    otherwise fullness is reported at sampling confidence.
+    Even n: parity decides.  Odd n: seeded random integer vectors are tried
+    first; a single x with rank A(x) = n - 1 is an exact witness that the form
+    is not full.  Without a witness, odd n <= symbolic_threshold is decided
+    exactly by expanding every principal (n-1)-sub-Pfaffian of the symbolic
+    contraction matrix and testing it for identical vanishing; a full form
+    therefore pays for `trials` rank computations before the expansion.
+    Larger odd n reports fullness at sampling confidence.
     """
     n = eta.n
     if n < 1:
         raise ValueError("fullness needs n >= 1")
     if n % 2 == 0:
         return R1FullnessReport(full=True, mode="parity")
-    if n <= symbolic_threshold:
+    rng = random.Random(seed)
+    draws = ([Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(trials))
+    full = not any(
+        any(x) and _linalg.rank(contraction_matrix(eta, x)) == n - 1 for x in draws
+    )
+    if n > symbolic_threshold:
+        return R1FullnessReport(full=full, mode="sampled", trials=trials, seed=seed)
+    if full:
         entries = _symbolic_contraction(eta)
         memo = {}
-        for i in range(n):
-            idx = tuple(j for j in range(n) if j != i)
-            if not _pfaffian(entries, idx, memo).is_zero:
-                return R1FullnessReport(full=False, mode="symbolic")
-        return R1FullnessReport(full=True, mode="symbolic")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        if not any(x):
-            continue
-        if _linalg.rank(contraction_matrix(eta, x)) == n - 1:
-            return R1FullnessReport(full=False, mode="sampled", trials=trials, seed=seed)
-    return R1FullnessReport(full=True, mode="sampled", trials=trials, seed=seed)
+        full = all(
+            _pfaffian(entries, tuple(j for j in range(n) if j != i), memo).is_zero
+            for i in range(n)
+        )
+    return R1FullnessReport(full=full, mode="symbolic")
 
 
 def r1_is_full(eta, symbolic_threshold=9, trials=200, seed=0):

@@ -37,6 +37,7 @@ __all__ = [
     "ComponentReport",
     "TangentConeReport",
     "IntegralityError",
+    "SweepLimitError",
     "brieskorn_seifert",
     "torsion_data",
     "v1_components",
@@ -47,8 +48,17 @@ __all__ = [
 ]
 
 
+# rows a sweep may produce; (max - 1)^n is counted step by step before any
+# row is built, since a few bytes of options could otherwise ask for 10^15
+MAX_SWEEP_ROWS = 2**16
+
+
 class IntegralityError(ArithmeticError):
     """A quantity that must be an integer failed to be one."""
+
+
+class SweepLimitError(ValueError):
+    """A sweep would produce more than MAX_SWEEP_ROWS rows."""
 
 
 @dataclass(frozen=True)
@@ -199,15 +209,16 @@ def torsion_data(s):
     return TorsionData(torsion_order=t_order, fiber_class_order=h_order, alpha=alpha)
 
 
-def v1_components(s):
+def v1_components(s, torsion=None):
     """Positive-dimensional components of the first characteristic variety.
 
     Genus 0: none.  Genus 1: alpha - 1 translated copies of the identity
     torus, none through the identity.  Genus > 1: those translates plus the
     identity component itself.  `component_dim` is the dimension 2g of the
-    identity torus, whether or not any component exists.
+    identity torus, whether or not any component exists.  A caller that
+    already holds `torsion_data(s)` passes it as `torsion`.
     """
-    alpha = torsion_data(s).alpha
+    alpha = (torsion_data(s) if torsion is None else torsion).alpha
     g = s.genus
     if g == 0:
         return ComponentReport(0, 0, False, 0)
@@ -269,9 +280,21 @@ def sweep(max_exponent, n):
     """All Seifert/torsion/component data for exponent tuples in [2, max]^n.
 
     Tuples are enumerated in lexicographic order; output order is canonical.
+    A sweep of more than `MAX_SWEEP_ROWS` rows is refused before any row is
+    built; the count takes at least two choices per exponent, so that n is
+    bounded even for max <= 2.
     """
     if n < 3:
         raise ValueError("sweep needs n >= 3")
+    rows = 1
+    for _ in range(n):
+        rows *= max(max_exponent - 1, 2)
+        if rows > MAX_SWEEP_ROWS:
+            raise SweepLimitError(
+                f"sweep --max {max_exponent} --n {n} refused: more than "
+                f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows, counting at least "
+                f"2 values per exponent"
+            )
     out = []
     for exps in iter_product(range(2, max_exponent + 1), repeat=n):
         s = brieskorn_seifert(exps)
@@ -281,7 +304,7 @@ def sweep(max_exponent, n):
                 "exponents": exps,
                 "seifert": s,
                 "torsion": t,
-                "components": v1_components(s),
+                "components": v1_components(s, t),
                 "one_formal": is_one_formal_link(s),
                 "tangent_cone": tangent_cone_report(s),
             }

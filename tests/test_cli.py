@@ -8,6 +8,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import jumploci
+from jumploci import seifert
 from jumploci.cli import main, parse_character
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
@@ -188,6 +189,40 @@ class TestBrieskorn:
         code, out, err = run_cli(capsys, ["brieskorn", "1,2,3"])
         assert code == 1
         validate("error", json.loads(err))
+
+    @pytest.mark.parametrize("argv", [
+        ["--max", "1000", "--n", "5"],
+        ["--n", "1000000000"],
+    ])
+    def test_sweep_over_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["brieskorn", "sweep", *argv])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert "MAX_SWEEP_ROWS = 65536" in record["error"]["message"]
+
+    def test_sweep_limit_boundary(self, capsys, monkeypatch):
+        # 16^4 = 65536 rows is at the limit and 17^4 past it; building no
+        # rows keeps the check fast
+        monkeypatch.setattr(seifert, "iter_product", lambda *a, **k: iter(()))
+        code, out, _ = run_cli(capsys, ["brieskorn", "sweep", "--max", "17", "--n", "4"])
+        assert code == 0
+        assert json.loads(out)["rows"] == []
+        code, _, _ = run_cli(capsys, ["brieskorn", "sweep", "--max", "18", "--n", "4"])
+        assert code == 2
+
+    def test_sweep_just_under_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(seifert, "MAX_SWEEP_ROWS", 125)
+        code, out, _ = run_cli(capsys, ["brieskorn", "sweep", "--max", "6", "--n", "3"])
+        assert code == 0
+        report = json.loads(out)
+        validate("brieskorn-sweep", report)
+        assert len(report["rows"]) == 125
+        code, _, err = run_cli(capsys, ["brieskorn", "sweep", "--max", "7", "--n", "3"])
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "config"
 
 
 class TestHolonomy:

@@ -1,5 +1,6 @@
 """Resonance membership, genericity, isotropy search, and classification."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,12 @@ from jumploci import (
     zero_vector_in_r1,
 )
 from jumploci._linalg import mat_vec, rank
-from jumploci.resonance import _pair_masks
+from jumploci.resonance import (
+    R1FullnessReport,
+    _pair_masks,
+    _pfaffian,
+    _symbolic_contraction,
+)
 
 from _corpus import (
     random_invertible_matrix,
@@ -218,6 +224,94 @@ class TestFullnessAndGenericity:
     def test_parity_mode_report(self):
         rep = r1_fullness(ThreeForm.zero(4))
         assert rep.mode == "parity" and rep.full
+
+
+def _expansion_full(eta):
+    """Fullness decided by the sub-Pfaffian expansion alone."""
+    n = eta.n
+    entries = _symbolic_contraction(eta)
+    memo = {}
+    return all(
+        _pfaffian(entries, tuple(j for j in range(n) if j != i), memo).is_zero
+        for i in range(n)
+    )
+
+
+def _scrambled_product(rng, g):
+    return ThreeForm.product_form(g).transform(random_invertible_matrix(rng, 2 * g + 1))
+
+
+class TestWitnessFirstFullness:
+    """A rank-(n-1) point settles non-fullness before any expansion."""
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(11)
+        forms = [VOL, PROD_2, PADDED, ThreeForm.zero(5)]
+        for n in (5, 7, 9):
+            forms += [random_threeform(rng, n) for _ in range(2)]
+            forms += [random_threeform(rng, n, density=0.08) for _ in range(3)]
+        forms.append(random_threeform(rng, 11))
+        forms += [random_threeform(rng, 11, density=0.08) for _ in range(3)]
+        return forms
+
+    def test_matches_expansion(self):
+        forms = self._corpus()
+        fulls = []
+        for eta in forms:
+            full = _expansion_full(eta)
+            fulls.append(full)
+            rep = r1_fullness(eta, symbolic_threshold=eta.n)
+            assert rep == R1FullnessReport(full=full, mode="symbolic")
+        # the corpus exercises both answers, at n = 11 too
+        assert True in fulls and False in fulls
+        assert {eta.n for eta, f in zip(forms, fulls) if f} >= {5, 7, 9, 11}
+
+    def test_expansion_skipped_for_generic_forms(self, monkeypatch):
+        calls = []
+        real = resonance._symbolic_contraction
+
+        def counting(eta):
+            calls.append(eta)
+            return real(eta)
+
+        monkeypatch.setattr(resonance, "_symbolic_contraction", counting)
+        rng = random.Random(5)
+        for eta in (_scrambled_product(rng, 3), _scrambled_product(rng, 4)):
+            assert not r1_is_full(eta, symbolic_threshold=eta.n)
+        dense = random_threeform(rng, 11)
+        assert r1_fullness(dense, symbolic_threshold=11) == R1FullnessReport(
+            full=False, mode="symbolic"
+        )
+        assert calls == []
+        assert r1_fullness(PADDED) == R1FullnessReport(full=True, mode="symbolic")
+        assert calls == [PADDED]
+
+    def test_sampled_mode_uses_the_same_witnesses(self):
+        rng = random.Random(12)
+        for n in (5, 7, 9):
+            for density in (0.5, 0.08):
+                eta = random_threeform(rng, n, density=density)
+                exact = r1_fullness(eta, symbolic_threshold=n, trials=30, seed=3)
+                sampled = r1_fullness(eta, symbolic_threshold=n - 2, trials=30, seed=3)
+                assert sampled == R1FullnessReport(
+                    full=exact.full, mode="sampled", trials=30, seed=3
+                )
+
+    def test_classify_echoes_no_sampling(self, capsys, tmp_path):
+        f = tmp_path / "scrambled.form"
+        eta = _scrambled_product(random.Random(6), 3)
+        f.write_text(json.dumps({
+            "n": eta.n,
+            "terms": [
+                {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(c)}
+                for (i, j, k), c in eta._coeffs.items()
+            ],
+        }))
+        assert cli.main(["--seed", "7", "--trials", "40", "classify", str(f)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["class"] == "ZxSurface"
+        assert out["genericity_mode"] == {"mode": "symbolic", "trials": 0, "seed": 0}
 
 
 class TestRestrictionRank:

@@ -19,7 +19,8 @@ from jumploci import (
     torsion_data,
     v1_components,
 )
-from jumploci.seifert import sweep
+from jumploci import cli, seifert
+from jumploci.seifert import SweepLimitError, sweep
 
 
 def orbit_multiset(s):
@@ -240,3 +241,49 @@ class TestSweep:
     def test_sweep_requires_three(self):
         with pytest.raises(ValueError):
             sweep(4, 2)
+
+    def test_sweep_limit(self):
+        with pytest.raises(SweepLimitError):
+            sweep(1000, 5)
+        with pytest.raises(SweepLimitError):
+            sweep(12, 10**9)
+        # max <= 2 still bounds n: one row of n exponents, or none
+        with pytest.raises(SweepLimitError):
+            sweep(2, 17)
+        with pytest.raises(SweepLimitError):
+            sweep(1, 10**9)
+        assert len(sweep(2, 16)) == 1
+        assert sweep(1, 3) == []
+
+
+class TestTorsionOncePerRow:
+    @pytest.fixture
+    def torsion_calls(self, monkeypatch):
+        calls = []
+        real = seifert.torsion_data
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(seifert, "torsion_data", counting)
+        monkeypatch.setattr(cli, "torsion_data", counting)
+        return calls
+
+    def test_single_tuple(self, torsion_calls):
+        for exps in ((3, 3, 6), (2, 3, 5), (4, 6, 8, 10)):
+            torsion_calls.clear()
+            record = cli.run_brieskorn(exps, cli.RunConfig())
+            assert len(torsion_calls) == 1
+            s = brieskorn_seifert(exps)
+            assert record["translated"] == v1_components(s).translated_count
+
+    def test_sweep(self, torsion_calls):
+        report = cli.run_brieskorn_sweep(5, 3, cli.RunConfig())
+        assert len(report["rows"]) == 64
+        assert len(torsion_calls) == 64
+
+    def test_supplied_torsion_is_used(self):
+        for exps in ((3, 3, 6), (2, 2, 2, 3), (4, 6, 8, 10), (2, 3, 5)):
+            s = brieskorn_seifert(exps)
+            assert v1_components(s, torsion_data(s)) == v1_components(s)
