@@ -46,6 +46,18 @@ for g in (1, 2, 3):
     print(f"  product form g={g} (n={eta.n}): isotropic subspace of dim {found.dimension}"
           f" via {found.method}")
 
+# The same form in scrambled coordinates: no two coordinate vectors span an
+# isotropic plane, but its linear factor (the pulled-back e7) still leads the
+# search to the isotropy index g = 3, which equals the corank.
+t = [[1, 1, -2, 0, 2, 1, 1], [0, 1, 0, 2, -1, 2, -1], [0, -1, -2, 2, 0, 2, 2],
+     [-1, 0, -2, -2, 0, 1, 2], [-2, 0, 1, 0, 2, -1, 2], [1, 1, 2, 0, -2, 2, -2],
+     [-2, 1, -2, 2, 1, 0, -1]]
+scrambled = ThreeForm.product_form(3).transform(t)
+found = isotropy_lower_bound(scrambled)
+print(f"  scrambled product form g=3: isotropic subspace of dim {found.dimension}"
+      f" via {found.method}; corank {corank_of_class(classify_malcev(scrambled))}")
+print("  witness basis:", [[str(c) for c in v] for v in found.witness.basis])
+
 print("\n=== Classification ===")
 cases = [
     ("zero form, n = 0", ThreeForm.zero(0)),

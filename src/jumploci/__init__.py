@@ -12,7 +12,8 @@ The package computes, over Z and Q with no floating point anywhere:
   classification of the associated groups (`resonance`);
 * Seifert data of Brieskorn links, torsion invariants, translated component
   counts, formality and tangent-cone verdicts (`seifert`);
-* graded ranks of holonomy Lie algebras via Lyndon bases (`holonomy`).
+* graded ranks of holonomy Lie algebras from Lyndon-word counts and exact
+  ideal ranks (`holonomy`).
 
 The `jumploci` console script surfaces all of it with reproducible JSON
 output; see the README for the file grammars.
@@ -72,7 +73,6 @@ from .presentation import (
     word_image,
 )
 from .resonance import (
-    IsotropySearchBudget,
     IsotropyWitness,
     MalcevClass,
     MalcevKind,

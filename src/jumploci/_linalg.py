@@ -3,14 +3,18 @@
 Works generically over any field whose elements support +, -, *, / and are
 falsy exactly when zero (Fraction and CyclotomicElement both qualify).
 Every elimination over a field goes through the sparse kernel
-`echelon_insert`; `int_det` works over Z.
+`echelon_insert`, and `kernel` reads the nullspace of a rational system off
+its reduced rows; `int_det` works over Z.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 __all__ = [
     "rank",
     "echelon_insert",
+    "kernel",
     "mat_vec",
     "mat_mul",
     "int_det",
@@ -61,6 +65,29 @@ def rank(rows):
     for row in rows:
         echelon_insert(basis, {j: x for j, x in enumerate(row) if x})
     return len(basis)
+
+
+def kernel(basis, n):
+    """Nullspace over Q of a reduced echelon system on columns 0..n-1.
+
+    `basis` is as kept by `echelon_insert`.  Each free column f gives one
+    vector: 1 at f, -row[f] at each pivot, 0 elsewhere; these vectors form a
+    basis of the nullspace, returned in free-column order.  The rows must be
+    rational (as `echelon_insert` leaves `Fraction` rows); the 0 and 1
+    entries are `Fraction` too, so reducing the vectors again stays exact.
+    """
+    vecs = []
+    for f in range(n):
+        if f in basis:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for pivot, row in basis.items():
+            c = row.get(f)
+            if c:
+                v[pivot] = -c
+        vecs.append(tuple(v))
+    return vecs
 
 
 def mat_vec(m, v):

@@ -7,10 +7,12 @@ by the contractions of the form against the coordinate functionals; this
 convention is pinned by the surface case, where the single relation restricted
 to the surface directions is the symplectic class sum [x_1,y_1]+...+[x_g,y_g].
 
-Ranks are computed per degree inside the tensor algebra: Lyndon words give a
-basis of the free Lie algebra (a Hall family), the relation ideal in degree d
-is spanned by (d-2)-fold left brackets of generators against the relations,
-and the quotient dimension is an exact rank computation over Q.
+Ranks are computed per degree inside the tensor algebra: the relation ideal
+in degree d is spanned by (d-2)-fold left brackets of generators against the
+relations, its dimension is an exact rank computation over Q, and the
+quotient dimension is the number of Lyndon words of length d (the Witt
+dimension of the free Lie algebra in degree d) minus that rank.  No bracketed
+Hall basis is built.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def holonomy_from_threeform(eta):
 
 
 # ---------------------------------------------------------------------------
-# Lyndon (Hall) basis of the free Lie algebra
+# Lyndon words: their count is the free Lie algebra's dimension in each degree
 # ---------------------------------------------------------------------------
 
 def lyndon_words(n, d):
@@ -107,46 +109,6 @@ def lyndon_words(n, d):
         while w and w[-1] == n - 1:
             w.pop()
     return sorted(out)
-
-
-def _standard_factorization(word):
-    """Split a Lyndon word uv with v its longest proper Lyndon suffix."""
-    best = None
-    for i in range(1, len(word)):
-        suffix = word[i:]
-        if _is_lyndon(suffix) and (best is None or i < best):
-            best = i
-    return word[:best], word[best:]
-
-
-def _is_lyndon(word):
-    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
-
-
-def _bracket_tensor(word, cache):
-    """Expansion of the standard bracketing of a Lyndon word in the tensor algebra."""
-    if word in cache:
-        return cache[word]
-    if len(word) == 1:
-        val = {word: 1}
-    else:
-        u, v = _standard_factorization(word)
-        val = _tensor_bracket(_bracket_tensor(u, cache), _bracket_tensor(v, cache))
-    cache[word] = val
-    return val
-
-
-def _tensor_bracket(a, b):
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            for w, c in ((wa + wb, ca * cb), (wb + wa, -ca * cb)):
-                s = out.get(w, 0) + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-    return out
 
 
 def _ad_generator(i, vec):

@@ -155,14 +155,6 @@ class LaurentPoly:
             return (0,) * self._num_vars
         return tuple(min(e[i] for e in self._terms) for i in range(self._num_vars))
 
-    def constant_value(self):
-        """The value of a constant polynomial, as an int."""
-        if self.is_zero:
-            return 0
-        if set(self._terms) == {(0,) * self._num_vars}:
-            return self._terms[(0,) * self._num_vars]
-        raise ValueError("polynomial is not constant")
-
     # -- ring structure ------------------------------------------------------
 
     def _coerce(self, other):

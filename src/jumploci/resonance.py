@@ -10,6 +10,13 @@ the principal sub-Pfaffians of the generic contraction matrix.  Above the
 threshold the same witness search runs, and a form without a witness is
 reported full at sampling confidence.
 
+Isotropy is exact linear algebra: an isotropic W extends by v exactly when
+A(w) v = 0 for every w in W, so `isotropy_lower_bound` grows a coordinate
+start and, when eta has a linear factor l, a start inside ker l, each to a
+maximal isotropic subspace.  The second start reaches the isotropy index, so
+the bound is sharp whenever eta has a linear factor (every form with n <= 5,
+product forms in any coordinates, decomposable forms).
+
 `classify_malcev` applies the decision procedure for cup forms of groups that
 are simultaneously 1-formal, quasi-Kahler, and 3-manifold groups.  The
 verdict is conditional on those hypotheses: e.g. the Heisenberg nilmanifold
@@ -38,7 +45,6 @@ __all__ = [
     "MalcevKind",
     "MalcevClass",
     "R1FullnessReport",
-    "IsotropySearchBudget",
     "IsotropyWitness",
     "contraction_matrix",
     "in_r1",
@@ -385,19 +391,15 @@ def is_isotropic(eta, w):
 
 
 @dataclass(frozen=True)
-class IsotropySearchBudget:
-    """Limits for the isotropic-subspace search."""
-
-    subset_limit: int = 4096
-    random_basis_trials: int = 25
-
-
-@dataclass(frozen=True)
 class IsotropyWitness:
     dimension: int
     witness: Subspace
     method: str
     seed: int
+
+
+# The coordinate-subset scan is exhaustive while 2^n <= SUBSET_LIMIT (n <= 12).
+SUBSET_LIMIT = 4096
 
 
 def _pair_masks(eta):
@@ -414,8 +416,8 @@ def _pair_masks(eta):
     return bad
 
 
-def _best_coordinate_subset(eta, budget):
-    """Largest isotropic coordinate-subset subspace found within the budget."""
+def _best_coordinate_subset(eta):
+    """Largest isotropic coordinate subset: exhaustive up to SUBSET_LIMIT, then greedy."""
     n = eta.n
     if n == 0:
         return ()
@@ -424,7 +426,7 @@ def _best_coordinate_subset(eta, budget):
     def isotropic(mask, members):
         return all(bad[i] & mask == 0 for i in members)
 
-    if 2 ** n <= budget.subset_limit:
+    if 2 ** n <= SUBSET_LIMIT:
         for size in range(n, 0, -1):
             for members in combinations(range(n), size):
                 mask = 0
@@ -443,43 +445,89 @@ def _best_coordinate_subset(eta, budget):
     return tuple(members)
 
 
-def _random_invertible(n, rng):
-    while True:
-        t = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if _linalg.int_det(t) != 0:
-            return t
+def _sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
 
 
-def isotropy_lower_bound(eta, budget=None, seed=0):
-    """Search for a large isotropic subspace; the result is a verified lower bound.
+def _extend(eta, vectors, constraints=()):
+    """Grow an isotropic family to a maximal isotropic subspace.
 
-    Phases: search over coordinate-subset subspaces, then seeded random basis
-    changes followed by the same search in the new coordinates.  The subset
-    search is exhaustive only while 2^n <= `budget.subset_limit` (n <= 12 by
-    default); above that it is a greedy extension in coordinate order.  Basis
-    changes are exact integer arithmetic (`ThreeForm.transform`).  The exact
-    isotropy index of an arbitrary form is not decided here; for the model
-    forms the bound is sharp, and the witness always verifies under
-    `is_isotropic`.
+    W + span(v) is isotropic exactly when A(w) v = 0 for every w in W, so
+    each step takes the first nullspace vector of the system
+    {A(w) : w in W} plus `constraints` that lies outside W.  The system is
+    kept in echelon form between steps, so each new w adds its n rows once.
     """
-    budget = budget or IsotropySearchBudget()
+    n = eta.n
+    system, span, basis = {}, {}, []
+    for row in constraints:
+        _linalg.echelon_insert(system, _sparse(row))
+
+    def add(v):
+        basis.append(v)
+        for row in contraction_matrix(eta, v):
+            _linalg.echelon_insert(system, _sparse(row))
+
+    for v in vectors:
+        _linalg.echelon_insert(span, _sparse(v))
+        add(v)
+    while True:
+        v = next((v for v in _linalg.kernel(system, n)
+                  if _linalg.echelon_insert(span, _sparse(v)) is not None), None)
+        if v is None:
+            return basis
+        add(v)
+
+
+def _linear_factors(eta):
+    """Basis of the linear forms l with eta ^ l = 0, i.e. those dividing eta.
+
+    The coefficient of eta ^ l on a 4-subset a < b < c < d is, up to sign,
+    eta_bcd l_a - eta_acd l_b + eta_abd l_c - eta_abc l_d; only the 4-subsets
+    holding a stored triple give a nonzero row.
+    """
+    n = eta.n
+    quads = {tuple(sorted(t + (d,))) for t in eta._coeffs for d in range(n) if d not in t}
+    system = {}
+    for a, b, c, d in quads:
+        row = (eta.value(b, c, d), -eta.value(a, c, d), eta.value(a, b, d), -eta.value(a, b, c))
+        _linalg.echelon_insert(system, {k: x for k, x in zip((a, b, c, d), row) if x})
+        if len(system) == n:  # rank n already: the nullspace is zero
+            break
+    return _linalg.kernel(system, n)
+
+
+def isotropy_lower_bound(eta, seed=0):
+    """Largest isotropic subspace found by exact linear algebra, with a verified witness.
+
+    Two starts, each grown by `_extend` to a maximal isotropic subspace:
+    - the largest isotropic coordinate subset (exhaustive while
+      2^n <= SUBSET_LIMIT, greedy above);
+    - a linear factor l of eta, with l = 0 as an extra constraint.  Then
+      eta = omega ^ l, isotropy inside ker l is isotropy for the 2-form omega,
+      and all maximal isotropic subspaces of a 2-form have one dimension, so
+      this start reaches the isotropy index, which a nonzero form attains
+      inside ker l.  Every form with n <= 5, every product form in any
+      coordinates, and every decomposable form has a linear factor.
+    A nonzero form has no isotropic hyperplane, so the factor start runs only
+    while the first result is below n - 2.  Without a linear factor the
+    result is a lower bound.  `method` names the start that won:
+    "coordinate-subsets" (the extension added nothing), "linear-extension",
+    "linear-factor", or "trivial" for n = 0.  `seed` is echoed in the
+    witness and does not affect the result.
+    """
     n = eta.n
     if n == 0:
         return IsotropyWitness(0, Subspace(0, ()), method="trivial", seed=seed)
-    best_members = _best_coordinate_subset(eta, budget)
-    best = Subspace.coordinate(n, best_members)
-    method = "coordinate-subsets"
-    rng = random.Random(seed)
-    for _ in range(budget.random_basis_trials):
-        if best.dim == n:
-            break
-        t = _random_invertible(n, rng)
-        transformed = eta.transform(t)
-        members = _best_coordinate_subset(transformed, budget)
-        if len(members) > best.dim:
-            cols = [tuple(Fraction(t[i][a]) for i in range(n)) for a in members]
-            best = Subspace(n, cols)
-            method = "random-basis"
+    members = _best_coordinate_subset(eta)
+    basis = _extend(eta, Subspace.coordinate(n, members).basis)
+    method = "linear-extension" if len(basis) > len(members) else "coordinate-subsets"
+    if len(basis) < n - 2:
+        factors = _linear_factors(eta)
+        if factors:
+            candidate = _extend(eta, (), constraints=factors[:1])
+            if len(candidate) > len(basis):
+                basis, method = candidate, "linear-factor"
+    best = Subspace(n, basis)
     if best.dim >= 2 and not is_isotropic(eta, best):
         raise RuntimeError("isotropy search produced an unverified witness")
     return IsotropyWitness(best.dim, best, method=method, seed=seed)

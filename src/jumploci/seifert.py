@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from itertools import product as iter_product
 from math import gcd, lcm, prod
 
@@ -164,12 +165,15 @@ def brieskorn_seifert(data):
     exps = data.exponents
     n = len(exps)
     a = prod(exps)
-    ell = lcm(*exps)
+    # prefix[j] = lcm(a_1..a_j) and suffix[j] = lcm(a_{j+1}..a_n), so each l_j
+    # is one lcm of two and the whole pass is linear in n
+    prefix = list(accumulate(exps, lcm, initial=1))
+    suffix = list(accumulate(reversed(exps), lcm, initial=1))[::-1]
+    ell = prefix[n]
     orbits = []
     s_total = 0
     for j, aj in enumerate(exps):
-        others = exps[:j] + exps[j + 1:]
-        ell_j = lcm(*others)
+        ell_j = lcm(prefix[j], suffix[j + 1])
         alpha_j = ell // ell_j
         s_j = _as_fraction_int(Fraction(a, aj * ell_j), f"multiplicity s_{j + 1}")
         s_total += s_j

@@ -128,3 +128,32 @@ def random_unimodular_matrix(rng, n, steps=8):
         else:
             m[i] = [-x for x in m[i]]
     return m
+
+
+def isotropy_corpus():
+    """Labelled seeded 3-forms for the isotropy search, small to n = 12.
+
+    Random forms for n = 3..12 at four densities, product forms of genus
+    1..5 in standard and scrambled coordinates, zero forms, and decomposable
+    forms (the pullback of e1^e2^e3 along an invertible matrix).
+    """
+    forms = []
+    for n in range(3, 13):
+        for d, density in enumerate((0.15, 0.3, 0.6, 1.0)):
+            for s in range(3):
+                rng = random.Random(1000 * n + 10 * d + s)
+                forms.append((f"random-n{n}-d{density}-s{s}",
+                              random_threeform(rng, n, density=density)))
+    for g in range(1, 6):
+        base = ThreeForm.product_form(g)
+        forms.append((f"product-g{g}", base))
+        for s in range(3):
+            t = random_invertible_matrix(random.Random(500 + 10 * g + s), 2 * g + 1)
+            forms.append((f"product-g{g}-scrambled{s}", base.transform(t)))
+    for n in range(7):
+        forms.append((f"zero-n{n}", ThreeForm.zero(n)))
+    for n in range(3, 9):
+        for s in range(2):
+            t = random_invertible_matrix(random.Random(700 + 10 * n + s), n)
+            forms.append((f"decomposable-n{n}-s{s}", ThreeForm(n, {(0, 1, 2): 1}).transform(t)))
+    return forms

@@ -1,11 +1,11 @@
-"""The field elimination kernel against sympy's reduced row echelon form."""
+"""The field elimination kernel against sympy's reduced row echelon form and nullspace."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from jumploci._linalg import echelon_insert, rank
+from jumploci._linalg import echelon_insert, kernel, rank
 
 
 def _rational(rng, bound=3):
@@ -52,6 +52,26 @@ def test_matches_sympy_rref():
                     for i in range(len(ref_pivots))]
         assert _kernel_rref(rows, ncols) == (expected, list(ref_pivots))
         assert rank(rows) == m.rank() == len(ref_pivots)
+
+
+def test_kernel_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    for rows in _matrices():
+        ncols = len(rows[0])
+        basis = {}
+        for row in rows:
+            echelon_insert(basis, {j: x for j, x in enumerate(row) if x})
+        vecs = kernel(basis, ncols)
+        m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                          for row in rows])
+        expected = [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in m.nullspace()]
+        assert vecs == expected
+        assert all(type(x) is Fraction for v in vecs for x in v)
+
+
+def test_kernel_of_empty_system_is_the_unit_basis():
+    assert kernel({}, 3) == [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
+    assert kernel({}, 0) == []
 
 
 def test_dependent_row_leaves_basis_unchanged():

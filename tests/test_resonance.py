@@ -34,6 +34,7 @@ from jumploci.resonance import (
 )
 
 from _corpus import (
+    isotropy_corpus,
     random_invertible_matrix,
     random_nonzero_vector,
     random_threeform,
@@ -403,18 +404,43 @@ def _contraction_pair_masks(eta):
 ISOTROPY_GOLDENS = [
     ((1006, 6, 0), (2, "coordinate-subsets", ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)))),
     ((1007, 7, 1), (2, "coordinate-subsets", ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)))),
-    ((1008, 8, 2), (1, "coordinate-subsets", ((1, 0, 0, 0, 0, 0, 0, 0),))),
+    ((1008, 8, 2), (2, "linear-extension", ((1, 0, 0, 0, 0, 0, 0, 0),
+                                            (0, Fraction(-1, 2), 0, 0, 0, 0, Fraction(-1, 3), 1)))),
     ((1009, 9, 3), (1, "coordinate-subsets", ((1, 0, 0, 0, 0, 0, 0, 0, 0),))),
 ]
 
-# forms on which a random basis change beats every coordinate subset
+# forms on which no coordinate subset reaches the isotropy index 2:
+# (form, search seed, method, basis)
 RANDOM_BASIS_GOLDENS = [
     (ThreeForm(4, {(0, 1, 2): Fraction(3, 2), (0, 1, 3): 1, (0, 2, 3): 1, (1, 2, 3): 1}),
-     11, ((2, 0, -2, -1), (2, -1, 0, -2))),
+     11, "linear-extension", ((1, 0, 0, 0), (0, Fraction(2, 3), Fraction(-2, 3), 1))),
     (ThreeForm(5, {(0, 1, 2): Fraction(1, 3), (0, 2, 4): Fraction(-2, 3), (0, 3, 4): 1,
                    (1, 2, 3): -1, (1, 2, 4): -2, (1, 3, 4): -2, (2, 3, 4): Fraction(3, 2)}),
-     12, ((0, -2, 0, -2, 1), (1, 2, 2, -2, 1))),
+     12, "linear-factor", ((2, 1, 0, 0, 0), (3, 0, 0, 1, 0))),
 ]
+
+# isotropy_lower_bound(eta, seed=0).dimension of the previous search (coordinate
+# subsets plus 25 seeded random basis changes) on `isotropy_corpus()`, in order;
+# the exact search must never fall below it.
+PREVIOUS_ISOTROPY_DIMS = (
+    3, 3, 3, 3, 1, 1, 3, 3, 1, 1, 3, 1,  # random n = 3: densities 0.15..1.0 x seeds 0..2
+    4, 2, 4, 4, 2, 4, 2, 2, 1, 1, 2, 1,  # random n = 4
+    5, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1,  # random n = 5
+    4, 6, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1,  # random n = 6
+    2, 3, 4, 2, 2, 4, 1, 1, 2, 1, 1, 1,  # random n = 7
+    4, 3, 4, 2, 3, 2, 1, 1, 1, 1, 1, 1,  # random n = 8
+    3, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1,  # random n = 9
+    4, 3, 2, 2, 2, 2, 1, 2, 1, 1, 1, 1,  # random n = 10
+    3, 3, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1,  # random n = 11
+    4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1,  # random n = 12
+    1, 1, 1, 1,  # product g = 1: standard, 3 scrambles
+    2, 1, 1, 1,  # product g = 2
+    3, 1, 2, 1,  # product g = 3
+    4, 1, 1, 1,  # product g = 4
+    5, 1, 1, 1,  # product g = 5
+    0, 1, 2, 3, 4, 5, 6,  # zero n = 0..6
+    1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 2, 1,  # decomposable n = 3..8, 2 each
+)
 
 
 class TestIsotropySearch:
@@ -435,11 +461,11 @@ class TestIsotropySearch:
         res = isotropy_lower_bound(eta, seed=seed)
         assert (res.dimension, res.method, res.witness.basis) == expected
 
-    @pytest.mark.parametrize("eta, seed, basis", RANDOM_BASIS_GOLDENS,
+    @pytest.mark.parametrize("eta, seed, method, basis", RANDOM_BASIS_GOLDENS,
                              ids=[f"n{g[0].n}" for g in RANDOM_BASIS_GOLDENS])
-    def test_golden_random_basis_witnesses(self, eta, seed, basis):
+    def test_golden_random_basis_witnesses(self, eta, seed, method, basis):
         res = isotropy_lower_bound(eta, seed=seed)
-        assert (res.dimension, res.method, res.witness.basis) == (2, "random-basis", basis)
+        assert (res.dimension, res.method, res.witness.basis) == (2, method, basis)
         assert is_isotropic(eta, res.witness)
 
     def test_zero_form_full_dimension(self):
@@ -464,18 +490,71 @@ class TestIsotropySearch:
             assert res.dimension <= corank_of_class(verdict)
 
     def test_scrambled_form_witness_verified_and_bounded(self):
-        # after a basis scramble the exact index is g = 2; the search result
-        # must stay a verified lower bound for it, and be reproducible
+        # after a basis scramble the exact index is still g = 2, and the
+        # search reaches it with a verified, reproducible witness
         rng = random.Random(14)
         base = ThreeForm.product_form(2)
         t = random_invertible_matrix(rng, 5)
         eta = base.transform(t)
         res = isotropy_lower_bound(eta, seed=5)
-        assert 1 <= res.dimension <= 2
-        if res.dimension >= 2:
-            assert is_isotropic(eta, res.witness)
+        assert res.dimension == 2
+        assert is_isotropic(eta, res.witness)
         again = isotropy_lower_bound(eta, seed=5)
-        assert again.dimension == res.dimension
+        assert (again.method, again.witness.basis) == (res.method, res.witness.basis)
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_index_equals_corank_on_scrambled_product_forms(self, g):
+        base = ThreeForm.product_form(g)
+        rng = random.Random(70 + g)
+        for _ in range(3):
+            eta = base.transform(random_invertible_matrix(rng, 2 * g + 1))
+            res = isotropy_lower_bound(eta)
+            assert res.dimension == corank_of_class(classify_malcev(eta)) == g
+            assert is_isotropic(eta, res.witness)
+
+    def test_index_equals_corank_on_zero_and_volume_forms(self):
+        scrambled_vol = VOL.transform(random_invertible_matrix(random.Random(3), 3))
+        for eta in [ThreeForm.zero(n) for n in range(1, 8)] + [VOL, scrambled_vol]:
+            res = isotropy_lower_bound(eta)
+            assert res.dimension == corank_of_class(classify_malcev(eta))
+            assert is_isotropic(eta, res.witness)
+        assert isotropy_lower_bound(ThreeForm.zero(0)).dimension == 0
+
+    def test_never_below_previous_search(self):
+        corpus = isotropy_corpus()
+        for (label, eta), previous in zip(corpus, PREVIOUS_ISOTROPY_DIMS, strict=True):
+            res = isotropy_lower_bound(eta)
+            assert res.dimension >= previous, label
+            assert res.dimension < 2 or is_isotropic(eta, res.witness), label
+
+    def test_linear_factor_start_is_exact(self):
+        # a linear factor makes the result the isotropy index: n - 2 for a
+        # decomposable form, and the corank for n <= 5 classified forms
+        rng = random.Random(41)
+        for n in range(3, 9):
+            t = random_invertible_matrix(rng, n)
+            eta = ThreeForm(n, {(0, 1, 2): 1}).transform(t)
+            assert isotropy_lower_bound(eta).dimension == n - 2
+        for _ in range(10):
+            eta = random_threeform(rng, 5, density=0.7)
+            verdict = classify_malcev(eta)
+            if verdict.kind is not MalcevKind.OBSTRUCTED:
+                assert isotropy_lower_bound(eta).dimension == corank_of_class(verdict)
+
+    def test_seed_only_echoed(self):
+        rng = random.Random(23)
+        forms = [random_threeform(rng, n, density=0.4) for n in (5, 7, 9)]
+        forms.append(ThreeForm.product_form(3).transform(random_invertible_matrix(rng, 7)))
+        for eta in forms:
+            results = [isotropy_lower_bound(eta, seed=seed) for seed in (0, 1, 99)]
+            assert [r.seed for r in results] == [0, 1, 99]
+            assert len({(r.dimension, r.method, r.witness.basis) for r in results}) == 1
+
+    def test_no_budget_knob(self):
+        assert not hasattr(resonance, "IsotropySearchBudget")
+        assert not hasattr(resonance, "_random_invertible")
+        with pytest.raises(TypeError):
+            isotropy_lower_bound(VOL, budget=None)
 
 
 class TestClassify:

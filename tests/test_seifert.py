@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -83,6 +83,44 @@ class TestBrieskornGolden:
         assert s.euler == Fraction(-2, 3)
         t = torsion_data(s)
         assert (t.torsion_order, t.fiber_class_order, t.alpha) == (54, 2, 27)
+
+
+class TestLinearLcms:
+    def test_lcm_arguments_linear_in_exponent_count(self, monkeypatch):
+        args = []
+
+        def counting(*xs):
+            args.append(len(xs))
+            return lcm(*xs)
+
+        monkeypatch.setattr(seifert, "lcm", counting)
+        totals = {}
+        for n in (100, 400):
+            args.clear()
+            brieskorn_seifert((2,) * n)
+            totals[n] = sum(args)
+        # one lcm of two per prefix, per suffix and per exponent
+        assert totals[400] <= 6 * 400 + 6
+        assert totals[400] <= 4 * totals[100] + 6
+
+    def test_orbit_orders_match_per_exponent_lcms(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            exps = tuple(rng.randint(2, 12) for _ in range(rng.randint(3, 6)))
+            try:
+                s = brieskorn_seifert(exps)
+            except IntegralityError:
+                continue
+            expected = {}
+            for j, aj in enumerate(exps):
+                ell_j = lcm(*(exps[:j] + exps[j + 1:]))
+                alpha = lcm(*exps) // ell_j
+                if alpha > 1:
+                    expected[alpha] = expected.get(alpha, 0) + prod(exps) // (aj * ell_j)
+            got = {}
+            for o in s.orbits:
+                got[o.alpha] = got.get(o.alpha, 0) + o.multiplicity
+            assert got == expected, exps
 
 
 class TestValidation:
