@@ -45,3 +45,9 @@ for label, eta in (
     q = holonomy_from_threeform(eta)
     print(f"  {label}: {len(q.relations)} relations, "
           f"ranks {lie_ranks(q, 4).ranks}")
+
+print("\n=== Sigma_3 x S^1 to degree 6 (the default degree cap) ===")
+q = holonomy_from_threeform(ThreeForm.product_form(3))
+print("  ranks:", lie_ranks(q, 6).ranks)
+print("  (degree 1 is 2g + 1 = 7; from degree 2 on these are the lower central"
+      " series ranks of the genus-3 surface group, 14, 64, 280, 1344, 6496)")

@@ -1,19 +1,25 @@
-"""Exact linear algebra over fields, shared by the invariant computations.
+"""Exact linear algebra over Q and Q(zeta_m), shared by the invariant computations.
 
-Works generically over any field whose elements support +, -, *, / and are
-falsy exactly when zero (Fraction and CyclotomicElement both qualify).
-Every elimination over a field goes through the sparse kernel
-`echelon_insert`, and `kernel` reads the nullspace of a rational system off
-its reduced rows; `int_det` works over Z.
+Every elimination goes through the sparse kernel `echelon_insert`, which keeps
+a row echelon basis.  Rational rows (entries `int` or `Fraction`) are stored as
+primitive integer rows and reduced fraction-free, so no division over Q
+happens; rows over another field (`CyclotomicElement`, or any field whose
+elements support +, -, *, / and are falsy exactly when zero) are scaled to 1
+at their pivot.  `reduced` turns a rational basis into its reduced echelon
+form over Q, and `kernel` reads the nullspace off that form; `int_det` works
+over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 __all__ = [
     "rank",
     "echelon_insert",
+    "reduced",
     "kernel",
     "mat_vec",
     "mat_mul",
@@ -21,42 +27,110 @@ __all__ = [
 ]
 
 
-def _sub_scaled(target, c, row):
-    """target -= c * row in place, dropping entries that cancel."""
-    for k, v in row.items():
-        s = target.get(k, 0) - c * v
-        if s:
-            target[k] = s
-        else:
-            del target[k]
+_RATIONAL = {int, bool, Fraction}
+
+
+def _primitive(vec, types):
+    """A new rational row (entry types `types`) scaled to integers and divided by their content."""
+    if types - {int}:
+        den = lcm(*(x.denominator for x in vec.values()))
+        vec = {k: x.numerator * (den // x.denominator) for k, x in vec.items()}
+    else:
+        vec = dict(vec)
+    g = gcd(*vec.values())
+    if g > 1:
+        for k in vec:
+            vec[k] //= g
+    return vec
 
 
 def echelon_insert(basis, vec):
-    """Reduce a sparse row against a reduced echelon basis; insert it if new.
+    """Reduce a sparse row against a row echelon basis; insert it if new.
 
     `vec` maps ordered keys (column indices, tensor words, ...) to nonzero
-    entries.  `basis` maps each pivot key to its row; every row holds 1 at its
-    pivot and no other row's pivot, so one pass decides dependence and the
-    reduction needs no division.  An independent `vec` is normalized at its
-    pivot `min(vec)`, cleared from the other rows and inserted; its pivot is
-    returned.  A dependent `vec` leaves `basis` unchanged and gives None.
+    entries.  `basis` maps each pivot key to its row, whose least key is the
+    pivot; a basis holds rows of one kind.  A rational `vec` (every entry of
+    type `int` or `Fraction`) is scaled to a primitive integer row and reduced
+    fraction-free: at a pivot holding `a` in its row and `c` in `vec`,
+    vec <- (a/g) vec - (c/g) row with g = gcd(a, c).  Any other `vec` is
+    reduced over its field against rows that hold 1 at their pivot.  Only
+    the pivots that `vec` meets are visited, least first, and the other rows
+    are never touched.  An independent `vec` is stored with its pivot
+    `min(vec)` (primitive with a positive pivot entry, or scaled to 1 there)
+    and its pivot is returned.  A dependent `vec` leaves `basis` unchanged
+    and gives None.
     """
-    vec = dict(vec)
-    for pivot, row in basis.items():
-        c = vec.get(pivot)
-        if c:
-            _sub_scaled(vec, c, row)
+    types = set(map(type, vec.values()))
+    rational = types <= _RATIONAL
+    vec = _primitive(vec, types) if rational and vec else dict(vec)
+    heap = [k for k in vec if k in basis]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        c = vec.get(p)
+        if c is None:  # a duplicate entry, already cleared
+            continue
+        row = basis[p]
+        if rational:
+            a = row[p]
+            g = gcd(a, c)
+            if g != a:
+                s = a // g
+                for k in vec:
+                    vec[k] *= s
+            c //= g
+        m = -c
+        for k, v in row.items():
+            old = vec.get(k)
+            if old is None:
+                vec[k] = m * v
+                if k in basis:
+                    heappush(heap, k)
+            else:
+                s = old + m * v
+                if s:
+                    vec[k] = s
+                else:
+                    del vec[k]
     if not vec:
         return None
     pivot = min(vec)
     inv = vec[pivot]
-    vec = {k: v / inv for k, v in vec.items()}
-    for row in basis.values():
-        c = row.get(pivot)
-        if c:
-            _sub_scaled(row, c, vec)
+    if rational:
+        g = gcd(*vec.values())
+        if inv < 0:
+            g = -g
+        if g != 1:
+            for k in vec:
+                vec[k] //= g
+    else:
+        vec = {k: v / inv for k, v in vec.items()}
     basis[pivot] = vec
     return pivot
+
+
+def reduced(basis):
+    """Reduced echelon form over Q of a rational basis kept by `echelon_insert`.
+
+    Returns a new map from each pivot to a `Fraction` row that holds 1 at
+    its pivot and 0 at every other pivot; it is determined by the span.
+    """
+    out = {}
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        a = row[p]
+        r = {k: Fraction(v, a) for k, v in row.items()}
+        for q in [k for k in r if k != p and k in out]:
+            c = r.get(q)
+            if c:
+                for k, v in out[q].items():
+                    s = r.get(k, 0) - c * v
+                    if s:
+                        r[k] = s
+                    else:
+                        del r[k]
+        out[p] = r
+    return {p: out[p] for p in sorted(out)}
 
 
 def rank(rows):
@@ -68,14 +142,15 @@ def rank(rows):
 
 
 def kernel(basis, n):
-    """Nullspace over Q of a reduced echelon system on columns 0..n-1.
+    """Nullspace over Q of a rational echelon system on columns 0..n-1.
 
-    `basis` is as kept by `echelon_insert`.  Each free column f gives one
-    vector: 1 at f, -row[f] at each pivot, 0 elsewhere; these vectors form a
-    basis of the nullspace, returned in free-column order.  The rows must be
-    rational (as `echelon_insert` leaves `Fraction` rows); the 0 and 1
-    entries are `Fraction` too, so reducing the vectors again stays exact.
+    `basis` is as kept by `echelon_insert`; its `reduced` form is read.  Each
+    free column f gives one vector: 1 at f, -row[f] at each pivot, 0
+    elsewhere; these vectors form a basis of the nullspace, returned in
+    free-column order.  Every entry is a `Fraction`, the 0 and 1 entries
+    too, so reducing the vectors again stays exact.
     """
+    basis = reduced(basis)
     vecs = []
     for f in range(n):
         if f in basis:

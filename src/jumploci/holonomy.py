@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._linalg import echelon_insert
+from ._linalg import echelon_insert, reduced
 
 __all__ = [
     "QuadraticData",
@@ -84,7 +84,7 @@ def holonomy_from_threeform(eta):
         row = (eta.value(i, j, k) for i, j in pairs)
         echelon_insert(basis, {col: c for col, c in enumerate(row) if c})
     relations = tuple(
-        tuple(basis[p].get(col, 0) for col in range(len(pairs))) for p in sorted(basis)
+        tuple(row.get(col, 0) for col in range(len(pairs))) for row in reduced(basis).values()
     )
     return QuadraticData(n=n, relations=relations)
 

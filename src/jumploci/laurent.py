@@ -477,13 +477,20 @@ class Character:
 
 
 class CyclotomicElement:
-    """Element of Q(zeta_m), represented modulo the m-th cyclotomic polynomial."""
+    """Element of Q(zeta_m), represented modulo the m-th cyclotomic polynomial.
+
+    Coefficients must be `int` or `Fraction`.  Anything else raises
+    TypeError, so a float is never turned silently into its binary fraction.
+    """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
         phi = euler_phi(order)
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
+        cs = [Fraction(c) for c in cs]
         if len(cs) > phi:
             cs = _reduce_mod_cyclotomic(order, cs)
         cs += [Fraction(0)] * (phi - len(cs))

@@ -136,14 +136,11 @@ class ThreeForm:
 
     def contract_pair(self, x, y):
         """The functional eta(x, y, .) as a coordinate vector of length n."""
-        x = _vec(x, self.n)
-        y = _vec(y, self.n)
-        out = [Fraction(0)] * self.n
-        for (a, b, c), mu in self._coeffs.items():
-            out[c] += mu * (x[a] * y[b] - x[b] * y[a])
-            out[b] += mu * (x[c] * y[a] - x[a] * y[c])
-            out[a] += mu * (x[b] * y[c] - x[c] * y[b])
-        return tuple(out)
+        mus, mu_den = _scaled_to_int(self._coeffs.values())
+        x, x_den = _scaled_to_int(_vec(x, self.n))
+        y, y_den = _scaled_to_int(_vec(y, self.n))
+        scale = mu_den * x_den * y_den
+        return tuple(Fraction(v, scale) for v in _integer_pair(self, mus, x, y))
 
     def evaluate(self, x, y, z):
         z = _vec(z, self.n)
@@ -159,15 +156,13 @@ class ThreeForm:
         scale is divided out once at the end.
         """
         n = self.n
-        frac = [[Fraction(t[i][a]) for a in range(n)] for i in range(n)]
-        t_den = lcm(*(x.denominator for row in frac for x in row))
-        m = [[x.numerator * (t_den // x.denominator) for x in row] for row in frac]
-        mu_den = lcm(*(c.denominator for c in self._coeffs.values()))
+        flat, t_den = _scaled_to_int(Fraction(t[i][a]) for i in range(n) for a in range(n))
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
+        mus, mu_den = _scaled_to_int(self._coeffs.values())
         # Expanding each minor along its first row i: the terms sharing the
         # trailing rows (j, k) combine into one weighted row sum of m.
         weighted = {}
-        for (i, j, k), c in self._coeffs.items():
-            mu = c.numerator * (mu_den // c.denominator)
+        for (i, j, k), mu in zip(self._coeffs, mus):
             acc = weighted.setdefault((j, k), [0] * n)
             for a, x in enumerate(m[i]):
                 acc[a] += mu * x
@@ -197,6 +192,23 @@ class ThreeForm:
     def __repr__(self):
         terms = ", ".join(f"{ijk}: {c}" for ijk, c in sorted(self._coeffs.items()))
         return f"ThreeForm(n={self.n}, {{{terms}}})"
+
+
+def _scaled_to_int(values):
+    """Rationals times the lcm `den` of their denominators, as ints; and `den`."""
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _integer_pair(eta, mus, x, y):
+    """eta(x, y, .) for integer coefficients `mus` (in stored order) and integer x, y."""
+    out = [0] * eta.n
+    for (a, b, c), mu in zip(eta._coeffs, mus):
+        out[c] += mu * (x[a] * y[b] - x[b] * y[a])
+        out[b] += mu * (x[c] * y[a] - x[a] * y[c])
+        out[a] += mu * (x[b] * y[c] - x[c] * y[b])
+    return out
 
 
 def _vec(x, n):
@@ -243,19 +255,30 @@ class Subspace:
 # contraction and resonance membership
 # ---------------------------------------------------------------------------
 
-def contraction_matrix(eta, x):
-    """The skew matrix A(x) with A(x)[i][j] = eta(e_i, e_j, x); A(x) x = 0."""
-    x = _vec(x, eta.n)
+def _integer_contraction(eta, x):
+    """A(x) times a positive integer `scale`, as an int matrix; and `scale`.
+
+    It has the rank and the nullspace of A(x), so rank tests and the
+    isotropy system use it directly.
+    """
     n = eta.n
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j, k), mu in eta._coeffs.items():
+    x, x_den = _scaled_to_int(_vec(x, n))
+    mus, mu_den = _scaled_to_int(eta._coeffs.values())
+    a = [[0] * n for _ in range(n)]
+    for (i, j, k), mu in zip(eta._coeffs, mus):
         a[i][j] += mu * x[k]
         a[j][i] -= mu * x[k]
         a[i][k] -= mu * x[j]
         a[k][i] += mu * x[j]
         a[j][k] += mu * x[i]
         a[k][j] -= mu * x[i]
-    return a
+    return a, x_den * mu_den
+
+
+def contraction_matrix(eta, x):
+    """The skew matrix A(x) with A(x)[i][j] = eta(e_i, e_j, x); A(x) x = 0."""
+    a, scale = _integer_contraction(eta, x)
+    return [[Fraction(v, scale) for v in row] for row in a]
 
 
 def in_r1(eta, x):
@@ -268,7 +291,7 @@ def in_r1(eta, x):
     x = _vec(x, eta.n)
     if not any(x):
         raise ValueError("membership of the zero vector is a convention; see zero_vector_in_r1")
-    return _linalg.rank(contraction_matrix(eta, x)) <= eta.n - 2
+    return _linalg.rank(_integer_contraction(eta, x)[0]) <= eta.n - 2
 
 
 def zero_vector_in_r1(n):
@@ -342,7 +365,7 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     rng = random.Random(seed)
     draws = ([Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(trials))
     full = not any(
-        any(x) and _linalg.rank(contraction_matrix(eta, x)) == n - 1 for x in draws
+        any(x) and _linalg.rank(_integer_contraction(eta, x)[0]) == n - 1 for x in draws
     )
     if n > symbolic_threshold:
         return R1FullnessReport(full=full, mode="sampled", trials=trials, seed=seed)
@@ -375,14 +398,17 @@ def restriction_rank(eta, w):
     """Rank of the restricted cup pairing on a subspace of dimension >= 1.
 
     Computed as the dimension of span{ eta(w_a, w_b, .) } over basis pairs.
+    The coefficients of eta and each basis vector are first scaled to
+    integers; that multiplies each row by a nonzero constant, so the rank is
+    unchanged and every row is built in integer arithmetic.
     """
     if w.ambient_dim != eta.n:
         raise ValueError("subspace ambient dimension mismatch")
     if w.dim < 1:
         raise ValueError("restriction rank needs dim >= 1")
-    rows = [
-        list(eta.contract_pair(a, b)) for a, b in combinations(w.basis, 2)
-    ]
+    mus, _ = _scaled_to_int(eta._coeffs.values())
+    vecs = [_scaled_to_int(v)[0] for v in w.basis]
+    rows = [_integer_pair(eta, mus, x, y) for x, y in combinations(vecs, 2)]
     return _linalg.rank(rows) if rows else 0
 
 
@@ -464,7 +490,7 @@ def _extend(eta, vectors, constraints=()):
 
     def add(v):
         basis.append(v)
-        for row in contraction_matrix(eta, v):
+        for row in _integer_contraction(eta, v)[0]:
             _linalg.echelon_insert(system, _sparse(row))
 
     for v in vectors:

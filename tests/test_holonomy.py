@@ -44,6 +44,20 @@ def witt_dimension(n, d):
     return total // d
 
 
+def surface_lcs_rank(g, d):
+    """Rank of the d-th LCS quotient of the genus-g surface group (d >= 2).
+
+    From prod_d (1 - t^d)^phi_d = 1 - 2g t + t^2: the power sums
+    p_m = a^m + b^m of the roots (a + b = 2g, ab = 1) satisfy
+    sum_{e | m} e phi_e = p_m, so phi_d is their Moebius inversion.
+    """
+    p = [2, 2 * g]
+    while len(p) <= d:
+        p.append(2 * g * p[-1] - p[-2])
+    total = sum(_mobius(d // e) * p[e] for e in range(1, d + 1) if d % e == 0)
+    return total // d
+
+
 def _tensor_bracket(a, b):
     out = {}
     for wa, ca in a.items():
@@ -250,6 +264,14 @@ class TestFromThreeForm:
         for g in (1, 2, 3):
             q = holonomy_from_threeform(ThreeForm.product_form(g))
             assert len(q.relations) == 2 * g + 1
+
+    def test_product_forms_give_surface_ranks_to_degree_6(self):
+        # h(Sigma_g x S^1) is h(Sigma_g) times a line in degree 1
+        for g in (2, 3):
+            ranks = lie_ranks(holonomy_from_threeform(ThreeForm.product_form(g)), 6).ranks
+            assert ranks == (2 * g + 1,) + tuple(surface_lcs_rank(g, d) for d in range(2, 7))
+        assert surface_lcs_rank(3, 6) == 6496
+        assert [surface_lcs_rank(2, d) for d in range(2, 7)] == [5, 16, 45, 144, 440]
 
     def test_random_forms_round_trip_span(self):
         rng = random.Random(74)

@@ -273,6 +273,17 @@ class TestCyclotomic:
         with pytest.raises(ZeroDivisionError):
             CyclotomicElement.zero(4).inverse()
 
+    def test_float_coefficients_rejected(self):
+        # Fraction(0.1) would keep the binary value 3602879701896397 / 2^55
+        with pytest.raises(TypeError):
+            CyclotomicElement(6, [0.5, 0.1])
+        with pytest.raises(TypeError):
+            CyclotomicElement(4, [1, 2.0])
+        # 1 + t/2 + t^2 is 3t/2 modulo t^2 - t + 1
+        el = CyclotomicElement(6, [1, Fraction(1, 2), 1])
+        assert el.coeffs == (Fraction(0), Fraction(3, 2))
+        assert all(type(c) is Fraction for c in el.coeffs)
+
 
 class TestEvaluate:
     def test_identity_character(self):

@@ -4,8 +4,9 @@ Statically, every module under src/jumploci is parsed and searched for float
 literals, calls of `float`, and imports from outside the stdlib, and
 pyproject.toml must declare no dependencies.  At run time the elimination
 kernel is wrapped (in `_linalg` and under the name `holonomy` imported) and a
-float anywhere in a basis it keeps fails the test: dividing two ints gives a
-float, so a vector built from ints would leak one into the next reduction.
+float anywhere in a basis it keeps fails the test.  Rational rows are stored
+as integer rows and reduced without division, so a float can only come in
+with the input.
 """
 
 import ast
@@ -124,6 +125,13 @@ def test_no_float_enters_a_basis(float_guard):
 
 
 def test_guard_sees_an_int_vector(float_guard):
-    # the trap the guard exists for: an int row is divided by its int pivot
-    _linalg.echelon_insert({}, {0: 2, 1: 1})
+    # an int row stays an int row: no division, so no float
+    basis = {}
+    _linalg.echelon_insert(basis, {0: 2, 1: 1})
+    _linalg.echelon_insert(basis, {0: 3, 1: 4, 2: 6})
+    assert all(type(x) is int for row in basis.values() for x in row.values())
+    assert float_guard["calls"] == 2
+    assert float_guard["floats"] == []
+    # a row that holds a float is caught
+    _linalg.echelon_insert({}, {0: 2, 1: 0.5})
     assert float_guard["floats"]

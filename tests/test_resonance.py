@@ -135,6 +135,18 @@ class TestContraction:
                     assert a[i][j] == -a[j][i]
             assert all(v == 0 for v in mat_vec(a, x))
 
+    def test_entries_are_contractions(self):
+        # A(x)[i][j] = eta(e_i, e_j, x), entry by entry, for rational eta and x
+        rng = random.Random(6)
+        for _ in range(30):
+            n = rng.randint(3, 6)
+            eta = random_threeform(rng, n)
+            x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n))
+            a = contraction_matrix(eta, x)
+            assert a == [[sum(eta.value(i, j, k) * x[k] for k in range(n)) for j in range(n)]
+                         for i in range(n)]
+            assert all(type(v) is Fraction for row in a for v in row)
+
 
 class TestInR1:
     def test_volume_basis_vector_not_resonant(self):
