@@ -49,6 +49,7 @@ from .laurent import (
     divides,
     euler_phi,
     evaluate,
+    fold,
     gcd_all,
     normalize_unit,
     parse_poly,

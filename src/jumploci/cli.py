@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import alexander
 from .alexander import (
     alexander_matrix,
     almost_principal_sampled,
@@ -63,7 +64,15 @@ from .seifert import (
     v1_components,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "RunConfig", "MAX_TRIALS"]
+
+# sampled checks draw --trials characters (alex) or witness points (classify);
+# a larger count is refused before anything is drawn
+MAX_TRIALS = 2**14
+
+
+class LimitError(ValueError):
+    """An input beyond a documented limit (exit code 2, `config` record)."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials {self.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
         if self.symbolic_threshold < 1 or self.degree_cap < 1:
             raise ValueError("thresholds must be positive")
         if self.output_format not in ("json", "csv", "text"):
@@ -164,11 +175,16 @@ def load_holonomy_input(path):
 
 
 def parse_character(text):
-    """Parse `m:e1,e2,...` into a Character."""
+    """Parse `m:e1,e2,...` into a Character of order at most MAX_CHARACTER_ORDER."""
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError("character spec must look like 'm:e1,e2,...'")
     order = int(head)
+    if order > alexander.MAX_CHARACTER_ORDER:
+        raise LimitError(
+            f"character order {order} exceeds MAX_CHARACTER_ORDER = "
+            f"{alexander.MAX_CHARACTER_ORDER}"
+        )
     exps = tuple(int(e) for e in tail.split(",")) if tail.strip() else ()
     return Character(order=order, exponents=exps)
 
@@ -502,7 +518,7 @@ def main(argv=None):
     except PresentationParseError as exc:
         sys.stderr.write(render_json(_error_record("parse", exc.message, exc.offset)))
         return 2
-    except SweepLimitError as exc:
+    except (LimitError, SweepLimitError) as exc:
         sys.stderr.write(render_json(_error_record("config", str(exc))))
         return 2
     except FileNotFoundError as exc:

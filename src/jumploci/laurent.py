@@ -5,7 +5,11 @@ coefficient), so two values are equal exactly when their term maps agree.
 The module supplies the project-wide unit normalization, gcds up to units,
 and exact evaluation at finite-order characters with values in cyclotomic
 fields (`CyclotomicElement`, reduced modulo the m-th cyclotomic polynomial
-so zero-testing is honest field arithmetic).
+so zero-testing is honest field arithmetic).  The m-th cyclotomic polynomial
+is monic with integer coefficients, so `evaluate` and field products reduce
+modulo it without division; `evaluate` works in integers until the reduced
+coefficients become the element.  `fold(p, m)` reduces every exponent mod m,
+which keeps the value of p at every character of order m.
 
 Unit-normalization convention, fixed once for the whole project: the
 canonical associate of p is u*p, where u is the unique +/- monomial making
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "normalize_unit",
     "gcd_all",
     "evaluate",
+    "fold",
     "try_divide",
     "divides",
     "parse_poly",
@@ -490,12 +496,11 @@ class CyclotomicElement:
         cs = list(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in cs):
             raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
-        cs = [Fraction(c) for c in cs]
         if len(cs) > phi:
             cs = _reduce_mod_cyclotomic(order, cs)
-        cs += [Fraction(0)] * (phi - len(cs))
+        cs += [0] * (phi - len(cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(map(Fraction, cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
@@ -648,30 +653,68 @@ def _frac_poly_divmod(a, b):
 
 
 def _reduce_mod_cyclotomic(order, coeffs):
-    phi = [Fraction(c) for c in cyclotomic_polynomial(order)]
-    _, r = _frac_poly_divmod(coeffs, phi)
+    """Remainder of sum(coeffs[i] x^i) modulo Phi_order: exactly phi(order) coefficients.
+
+    Phi_m is monic with integer coefficients, so each step subtracts an
+    integer multiple of a shifted Phi_m and nothing is divided: `int`
+    coefficients stay `int`, and `Fraction` coefficients stay exact.
+    """
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    tail = [(j, c) for j, c in enumerate(phi[:d]) if c]
+    r = list(coeffs)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            base = i - d
+            for j, pj in tail:
+                r[base + j] -= c * pj
+    del r[d:]
+    r += [0] * (d - len(r))
     return r
 
 
 def evaluate(p, chi):
     """Exact image of p under t_i -> zeta_m^{chi.exponents[i]}.
 
-    The result lives in Q(zeta_m) with m = chi.order, reduced modulo the m-th
-    cyclotomic polynomial, so `result.is_zero` is an exact vanishing test.
+    The coefficients are summed by exponent residue mod m = chi.order, in
+    integers, and reduced modulo the monic m-th cyclotomic polynomial without
+    division.  The result lives in Q(zeta_m) in its reduced form, so
+    `result.is_zero` is an exact vanishing test.
     """
     m = chi.order
     if m < 1:
         raise ValueError("character order must be positive")
-    if len(chi.exponents) != p.num_vars:
+    xs = chi.exponents
+    if len(xs) != p.num_vars:
         raise ValueError(
-            f"character has {len(chi.exponents)} exponents, polynomial has "
-            f"{p.num_vars} variables"
+            f"character has {len(xs)} exponents, polynomial has {p.num_vars} variables"
         )
     acc = [0] * m
+    if len(xs) == 1:
+        x = xs[0]
+        for (e,), c in p.terms.items():
+            acc[e * x % m] += c
+    else:
+        for exps, c in p.terms.items():
+            acc[sum(map(mul, exps, xs)) % m] += c
+    return CyclotomicElement(m, _reduce_mod_cyclotomic(m, acc))
+
+
+def fold(p, m):
+    """p with every exponent reduced mod m: the same value as p at every character of order m.
+
+    A character of order m sends t_i to a power of zeta_m, and zeta_m^e depends
+    only on e mod m, so evaluating the folded polynomial (at most m^n terms)
+    gives exactly `evaluate(p, chi)` for every chi with chi.order == m.
+    """
+    if m < 1:
+        raise ValueError("order must be positive")
+    terms = {}
     for exps, c in p.terms.items():
-        k = sum(e * x for e, x in zip(exps, chi.exponents)) % m
-        acc[k] += c
-    return CyclotomicElement(m, acc)
+        key = tuple(e % m for e in exps)
+        terms[key] = terms.get(key, 0) + c
+    return LaurentPoly(p.num_vars, terms)
 
 
 # ---------------------------------------------------------------------------

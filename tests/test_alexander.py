@@ -1,6 +1,7 @@
 """Alexander matrices, ideals, polynomials, and jump-locus membership."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from jumploci import (
     ideal_vanishes_at,
     in_vd,
     normalize_unit,
+    Presentation,
     parse_presentation,
     sample_characters,
     twisted_h1_dim,
@@ -32,6 +34,7 @@ from _corpus import (
     TREFOIL,
     Z2,
     cross_validation_corpus,
+    random_word,
 )
 
 
@@ -222,6 +225,95 @@ class TestAlmostPrincipal:
         r1 = almost_principal_sampled(a, 40, seed=9)
         r2 = almost_principal_sampled(a, 40, seed=9)
         assert r1 == r2
+
+
+def _naive_counterexamples(a, trials, seed):
+    """Every sampled character, evaluated on the unfolded E_1 and Delta, no memo."""
+    e1, delta = a.ideal(1), a.delta
+    return tuple(
+        chi
+        for chi in sample_characters(a.num_vars, trials, seed)
+        if all(evaluate(g, chi).is_zero for g in e1.generators)
+        != evaluate(delta, chi).is_zero
+    )
+
+
+def _conjugation_presentation(rng):
+    """Three relators u v u^-1 v^(+/-1) in short random words: b1 >= 2 is common."""
+    rels = []
+    for _ in range(3):
+        u = random_word(rng, 3, rng.randint(1, 3))
+        v = random_word(rng, 3, rng.randint(1, 3))
+        rels.append(u * v * u.inverse() * (v.inverse() if rng.random() < 0.5 else v))
+    return Presentation(("a", "b", "c"), tuple(rels))
+
+
+# V(E_1) holds order-2 points where Delta = 1 does not vanish.  The first was
+# built by hand (row (0, 0, t + 1) from z x z x^-1); the second is seed 17 of
+# the seeded search over `_conjugation_presentation`.
+NOT_ALMOST_PRINCIPAL = {
+    "<x, y, z | [x,y], z x z x^-1, [y,z]>": (
+        0, ("2:0,1", "4:0,2", "2:0,1", "2:0,1", "2:0,1")),
+    "<a, b, c | b^-2 a b^2 a^-1, b^-1 c b c^-1, a c^2 a^-1 c^-2>": (
+        17, ("4:1,2,0", "2:0,1,1", "2:1,1,0", "2:1,1,0", "4:0,2,0", "2:1,1,0",
+             "2:1,0,1", "8:3,4,4", "4:1,2,0", "6:3,3,0", "2:0,1,1", "2:0,0,1",
+             "2:0,1,1", "2:1,1,0", "2:1,1,1", "2:1,1,0", "2:1,1,1", "12:11,6,6",
+             "2:0,1,1", "2:1,0,1")),
+}
+
+
+class TestSampledCheckMatchesNaiveLoop:
+    """Folding once per order and deciding each distinct character once change nothing."""
+
+    def test_corpus(self):
+        for p in cross_validation_corpus() + [TREFOIL, TORUS_2_5, HEISENBERG]:
+            a = alexander_matrix(p)
+            if a.num_vars == 0:
+                continue
+            rep = almost_principal_sampled(a, 150, seed=3)
+            assert rep.counterexamples == _naive_counterexamples(a, 150, 3), p
+
+    def test_seeded_random_presentations(self):
+        rng = random.Random(20250)
+        nonempty = 0
+        for _ in range(40):
+            p = _conjugation_presentation(rng)
+            a = alexander_matrix(p)
+            if a.num_vars == 0:
+                continue
+            seed = rng.randrange(1000)
+            rep = almost_principal_sampled(a, 100, seed)
+            assert rep.counterexamples == _naive_counterexamples(a, 100, seed), p
+            nonempty += bool(rep.counterexamples)
+        assert nonempty >= 3
+
+    @pytest.mark.parametrize("text", sorted(NOT_ALMOST_PRINCIPAL))
+    def test_counterexamples_pinned_in_draw_order(self, text):
+        seed, want = NOT_ALMOST_PRINCIPAL[text]
+        a = alexander_matrix(parse_presentation(text))
+        assert a.delta.is_one
+        rep = almost_principal_sampled(a, 100, seed)
+        assert tuple(map(str, rep.counterexamples)) == want
+        assert rep.counterexamples == _naive_counterexamples(a, 100, seed)
+        assert not rep.consistent
+
+    def test_each_distinct_character_decided_once(self, monkeypatch):
+        calls = []
+        real = alexander.evaluate
+
+        def counting(p, chi):
+            calls.append(chi)
+            return real(p, chi)
+
+        monkeypatch.setattr(alexander, "evaluate", counting)
+        a = alexander_matrix(TREFOIL)
+        polys = len(a.ideal(1).generators) + 1  # E_1 and Delta, built before counting
+        chars = sample_characters(1, 100, seed=5)
+        almost_principal_sampled(a, 100, seed=5)
+        counts = Counter(calls)
+        assert len(set(chars)) < len(chars)
+        assert set(counts) == set(chars)
+        assert max(counts.values()) <= polys
 
 
 class TestCharacterSampling:

@@ -8,8 +8,8 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import jumploci
-from jumploci import seifert
-from jumploci.cli import main, parse_character
+from jumploci import alexander, cli, laurent, seifert
+from jumploci.cli import MAX_TRIALS, RunConfig, main, parse_character
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
 SCHEMA_DIR = pathlib.Path(jumploci.__file__).parent / "schemas"
@@ -118,6 +118,32 @@ class TestCharvar:
         assert chi.order == 6 and chi.exponents == (1, 2)
         with pytest.raises(ValueError):
             parse_character("6")
+
+    def test_order_limit(self, capsys, monkeypatch, trefoil_file):
+        calls = []
+        real = laurent.cyclotomic_polynomial
+        monkeypatch.setattr(laurent, "cyclotomic_polynomial",
+                            lambda m: calls.append(m) or real(m))
+        assert alexander.MAX_CHARACTER_ORDER == 1024
+        code, out, err = run_cli(capsys, ["charvar", trefoil_file, "1025:1"])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert "MAX_CHARACTER_ORDER = 1024" in record["error"]["message"]
+        assert calls == []
+
+    def test_order_just_under_lowered_limit(self, capsys, monkeypatch, trefoil_file):
+        monkeypatch.setattr(alexander, "MAX_CHARACTER_ORDER", 6)
+        code, out, _ = run_cli(capsys, ["charvar", trefoil_file, "6:1"])
+        assert code == 0
+        report = json.loads(out)
+        validate("charvar", report)
+        assert report["twisted_h1_dim"] == 1 and report["agree"] is True
+        code, _, err = run_cli(capsys, ["charvar", trefoil_file, "7:1"])
+        assert code == 2
+        assert "MAX_CHARACTER_ORDER = 6" in json.loads(err)["error"]["message"]
 
 
 class TestClassify:
@@ -245,6 +271,44 @@ class TestHolonomy:
         code, out, err = run_cli(capsys, ["holonomy", t3_form_file, "--degree", "9"])
         assert code == 1
         validate("error", json.loads(err))
+
+
+class TestTrialsLimit:
+    def test_cap_allowed(self, capsys, trefoil_file):
+        assert MAX_TRIALS == 2**14
+        assert RunConfig(trials=2**14).trials == 2**14
+        code, out, _ = run_cli(capsys, ["--trials", str(2**14), "alex", trefoil_file])
+        assert code == 0
+        report = json.loads(out)
+        validate("alex", report)
+        assert report["almost_principal"]["trials"] == 2**14
+        assert report["almost_principal"]["consistent"] is True
+
+    @pytest.mark.parametrize("command", ["alex", "classify"])
+    def test_over_cap_refused_before_sampling(self, capsys, monkeypatch, trefoil_file,
+                                              t3_form_file, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled past MAX_TRIALS")
+
+        monkeypatch.setattr(alexander, "sample_characters", refuse)
+        monkeypatch.setattr(cli, "classify_malcev", refuse)
+        path = trefoil_file if command == "alex" else t3_form_file
+        code, out, err = run_cli(capsys, ["--trials", str(2**14 + 1), command, path])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert "MAX_TRIALS = 16384" in record["error"]["message"]
+
+    def test_just_under_lowered_limit(self, capsys, monkeypatch, trefoil_file):
+        monkeypatch.setattr(cli, "MAX_TRIALS", 30)
+        code, out, _ = run_cli(capsys, ["--trials", "30", "alex", trefoil_file])
+        assert code == 0
+        assert json.loads(out)["almost_principal"]["trials"] == 30
+        code, _, err = run_cli(capsys, ["--trials", "31", "alex", trefoil_file])
+        assert code == 2
+        assert "MAX_TRIALS = 30" in json.loads(err)["error"]["message"]
 
 
 class TestErrors:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from jumploci import (
     divides,
     euler_phi,
     evaluate,
+    fold,
     gcd_all,
     normalize_unit,
     parse_poly,
@@ -316,6 +317,82 @@ class TestEvaluate:
     def test_exponent_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(t(), Character(3, (1, 0)))
+
+    def test_matches_sympy_remainder(self):
+        """evaluate(p, chi) is the remainder of p(zeta -> x) modulo Phi_m, by sympy."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(41)
+        for m in range(1, 61):
+            phi_m = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="ZZ")
+            for n in range(1, 5):
+                p = random_poly(rng, n, max_terms=6, exp_bound=3, coeff_bound=9)
+                chi = Character(m, tuple(rng.randint(-m, m) for _ in range(n)))
+                ks = {e: sum(a * b for a, b in zip(e, chi.exponents)) for e in p.terms}
+                # x^m = 1 modulo Phi_m, so a shift by a multiple of m clears
+                # the negative powers without changing the class
+                shift = m * -(min(ks.values(), default=0) // m)
+                image = sum((c * x ** (ks[e] + shift) for e, c in p.terms.items()), sympy.S(0))
+                rem = sympy.Poly(image, x, domain="ZZ").rem(phi_m).all_coeffs()[::-1]
+                want = [Fraction(int(c)) for c in rem]
+                want += [Fraction(0)] * (euler_phi(m) - len(want))
+                assert list(evaluate(p, chi).coeffs) == want, (p, chi)
+
+
+class TestIntegerReduction:
+    def test_integer_input_stays_integer(self):
+        rng = random.Random(43)
+        for m in range(1, 61):
+            coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 3 * m))]
+            r = laurent._reduce_mod_cyclotomic(m, coeffs)
+            assert len(r) == euler_phi(m)
+            assert all(type(c) is int for c in r)
+            # the long division over Q that inverse() still uses agrees
+            _, want = laurent._frac_poly_divmod(
+                [Fraction(c) for c in coeffs], list(map(Fraction, cyclotomic_polynomial(m)))
+            )
+            assert r == want + [0] * (len(r) - len(want))
+            # Fraction input is reduced exactly too
+            halves = [Fraction(c, 2) for c in coeffs]
+            assert laurent._reduce_mod_cyclotomic(m, halves) == [Fraction(c, 2) for c in r]
+
+    def test_evaluate_sums_integers_before_the_element(self, monkeypatch):
+        seen = []
+        real = laurent._reduce_mod_cyclotomic
+
+        def spy(order, coeffs):
+            seen.append(list(coeffs))
+            return real(order, coeffs)
+
+        monkeypatch.setattr(laurent, "_reduce_mod_cyclotomic", spy)
+        p = parse_poly("t^7 - 3*t^-2 + 5", 1)
+        assert evaluate(p, Character(5, (2,))) == CyclotomicElement(5, [5, -3, 0, 0, 1])
+        assert seen and all(type(c) is int for coeffs in seen for c in coeffs)
+
+
+class TestFold:
+    def test_fold_agrees_at_every_character_of_order_m(self):
+        """Exhaustive over all characters of order m <= 12 on (C*)^1 and (C*)^2."""
+        rng = random.Random(47)
+        for n in (1, 2):
+            for _ in range(3):
+                p = random_poly(rng, n, max_terms=8, exp_bound=40, coeff_bound=9)
+                for m in range(1, 13):
+                    f = fold(p, m)
+                    assert all(0 <= e < m for exps in f.terms for e in exps)
+                    for exps in product(range(m), repeat=n):
+                        chi = Character(m, exps)
+                        assert evaluate(f, chi) == evaluate(p, chi), (p, m, exps)
+
+    def test_fold_combines_and_cancels_terms(self):
+        p = parse_poly("t^5 - t^-1 + 2*t^3 + 4", 1)
+        assert fold(p, 4) == parse_poly("t^3 + t + 4", 1)
+        assert fold(p, 3) == fold(p, 1) == LaurentPoly.constant(1, 6)
+        assert fold(LaurentPoly.zero(2), 4).is_zero
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError):
+            fold(t(), 0)
 
 
 class TestTextForm:
