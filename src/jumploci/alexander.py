@@ -19,7 +19,7 @@ per sampled order and decides each distinct character once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -285,9 +285,9 @@ def almost_principal_sampled(a, trials, seed, orders=CHARACTER_ORDERS):
             m = chi.order
             if m not in folded:
                 gens = tuple(dict.fromkeys(fold(g, m) for g in e1.generators))
-                folded[m] = (replace(e1, generators=gens), fold(delta, m))
-            ideal, delta_m = folded[m]
-            in_variety = ideal_vanishes_at(ideal, chi)
+                folded[m] = (gens, fold(delta, m))
+            gens, delta_m = folded[m]
+            in_variety = all(evaluate(g, chi).is_zero for g in gens)
             disagree = decided[chi] = in_variety != evaluate(delta_m, chi).is_zero
         if disagree:
             bad.append(chi)

@@ -54,7 +54,7 @@ from .presentation import (
 from .resonance import MalcevKind, ThreeForm, classify_malcev
 from .seifert import (
     IntegralityError,
-    SweepLimitError,
+    LimitError,
     brieskorn_seifert,
     integer_obstruction,
     is_one_formal_link,
@@ -71,10 +71,6 @@ __all__ = ["main", "RunConfig", "MAX_TRIALS"]
 MAX_TRIALS = 2**14
 
 
-class LimitError(ValueError):
-    """An input beyond a documented limit (exit code 2, `config` record)."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -87,7 +83,7 @@ class RunConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.trials > MAX_TRIALS:
-            raise ValueError(f"trials {self.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+            raise LimitError(f"trials {self.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
         if self.symbolic_threshold < 1 or self.degree_cap < 1:
             raise ValueError("thresholds must be positive")
         if self.output_format not in ("json", "csv", "text"):
@@ -518,7 +514,7 @@ def main(argv=None):
     except PresentationParseError as exc:
         sys.stderr.write(render_json(_error_record("parse", exc.message, exc.offset)))
         return 2
-    except (LimitError, SweepLimitError) as exc:
+    except LimitError as exc:
         sys.stderr.write(render_json(_error_record("config", str(exc))))
         return 2
     except FileNotFoundError as exc:

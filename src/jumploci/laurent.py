@@ -691,13 +691,8 @@ def evaluate(p, chi):
             f"character has {len(xs)} exponents, polynomial has {p.num_vars} variables"
         )
     acc = [0] * m
-    if len(xs) == 1:
-        x = xs[0]
-        for (e,), c in p.terms.items():
-            acc[e * x % m] += c
-    else:
-        for exps, c in p.terms.items():
-            acc[sum(map(mul, exps, xs)) % m] += c
+    for exps, c in p.terms.items():
+        acc[sum(map(mul, exps, xs)) % m] += c
     return CyclotomicElement(m, _reduce_mod_cyclotomic(m, acc))
 
 

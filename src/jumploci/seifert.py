@@ -38,7 +38,7 @@ __all__ = [
     "ComponentReport",
     "TangentConeReport",
     "IntegralityError",
-    "SweepLimitError",
+    "LimitError",
     "brieskorn_seifert",
     "torsion_data",
     "v1_components",
@@ -58,8 +58,8 @@ class IntegralityError(ArithmeticError):
     """A quantity that must be an integer failed to be one."""
 
 
-class SweepLimitError(ValueError):
-    """A sweep would produce more than MAX_SWEEP_ROWS rows."""
+class LimitError(ValueError):
+    """An input beyond a documented limit, such as a sweep of more than MAX_SWEEP_ROWS rows."""
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def sweep(max_exponent, n):
     for _ in range(n):
         rows *= max(max_exponent - 1, 2)
         if rows > MAX_SWEEP_ROWS:
-            raise SweepLimitError(
+            raise LimitError(
                 f"sweep --max {max_exponent} --n {n} refused: more than "
                 f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows, counting at least "
                 f"2 values per exponent"

@@ -20,7 +20,7 @@ from jumploci import (
     v1_components,
 )
 from jumploci import cli, seifert
-from jumploci.seifert import SweepLimitError, sweep
+from jumploci.seifert import LimitError, sweep
 
 
 def orbit_multiset(s):
@@ -281,14 +281,14 @@ class TestSweep:
             sweep(4, 2)
 
     def test_sweep_limit(self):
-        with pytest.raises(SweepLimitError):
+        with pytest.raises(LimitError):
             sweep(1000, 5)
-        with pytest.raises(SweepLimitError):
+        with pytest.raises(LimitError):
             sweep(12, 10**9)
         # max <= 2 still bounds n: one row of n exponents, or none
-        with pytest.raises(SweepLimitError):
+        with pytest.raises(LimitError):
             sweep(2, 17)
-        with pytest.raises(SweepLimitError):
+        with pytest.raises(LimitError):
             sweep(1, 10**9)
         assert len(sweep(2, 16)) == 1
         assert sweep(1, 3) == []
