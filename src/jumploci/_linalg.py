@@ -4,10 +4,10 @@ Every elimination goes through the sparse kernel `echelon_insert`, which keeps
 a row echelon basis.  Rational rows (entries `int` or `Fraction`) are stored as
 primitive integer rows and reduced fraction-free, so no division over Q
 happens; rows over another field (`CyclotomicElement`, or any field whose
-elements support +, -, *, / and are falsy exactly when zero) are scaled to 1
-at their pivot.  `reduced` turns a rational basis into its reduced echelon
-form over Q, and `kernel` reads the nullspace off that form; `int_det` works
-over Z.
+elements support +, -, *, 1 / x and are falsy exactly when zero) are scaled
+to 1 at their pivot by one inversion of the pivot.  `reduced` turns a
+rational basis into its reduced echelon form over Q, and `kernel` reads the
+nullspace off that form; `int_det` works over Z.
 """
 
 from __future__ import annotations
@@ -95,16 +95,16 @@ def echelon_insert(basis, vec):
     if not vec:
         return None
     pivot = min(vec)
-    inv = vec[pivot]
     if rational:
         g = gcd(*vec.values())
-        if inv < 0:
+        if vec[pivot] < 0:
             g = -g
         if g != 1:
             for k in vec:
                 vec[k] //= g
     else:
-        vec = {k: v / inv for k, v in vec.items()}
+        inv = 1 / vec[pivot]
+        vec = {k: v * inv for k, v in vec.items()}
     basis[pivot] = vec
     return pivot
 

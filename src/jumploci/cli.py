@@ -53,6 +53,7 @@ from .presentation import (
 )
 from .resonance import MalcevKind, ThreeForm, classify_malcev
 from .seifert import (
+    MAX_INVARIANT_BITS,
     IntegralityError,
     LimitError,
     brieskorn_seifert,
@@ -185,6 +186,22 @@ def parse_character(text):
     return Character(order=order, exponents=exps)
 
 
+# an exponent written with more digits than 2^MAX_INVARIANT_BITS has is beyond
+# the limit, and `int` would refuse a long enough one with its own message
+_MAX_EXPONENT_DIGITS = len(str(1 << MAX_INVARIANT_BITS))
+
+
+def parse_exponents(spec):
+    """Parse `a1,a2,...`; a longer number than the limit allows is refused unread."""
+    tokens = spec.split(",")
+    if any(len(tok.strip()) > _MAX_EXPONENT_DIGITS for tok in tokens):
+        raise LimitError(
+            f"an exponent of more than {_MAX_EXPONENT_DIGITS} digits exceeds "
+            f"MAX_INVARIANT_BITS = {MAX_INVARIANT_BITS}"
+        )
+    return tuple(int(tok) for tok in tokens)
+
+
 # ---------------------------------------------------------------------------
 # report builders
 # ---------------------------------------------------------------------------
@@ -277,9 +294,9 @@ def run_classify(eta, config):
     return out
 
 
-def _brieskorn_record(exps, s, t, comps, tc):
+def _brieskorn_record(s, t, comps, tc):
+    """The report fields of one link, all but its exponents."""
     return {
-        "exponents": list(exps),
         "orbits": [[o.alpha, o.beta, o.multiplicity] for o in s.orbits],
         "g": s.genus,
         "e": _frac_str(s.euler),
@@ -306,22 +323,26 @@ def _brieskorn_record(exps, s, t, comps, tc):
 def run_brieskorn(exps, config):
     s = brieskorn_seifert(exps)
     t = torsion_data(s)
-    record = _brieskorn_record(exps, s, t, v1_components(s, t), tangent_cone_report(s))
+    record = _brieskorn_record(s, t, v1_components(s, t), tangent_cone_report(s))
+    record["exponents"] = list(exps)
     record["command"] = "brieskorn"
     record["config"] = config.as_dict()
     return record
 
 
 def run_brieskorn_sweep(max_exponent, n, config):
+    # one record body per multiset of exponents, shared by its permutations
+    bodies = {}
     rows = []
     for item in sweep(max_exponent, n):
-        s = item["seifert"]
-        rows.append(
-            _brieskorn_record(
-                item["exponents"], s, item["torsion"], item["components"],
-                item["tangent_cone"],
+        exps = item["exponents"]
+        key = tuple(sorted(exps))
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = _brieskorn_record(
+                item["seifert"], item["torsion"], item["components"], item["tangent_cone"]
             )
-        )
+        rows.append(dict(body, exponents=list(exps)))
     return {
         "command": "brieskorn-sweep",
         "max_exponent": max_exponent,
@@ -483,8 +504,7 @@ def _dispatch(args, config):
     if args.command == "brieskorn":
         if args.spec == "sweep":
             return run_brieskorn_sweep(args.max, args.n, config)
-        exps = tuple(int(a) for a in args.spec.split(","))
-        return run_brieskorn(exps, config)
+        return run_brieskorn(parse_exponents(args.spec), config)
     if args.command == "holonomy":
         data = load_holonomy_input(args.file)
         return run_holonomy(data, args.degree, config)

@@ -596,6 +596,12 @@ class CyclotomicElement:
             return NotImplemented
         return self * q.inverse()
 
+    def __rtruediv__(self, other):
+        q = self._check(other)
+        if q is None:
+            return NotImplemented
+        return q * self.inverse()
+
     def __eq__(self, other):
         if isinstance(other, int):
             other = CyclotomicElement.from_int(self.order, other)

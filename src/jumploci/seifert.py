@@ -53,13 +53,22 @@ __all__ = [
 # row is built, since a few bytes of options could otherwise ask for 10^15
 MAX_SWEEP_ROWS = 2**16
 
+# bits any integer of the invariants may need.  Bounded from bit lengths
+# before the product it bounds is formed: sum(bitlen(a_j)) for the exponent
+# product a (which bounds e, the multiplicities, the genus and b, and the
+# exponent count at MAX_INVARIANT_BITS / 2), and sum(s * bitlen(alpha)) +
+# bitlen(|e|) for |T| = prod(alpha^s) * |e|, which is doubly exponential in
+# the exponent count (2,3,...,3).  2^8192 has 2467 digits, so every integer
+# stays printable under Python's 4300-digit conversion limit.
+MAX_INVARIANT_BITS = 2**13
+
 
 class IntegralityError(ArithmeticError):
     """A quantity that must be an integer failed to be one."""
 
 
 class LimitError(ValueError):
-    """An input beyond a documented limit, such as a sweep of more than MAX_SWEEP_ROWS rows."""
+    """An input beyond a documented limit, such as MAX_SWEEP_ROWS or MAX_INVARIANT_BITS."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,11 @@ class BrieskornInput:
             raise ValueError("need at least three exponents")
         if any(a < 2 for a in exps):
             raise ValueError("all exponents must be at least 2")
+        if sum(a.bit_length() for a in exps) > MAX_INVARIANT_BITS:
+            raise LimitError(
+                f"the {len(exps)} exponents need more than MAX_INVARIANT_BITS = "
+                f"{MAX_INVARIANT_BITS} bits in all"
+            )
         object.__setattr__(self, "exponents", exps)
 
 
@@ -201,10 +215,18 @@ def torsion_data(s):
 
     Products and lcms run over the orbit list expanded with multiplicity; the
     empty list contributes 1 to both.  All three values are asserted integral.
+    Data whose |T| could need more than MAX_INVARIANT_BITS bits raise
+    LimitError before the product is formed.
     """
+    abs_e = -s.euler
+    bits = sum(o.multiplicity * o.alpha.bit_length() for o in s.orbits)
+    if bits + abs_e.numerator.bit_length() > MAX_INVARIANT_BITS:
+        raise LimitError(
+            f"|T| = prod(alpha^s) * |e| could need more than MAX_INVARIANT_BITS = "
+            f"{MAX_INVARIANT_BITS} bits"
+        )
     alpha_product = prod(o.alpha ** o.multiplicity for o in s.orbits)
     alpha_lcm = lcm(*(o.alpha for o in s.orbits)) if s.orbits else 1
-    abs_e = -s.euler
     t_order = _as_fraction_int(alpha_product * abs_e, "|T|")
     h_order = _as_fraction_int(alpha_lcm * abs_e, "ord(h)")
     alpha = _as_fraction_int(Fraction(alpha_product, alpha_lcm), "alpha")
@@ -284,9 +306,12 @@ def sweep(max_exponent, n):
     """All Seifert/torsion/component data for exponent tuples in [2, max]^n.
 
     Tuples are enumerated in lexicographic order; output order is canonical.
-    A sweep of more than `MAX_SWEEP_ROWS` rows is refused before any row is
-    built; the count takes at least two choices per exponent, so that n is
-    bounded even for max <= 2.
+    The invariants are symmetric in the exponents, so they are computed once
+    per multiset of exponents, and every ordered tuple of that multiset
+    shares the same result objects.  A sweep of more than `MAX_SWEEP_ROWS`
+    rows is refused before any row is built; the count takes at least two
+    choices per exponent, so that n is bounded even for max <= 2.  A
+    multiset beyond MAX_INVARIANT_BITS raises LimitError naming it.
     """
     if n < 3:
         raise ValueError("sweep needs n >= 3")
@@ -300,17 +325,22 @@ def sweep(max_exponent, n):
                 f"2 values per exponent"
             )
     out = []
+    shared = {}
     for exps in iter_product(range(2, max_exponent + 1), repeat=n):
-        s = brieskorn_seifert(exps)
-        t = torsion_data(s)
-        out.append(
-            {
-                "exponents": exps,
+        key = tuple(sorted(exps))
+        data = shared.get(key)
+        if data is None:
+            s = brieskorn_seifert(key)
+            try:
+                t = torsion_data(s)
+            except LimitError as exc:
+                raise LimitError(f"exponents {','.join(map(str, key))}: {exc}") from None
+            data = shared[key] = {
                 "seifert": s,
                 "torsion": t,
                 "components": v1_components(s, t),
                 "one_formal": is_one_formal_link(s),
                 "tangent_cone": tangent_cone_report(s),
             }
-        )
+        out.append({"exponents": exps, **data})
     return out

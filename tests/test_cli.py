@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, schemas, determinism, error records."""
 
+import hashlib
 import json
 import pathlib
 
@@ -249,6 +250,39 @@ class TestBrieskorn:
         code, _, err = run_cli(capsys, ["brieskorn", "sweep", "--max", "7", "--n", "3"])
         assert code == 2
         assert json.loads(err)["error"]["type"] == "config"
+
+    # sha256 of stdout, recorded before the invariants were shared per multiset
+    SWEEP_DIGESTS = {
+        ("12", "3", "json"): "7121bc91bd2b636fbc147a73e7a388b226f23d310c64b2dd3fe8a63bb8cef634",
+        ("12", "3", "csv"): "5b8515e7cfa7eb30c69b1cea479806c5f1f846d89e1a262a7e5ae9f53d280554",
+        ("12", "3", "text"): "b2c0f95ff8be03a628ce01cf7a9b8c2a9c6f1f76bc3b0631a3d766e5299dcaa7",
+        ("8", "4", "json"): "2457e7a8c1fb38717aa28256f1de0195df16b19c52ef27d3cbb742a643be809c",
+        ("8", "4", "csv"): "dc3320214a18d924ec9ac3b65318d330509c8d2264bb9b59cf97e049ba1e89e6",
+        ("8", "4", "text"): "ee17a72199611883807bc0f7d8cadfa5d9be1f3226da8294226f301f282edd57",
+    }
+
+    @pytest.mark.parametrize("mx,n,fmt", sorted(SWEEP_DIGESTS))
+    def test_sweep_golden_bytes(self, capsys, mx, n, fmt):
+        code, out, _ = run_cli(capsys, ["--format", fmt, "brieskorn", "sweep", "--max", mx, "--n", n])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[mx, n, fmt]
+
+    @pytest.mark.parametrize("argv", [
+        ["2," + ",".join(["3"] * 10)],
+        ["2," + ",".join(["3"] * 23)],
+        ["sweep", "--max", "3", "--n", "11"],
+        [",".join(["2"] * 4097)],
+        ["2,3," + "9" * 3000],
+        ["2,3," + "9" * 5000],
+    ])
+    def test_invariant_bits_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["brieskorn", *argv])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert "MAX_INVARIANT_BITS = 8192" in record["error"]["message"]
 
 
 class TestHolonomy:

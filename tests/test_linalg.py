@@ -164,3 +164,35 @@ def test_cyclotomic_rows_hold_one_at_their_pivot():
     combo = [a * zeta + b for a, b in zip(rows[0], rows[3])]
     assert echelon_insert(basis, {j: x for j, x in enumerate(combo) if x}) is None
     assert basis == before
+
+
+def test_cyclotomic_pivot_is_inverted_once_per_stored_row(monkeypatch):
+    calls = []
+    real = CyclotomicElement.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CyclotomicElement, "inverse", counting)
+    rng = random.Random(10)
+    # (order, rows, columns, rank): products of random factors of rank k,
+    # plus a rank-0 and a rank-1 trefoil evaluation
+    for m, nrows, ncols, k in ((12, 5, 6, 5), (7, 6, 5, 3), (8, 4, 8, 2)):
+        def elt():
+            return CyclotomicElement(m, [rng.randint(-2, 2) for _ in range(3)])
+
+        left = [[elt() for _ in range(k)] for _ in range(nrows)]
+        right = [[elt() for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum((a * b for a, b in zip(row, col)), CyclotomicElement.zero(m))
+                 for col in zip(*right)] for row in left]
+        calls.clear()
+        basis = _basis(rows)
+        assert len(basis) == k
+        assert len(calls) == k
+        assert all(row[p] == CyclotomicElement.one(m) for p, row in basis.items())
+    trefoil = alexander_matrix(parse_presentation("<x, y | x y x y^-1 x^-1 y^-1>"))
+    for order, expected in ((6, 0), (3, 1), (12, 1)):
+        calls.clear()
+        assert rank(trefoil.evaluated(Character(order, (1,)))) == expected
+        assert len(calls) == expected

@@ -256,13 +256,32 @@ class TestBetaConvention:
                 assert tangent_cone_report(perturbed) == tangent_cone_report(s)
 
     def test_permutation_invariance(self):
-        for exps in ((2, 3, 4), (3, 3, 6), (2, 4, 6)):
+        for exps in ((2, 3, 4), (3, 3, 6), (2, 4, 6), (4, 5, 6), (2, 2, 2, 3), (2, 3, 3, 4, 6)):
             base = brieskorn_seifert(exps)
             for perm in permutations(exps):
                 s = brieskorn_seifert(perm)
-                assert orbit_multiset(s) == orbit_multiset(base)
-                assert s.genus == base.genus
-                assert s.euler == base.euler
+                assert s == base, perm
+                assert torsion_data(s) == torsion_data(base), perm
+
+    def test_permutation_invariance_random_tuples(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tuples = st.lists(st.integers(2, 40), min_size=3, max_size=5)
+
+        def outcome(exps):
+            try:
+                s = brieskorn_seifert(exps)
+                return s, torsion_data(s)
+            except (IntegralityError, LimitError) as exc:
+                return type(exc)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(tuples.flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+        def check(pair):
+            exps, perm = pair
+            assert outcome(perm) == outcome(exps)
+
+        check()
 
 
 class TestSweep:
@@ -279,6 +298,24 @@ class TestSweep:
     def test_sweep_requires_three(self):
         with pytest.raises(ValueError):
             sweep(4, 2)
+
+    def test_permuted_rows_share_their_invariants(self):
+        rows = sweep(6, 3)
+        first = {}
+        for row in rows:
+            key = tuple(sorted(row["exponents"]))
+            base = first.setdefault(key, row)
+            for field in ("seifert", "torsion", "components", "tangent_cone"):
+                assert row[field] is base[field]
+        assert len(first) == 35
+        assert [row["exponents"] for row in rows] == sorted(row["exponents"] for row in rows)
+        report = cli.run_brieskorn_sweep(6, 3, cli.RunConfig())
+        bodies = {}
+        for row in report["rows"]:
+            base = bodies.setdefault(tuple(sorted(row["exponents"])), row)
+            assert row["orbits"] is base["orbits"]
+            assert row["torsion"] is base["torsion"]
+            assert row["tangent_cone"] is base["tangent_cone"]
 
     def test_sweep_limit(self):
         with pytest.raises(LimitError):
@@ -319,9 +356,49 @@ class TestTorsionOncePerRow:
     def test_sweep(self, torsion_calls):
         report = cli.run_brieskorn_sweep(5, 3, cli.RunConfig())
         assert len(report["rows"]) == 64
-        assert len(torsion_calls) == 64
+        # once per multiset of exponents in [2, 5]^3
+        assert len(torsion_calls) == 20
 
     def test_supplied_torsion_is_used(self):
         for exps in ((3, 3, 6), (2, 2, 2, 3), (4, 6, 8, 10), (2, 3, 5)):
             s = brieskorn_seifert(exps)
             assert v1_components(s, torsion_data(s)) == v1_components(s)
+
+
+class TestInvariantBits:
+    def test_doubly_exponential_torsion_refused(self):
+        # 2,3,...,3 with n exponents has one orbit (2:1) of multiplicity
+        # 3^(n-2), so |T| has about 3^(n-2) bits
+        s = brieskorn_seifert((2,) + (3,) * 8)
+        assert torsion_data(s).torsion_order.bit_length() <= seifert.MAX_INVARIANT_BITS
+        for n in (10, 11, 24, 60):
+            s = brieskorn_seifert((2,) + (3,) * (n - 1))
+            assert s.orbits == (Orbit(2, 1, 3 ** (n - 2)),)
+            with pytest.raises(LimitError, match="MAX_INVARIANT_BITS = 8192"):
+                torsion_data(s)
+
+    def test_euler_number_counts_toward_the_bound(self):
+        t = torsion_data(SeifertData(orbits=(), genus=2, euler=-(1 << 8191)))
+        assert t.torsion_order.bit_length() == seifert.MAX_INVARIANT_BITS
+        with pytest.raises(LimitError, match="MAX_INVARIANT_BITS"):
+            torsion_data(SeifertData(orbits=(), genus=2, euler=-(1 << 8192)))
+
+    def test_exponent_bits_refused(self):
+        assert len(brieskorn_seifert((2,) * 4096).orbits) == 0
+        with pytest.raises(LimitError, match="MAX_INVARIANT_BITS"):
+            BrieskornInput((2,) * 4097)
+        with pytest.raises(LimitError, match="MAX_INVARIANT_BITS"):
+            brieskorn_seifert((2, 3, 1 << 8190))
+
+    def test_largest_links_tuples_stay_within_the_bound(self):
+        # the largest |T| of tuples with n = 3, 4, 5 and exponents up to 30,
+        # 20 and 12, the ranges the links benchmark draws from
+        for exps in ((29, 30, 30), (19, 20, 20, 20), (11, 12, 12, 12, 12)):
+            s = brieskorn_seifert(exps)
+            t = torsion_data(s)
+            assert t.torsion_order.bit_length() <= seifert.MAX_INVARIANT_BITS
+            str(t.torsion_order)
+
+    def test_sweep_names_the_refused_multiset(self):
+        with pytest.raises(LimitError, match="exponents 2,3,3,3,3,3,3,3,3,3: .*MAX_INVARIANT_BITS"):
+            sweep(3, 10)
