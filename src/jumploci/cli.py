@@ -23,13 +23,15 @@ order.  Characters are written `m:e1,e2,...`.
 
 Randomized subroutines (character sampling, large-n genericity fallback)
 always echo their seed and trial count; output is byte-identical for a fixed
-(input, seed, config) triple.  Exit codes: 0 success, 2 malformed input
-(with a structured error record on stderr), 1 other failures.
+(input, seed, config) triple.  Exit codes: 0 success, 2 malformed input or a
+refused command line (with a structured error record on stderr), 1 other
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -65,11 +67,15 @@ from .seifert import (
     v1_components,
 )
 
-__all__ = ["main", "RunConfig", "MAX_TRIALS"]
+__all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_CHARACTER_DIGITS"]
 
 # sampled checks draw --trials characters (alex) or witness points (classify);
 # a larger count is refused before anything is drawn
 MAX_TRIALS = 2**14
+
+# a character's numbers matter only mod its order (at most MAX_CHARACTER_ORDER);
+# a longer token is refused unread, before `int` refuses it with its own message
+MAX_CHARACTER_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -176,14 +182,22 @@ def parse_character(text):
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError("character spec must look like 'm:e1,e2,...'")
-    order = int(head)
-    if order > alexander.MAX_CHARACTER_ORDER:
+    limit = alexander.MAX_CHARACTER_ORDER
+    if len(head.strip()) > MAX_CHARACTER_DIGITS:
         raise LimitError(
-            f"character order {order} exceeds MAX_CHARACTER_ORDER = "
-            f"{alexander.MAX_CHARACTER_ORDER}"
+            f"a character order of more than {MAX_CHARACTER_DIGITS} digits exceeds "
+            f"MAX_CHARACTER_ORDER = {limit}"
         )
-    exps = tuple(int(e) for e in tail.split(",")) if tail.strip() else ()
-    return Character(order=order, exponents=exps)
+    order = int(head)
+    if order > limit:
+        raise LimitError(f"character order {order} exceeds MAX_CHARACTER_ORDER = {limit}")
+    tokens = tail.split(",") if tail.strip() else []
+    if any(len(tok.strip()) > MAX_CHARACTER_DIGITS for tok in tokens):
+        raise LimitError(
+            f"a character exponent of more than {MAX_CHARACTER_DIGITS} digits exceeds "
+            f"MAX_CHARACTER_DIGITS = {MAX_CHARACTER_DIGITS}"
+        )
+    return Character(order=order, exponents=tuple(int(e) for e in tokens))
 
 
 # an exponent written with more digits than 2^MAX_INVARIANT_BITS has is beyond
@@ -331,7 +345,12 @@ def run_brieskorn(exps, config):
 
 
 def run_brieskorn_sweep(max_exponent, n, config):
-    # one record body per multiset of exponents, shared by its permutations
+    """A sweep report whose rows are `(exponents, body)` pairs.
+
+    `body` is the record of `_brieskorn_record`, one dict per multiset of
+    exponents shared by its permutations; `render` splices each row's own
+    exponents into text made once per body.
+    """
     bodies = {}
     rows = []
     for item in sweep(max_exponent, n):
@@ -342,7 +361,7 @@ def run_brieskorn_sweep(max_exponent, n, config):
             body = bodies[key] = _brieskorn_record(
                 item["seifert"], item["torsion"], item["components"], item["tangent_cone"]
             )
-        rows.append(dict(body, exponents=list(exps)))
+        rows.append((exps, body))
     return {
         "command": "brieskorn-sweep",
         "max_exponent": max_exponent,
@@ -407,39 +426,92 @@ SWEEP_COLUMNS = [
 ]
 
 
-def render_sweep_csv(report):
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in report["rows"]:
-        orbit_str = ";".join(
-            f"({o[0]}:{o[1]})x{o[2]}" for o in row["orbits"]
+# a sweep row is an element of the report's "rows" list, at depth 2 of the json
+_JSON_ROW_INDENT = " " * 4
+_JSON_EXPONENT_SEP = ",\n" + " " * 8
+
+
+def _sweep_fragments(body, fmt):
+    """The rendering of a sweep row around its exponents, as (before, after).
+
+    Keys sort "e" < "exponents" < "g", so in json and text a row's exponents
+    fall between the fields of `body` that sort before them and those after;
+    text gives these as lines without the row prefix.  In csv the exponents are
+    the first cell and `before` is empty.
+    """
+    if fmt == "json":
+        # json.dumps escapes every newline inside a string, so indenting each
+        # line of the row by its depth is exact
+        text = json.dumps(dict(body, exponents=[]), indent=2, sort_keys=True)
+        text = _JSON_ROW_INDENT + text.replace("\n", "\n" + _JSON_ROW_INDENT)
+        before, _, after = text.partition('"exponents": []')
+        return before + '"exponents": [\n' + " " * 8, "\n" + " " * 6 + "]" + after
+    if fmt == "text":
+        return (
+            _flatten({k: v for k, v in body.items() if k < "exponents"}),
+            _flatten({k: v for k, v in body.items() if k > "exponents"}),
         )
-        cells = [
-            " ".join(str(a) for a in row["exponents"]),
-            orbit_str,
-            str(row["g"]),
-            row["e"],
-            str(row["b"]),
-            str(row["torsion"]["T"]),
-            str(row["torsion"]["ord_h"]),
-            str(row["torsion"]["alpha"]),
-            str(row["components"]),
-            str(row["dim"]),
-            str(row["translated"]),
-            str(row["includes_identity"]).lower(),
-            str(row["one_formal"]).lower(),
-            str(row["tangent_cone"]["holds"]).lower(),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    torsion = body["torsion"]
+    cells = [
+        ";".join(f"({o[0]}:{o[1]})x{o[2]}" for o in body["orbits"]),
+        str(body["g"]),
+        body["e"],
+        str(body["b"]),
+        str(torsion["T"]),
+        str(torsion["ord_h"]),
+        str(torsion["alpha"]),
+        str(body["components"]),
+        str(body["dim"]),
+        str(body["translated"]),
+        str(body["includes_identity"]).lower(),
+        str(body["one_formal"]).lower(),
+        str(body["tangent_cone"]["holds"]).lower(),
+    ]
+    return "", "," + ",".join(cells) + "\n"
+
+
+def render_sweep(report, fmt):
+    """Render a sweep report as one string, splicing each row's exponents into
+    the text `_sweep_fragments` makes once per shared body."""
+    fragments = {}
+    rows = []
+    for exps, body in report["rows"]:
+        # bodies are alive in the report, so their ids are distinct
+        frag = fragments.get(id(body))
+        if frag is None:
+            frag = fragments[id(body)] = _sweep_fragments(body, fmt)
+        rows.append((exps, frag))
+    # an empty list renders no text line and `[]` in json
+    envelope = dict(report, rows=[])
+    if fmt == "csv":
+        pieces = [",".join(SWEEP_COLUMNS), "\n"]
+        for exps, (_, after) in rows:
+            pieces += (" ".join(map(str, exps)), after)
+    elif fmt == "text":
+        # "rows" sorts after every envelope key
+        pieces = [render_text(envelope)]
+        for i, (exps, (before, after)) in enumerate(rows):
+            prefix = f"rows.{i}."
+            lines = [*before, *(f"exponents.{j} = {a}" for j, a in enumerate(exps)), *after]
+            pieces += (prefix, ("\n" + prefix).join(lines), "\n")
+    else:
+        text = render_json(envelope)
+        if not rows:
+            return text
+        pieces = [text[: -len("[]\n}\n")], "[\n"]
+        for exps, (before, after) in rows:
+            pieces += (before, _JSON_EXPONENT_SEP.join(map(str, exps)), after, ",\n")
+        pieces[-1] = "\n  ]\n}\n"
+    return "".join(pieces)
 
 
 def render(report, config):
+    if report.get("command") == "brieskorn-sweep":
+        return render_sweep(report, config.output_format)
     if config.output_format == "json":
         return render_json(report)
     if config.output_format == "text":
         return render_text(report)
-    if report.get("command") == "brieskorn-sweep":
-        return render_sweep_csv(report)
     raise ValueError("csv output is only available for brieskorn sweeps")
 
 
@@ -447,8 +519,18 @@ def render(report, config):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """A command line the parser refuses; `main` reports it as a config record."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the class of their parent, so they raise too
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jumploci",
         description="Exact invariants of 3-manifold groups and Brieskorn links.",
     )
@@ -489,6 +571,12 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of this process, built on the first `main` call, not at import."""
+    return build_parser()
+
+
 def _dispatch(args, config):
     if args.command == "alex":
         ds = args.ideal_d if args.ideal_d else [1]
@@ -516,8 +604,11 @@ def _error_record(err_type, message, offset=None):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(render_json(_error_record("config", str(exc))))
+        return 2
     try:
         config = RunConfig(
             seed=args.seed,

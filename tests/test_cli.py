@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -10,7 +13,7 @@ from referencing import Registry, Resource
 
 import jumploci
 from jumploci import alexander, cli, laurent, seifert
-from jumploci.cli import MAX_TRIALS, RunConfig, main, parse_character
+from jumploci.cli import MAX_CHARACTER_DIGITS, MAX_TRIALS, RunConfig, main, parse_character
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
 SCHEMA_DIR = pathlib.Path(jumploci.__file__).parent / "schemas"
@@ -135,6 +138,28 @@ class TestCharvar:
         assert "MAX_CHARACTER_ORDER = 1024" in record["error"]["message"]
         assert calls == []
 
+    @pytest.mark.parametrize("spec,limit", [
+        ("6:" + "9" * 5000, "MAX_CHARACTER_DIGITS = 1000"),
+        ("6:1," + "9" * 1001, "MAX_CHARACTER_DIGITS = 1000"),
+        ("9" * 5000 + ":1", "MAX_CHARACTER_ORDER = 1024"),
+        ("9" * 1001 + ":1", "MAX_CHARACTER_ORDER = 1024"),
+    ], ids=["exponent-5000", "exponent-1001", "order-5000", "order-1001"])
+    def test_long_numbers_refused_unread(self, capsys, trefoil_file, spec, limit):
+        code, out, err = run_cli(capsys, ["charvar", trefoil_file, spec])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert limit in record["error"]["message"]
+
+    def test_longest_numbers_are_read(self):
+        assert MAX_CHARACTER_DIGITS == 1000
+        chi = parse_character("0" * 999 + "6:1," + "9" * 1000)
+        assert chi.order == 6 and chi.exponents == (1, 10**1000 - 1)
+        with pytest.raises(seifert.LimitError, match="MAX_CHARACTER_ORDER = 1024"):
+            parse_character("9" * 1000 + ":1")
+
     def test_order_just_under_lowered_limit(self, capsys, monkeypatch, trefoil_file):
         monkeypatch.setattr(alexander, "MAX_CHARACTER_ORDER", 6)
         code, out, _ = run_cli(capsys, ["charvar", trefoil_file, "6:1"])
@@ -251,8 +276,16 @@ class TestBrieskorn:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "config"
 
-    # sha256 of stdout, recorded before the invariants were shared per multiset
+    # sha256 of stdout, recorded before the invariants were shared per multiset;
+    # those of zero rows (--max 1) and one row (--max 2) were recorded before
+    # rows were rendered from text made once per multiset
     SWEEP_DIGESTS = {
+        ("1", "3", "json"): "2ce6a4926351edb779738fafb273dbe47c472775f3af9c1a4212859ba65f790a",
+        ("1", "3", "csv"): "aed11faa72e30134d4818ef1e07ae53ca393ecaca2bc8eb1aa096cd9409bb8a2",
+        ("1", "3", "text"): "cd2f832c96ff00302e876c6a8109a5389ee97c2b3ee051eb8afdb84d77f08732",
+        ("2", "3", "json"): "ac281e4e68f3eb81343b484d6b6eb394f0ccd86154009985cfd27b5ae1733af7",
+        ("2", "3", "csv"): "989ed3dd3a2a8bbca0b181a85eefab3962dd631860cd54e16a0731a016ab1794",
+        ("2", "3", "text"): "b3a504cdfcb818999ba265446394b508c264dab49a1cb9f2e3147a5a07e92aac",
         ("12", "3", "json"): "7121bc91bd2b636fbc147a73e7a388b226f23d310c64b2dd3fe8a63bb8cef634",
         ("12", "3", "csv"): "5b8515e7cfa7eb30c69b1cea479806c5f1f846d89e1a262a7e5ae9f53d280554",
         ("12", "3", "text"): "b2c0f95ff8be03a628ce01cf7a9b8c2a9c6f1f76bc3b0631a3d766e5299dcaa7",
@@ -266,6 +299,29 @@ class TestBrieskorn:
         code, out, _ = run_cli(capsys, ["--format", fmt, "brieskorn", "sweep", "--max", mx, "--n", n])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[mx, n, fmt]
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_sweep_fragments_once_per_multiset(self, capsys, monkeypatch, fmt):
+        calls = []
+        real = cli._sweep_fragments
+        monkeypatch.setattr(cli, "_sweep_fragments", lambda body, f: calls.append(f) or real(body, f))
+        code, out, _ = run_cli(capsys, ["--format", fmt, "brieskorn", "sweep", "--max", "6", "--n", "3"])
+        assert code == 0
+        assert calls == [fmt] * 35
+        if fmt == "json":
+            assert len(json.loads(out)["rows"]) == 125
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_sweep_refused_mid_way_writes_nothing(self, capsys, fmt):
+        # 2,3,...,3 first comes at the 512th of the 1024 tuples, after the nine
+        # multisets with more 2s were computed
+        code, out, err = run_cli(capsys, ["--format", fmt, "brieskorn", "sweep", "--max", "3", "--n", "10"])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert "exponents 2,3,3,3,3,3,3,3,3,3" in record["error"]["message"]
 
     @pytest.mark.parametrize("argv", [
         ["2," + ",".join(["3"] * 10)],
@@ -437,6 +493,76 @@ class TestErrors:
         validate("error", record)
         assert record["error"]["type"] == "parse"
         assert record["error"]["offset"] == 8 + MAX_COMMUTATOR_DEPTH
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["brieskorn", "sweep", "--max", "abc"],
+        ["--trials", "x", "brieskorn", "3,3,6"],
+        ["--format", "xml", "brieskorn", "3,3,6"],
+        ["brieskorn", "3,3,6", "--extra"],
+        ["--extra", "brieskorn", "3,3,6"],
+        ["frobnicate"],
+        ["charvar", "file.grp"],
+        [],
+    ], ids=["bad-int", "bad-global-int", "bad-choice", "unknown-option",
+            "unknown-global-option", "unknown-command", "missing-argument", "empty"])
+    def test_refused_command_line_is_a_config_record(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert record["error"]["message"].startswith("jumploci")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["brieskorn", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: jumploci brieskorn")
+        assert captured.err == ""
+
+    def test_calls_keep_their_own_defaults(self, capsys, trefoil_file):
+        code, out, _ = run_cli(capsys, ["--seed", "5", "alex", trefoil_file, "--ideal-d", "2"])
+        assert code == 0
+        report = json.loads(out)
+        assert [i["d"] for i in report["ideals"]] == [2]
+        assert report["config"]["seed"] == 5
+        code, out, _ = run_cli(capsys, ["alex", trefoil_file])
+        report = json.loads(out)
+        assert [i["d"] for i in report["ideals"]] == [1]
+        assert report["config"]["seed"] == 0
+        code, out, _ = run_cli(capsys, ["--format", "text", "alex", trefoil_file, "--ideal-d", "3"])
+        assert code == 0
+        assert "config.format = text" in out and "ideals.0.d = 3" in out
+        assert "ideals.1." not in out
+        code, out, _ = run_cli(capsys, ["alex", trefoil_file])
+        report = json.loads(out)
+        assert [i["d"] for i in report["ideals"]] == [1]
+        assert report["config"] == RunConfig().as_dict()
+
+    def test_built_once(self, capsys, monkeypatch, trefoil_file):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        for argv in (["brieskorn", "3,3,6"], ["brieskorn", "sweep", "--max", "abc"],
+                     ["--format", "text", "alex", trefoil_file], ["brieskorn", "2,3,5"]):
+            main(argv)
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_not_built_at_import(self):
+        src = pathlib.Path(jumploci.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import jumploci.cli as cli; print(cli._parser.cache_info().currsize); "
+                 "cli.main(['brieskorn', '3,3,6']); print(cli._parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[0] == "0"
+        assert out.splitlines()[-1] == "1"
 
 
 class TestDeterminism:

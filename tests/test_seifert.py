@@ -310,12 +310,12 @@ class TestSweep:
         assert len(first) == 35
         assert [row["exponents"] for row in rows] == sorted(row["exponents"] for row in rows)
         report = cli.run_brieskorn_sweep(6, 3, cli.RunConfig())
+        assert [exps for exps, _ in report["rows"]] == [row["exponents"] for row in rows]
         bodies = {}
-        for row in report["rows"]:
-            base = bodies.setdefault(tuple(sorted(row["exponents"])), row)
-            assert row["orbits"] is base["orbits"]
-            assert row["torsion"] is base["torsion"]
-            assert row["tangent_cone"] is base["tangent_cone"]
+        for exps, body in report["rows"]:
+            assert "exponents" not in body
+            assert body is bodies.setdefault(tuple(sorted(exps)), body)
+        assert len(bodies) == 35
 
     def test_sweep_limit(self):
         with pytest.raises(LimitError):
