@@ -54,18 +54,7 @@ from .presentation import (
     presentation_from_json,
 )
 from .resonance import MalcevKind, ThreeForm, classify_malcev
-from .seifert import (
-    MAX_INVARIANT_BITS,
-    IntegralityError,
-    LimitError,
-    brieskorn_seifert,
-    integer_obstruction,
-    is_one_formal_link,
-    sweep,
-    tangent_cone_report,
-    torsion_data,
-    v1_components,
-)
+from .seifert import MAX_INVARIANT_BITS, IntegralityError, LimitError, link_invariants, sweep
 
 __all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_CHARACTER_DIGITS"]
 
@@ -126,6 +115,10 @@ class MalformedInputError(ValueError):
     """Input file whose JSON does not have the documented shape (exit code 2)."""
 
 
+class _UsageError(ValueError):
+    """A malformed command line or argument; `main` reports it as a config record."""
+
+
 # what a wrongly shaped JSON value raises when its fields are read
 _SHAPE_ERRORS = (TypeError, ValueError)
 
@@ -181,23 +174,33 @@ def parse_character(text):
     """Parse `m:e1,e2,...` into a Character of order at most MAX_CHARACTER_ORDER."""
     head, sep, tail = text.partition(":")
     if not sep:
-        raise ValueError("character spec must look like 'm:e1,e2,...'")
+        raise _UsageError("character spec must look like 'm:e1,e2,...'")
     limit = alexander.MAX_CHARACTER_ORDER
     if len(head.strip()) > MAX_CHARACTER_DIGITS:
         raise LimitError(
             f"a character order of more than {MAX_CHARACTER_DIGITS} digits exceeds "
             f"MAX_CHARACTER_ORDER = {limit}"
         )
-    order = int(head)
+    order = _int_token(head, "character order")
     if order > limit:
         raise LimitError(f"character order {order} exceeds MAX_CHARACTER_ORDER = {limit}")
+    if order < 1:
+        raise _UsageError(f"character order {order} is not positive")
     tokens = tail.split(",") if tail.strip() else []
     if any(len(tok.strip()) > MAX_CHARACTER_DIGITS for tok in tokens):
         raise LimitError(
             f"a character exponent of more than {MAX_CHARACTER_DIGITS} digits exceeds "
             f"MAX_CHARACTER_DIGITS = {MAX_CHARACTER_DIGITS}"
         )
-    return Character(order=order, exponents=tuple(int(e) for e in tokens))
+    exponents = tuple(_int_token(e, "character exponent") for e in tokens)
+    return Character(order=order, exponents=exponents)
+
+
+def _int_token(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise _UsageError(f"{what} {token.strip()!r} is not an integer") from None
 
 
 # an exponent written with more digits than 2^MAX_INVARIANT_BITS has is beyond
@@ -213,7 +216,7 @@ def parse_exponents(spec):
             f"an exponent of more than {_MAX_EXPONENT_DIGITS} digits exceeds "
             f"MAX_INVARIANT_BITS = {MAX_INVARIANT_BITS}"
         )
-    return tuple(int(tok) for tok in tokens)
+    return tuple(_int_token(tok, "exponent") for tok in tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +311,14 @@ def run_classify(eta, config):
     return out
 
 
-def _brieskorn_record(s, t, comps, tc):
-    """The report fields of one link, all but its exponents."""
+def _brieskorn_record(inv):
+    """The report fields of one link from its `link_invariants`, all but its exponents."""
+    s, t, comps, tc = inv["seifert"], inv["torsion"], inv["components"], inv["tangent_cone"]
     return {
         "orbits": [[o.alpha, o.beta, o.multiplicity] for o in s.orbits],
         "g": s.genus,
         "e": _frac_str(s.euler),
-        "b": integer_obstruction(s),
+        "b": inv["obstruction"],
         "torsion": {
             "T": t.torsion_order,
             "ord_h": t.fiber_class_order,
@@ -324,7 +328,7 @@ def _brieskorn_record(s, t, comps, tc):
         "dim": comps.component_dim,
         "translated": comps.translated_count,
         "includes_identity": comps.includes_identity_component,
-        "one_formal": is_one_formal_link(s),
+        "one_formal": inv["one_formal"],
         "tangent_cone": {
             "germ": "identity" if tc.germ_is_identity_only else "torus",
             "germ_dim": tc.germ_torus_dim,
@@ -335,9 +339,7 @@ def _brieskorn_record(s, t, comps, tc):
 
 
 def run_brieskorn(exps, config):
-    s = brieskorn_seifert(exps)
-    t = torsion_data(s)
-    record = _brieskorn_record(s, t, v1_components(s, t), tangent_cone_report(s))
+    record = _brieskorn_record(link_invariants(exps))
     record["exponents"] = list(exps)
     record["command"] = "brieskorn"
     record["config"] = config.as_dict()
@@ -345,28 +347,12 @@ def run_brieskorn(exps, config):
 
 
 def run_brieskorn_sweep(max_exponent, n, config):
-    """A sweep report whose rows are `(exponents, body)` pairs.
-
-    `body` is the record of `_brieskorn_record`, one dict per multiset of
-    exponents shared by its permutations; `render` splices each row's own
-    exponents into text made once per body.
-    """
-    bodies = {}
-    rows = []
-    for item in sweep(max_exponent, n):
-        exps = item["exponents"]
-        key = tuple(sorted(exps))
-        body = bodies.get(key)
-        if body is None:
-            body = bodies[key] = _brieskorn_record(
-                item["seifert"], item["torsion"], item["components"], item["tangent_cone"]
-            )
-        rows.append((exps, body))
+    """A sweep report whose rows are `seifert.sweep`'s `(exponents, record)` pairs."""
     return {
         "command": "brieskorn-sweep",
         "max_exponent": max_exponent,
         "n": n,
-        "rows": rows,
+        "rows": sweep(max_exponent, n),
         "config": config.as_dict(),
     }
 
@@ -470,58 +456,60 @@ def _sweep_fragments(body, fmt):
     return "", "," + ",".join(cells) + "\n"
 
 
-def render_sweep(report, fmt):
-    """Render a sweep report as one string, splicing each row's exponents into
-    the text `_sweep_fragments` makes once per shared body."""
-    fragments = {}
-    rows = []
-    for exps, body in report["rows"]:
-        # bodies are alive in the report, so their ids are distinct
-        frag = fragments.get(id(body))
-        if frag is None:
-            frag = fragments[id(body)] = _sweep_fragments(body, fmt)
-        rows.append((exps, frag))
+def render_sweep(report, fmt, out):
+    """Write a sweep report to `out` row by row, splicing each row's exponents
+    into the text `_sweep_fragments` makes once per shared record."""
+    rows = report["rows"]
     # an empty list renders no text line and `[]` in json
     envelope = dict(report, rows=[])
     if fmt == "csv":
-        pieces = [",".join(SWEEP_COLUMNS), "\n"]
-        for exps, (_, after) in rows:
-            pieces += (" ".join(map(str, exps)), after)
+        out.write(",".join(SWEEP_COLUMNS) + "\n")
     elif fmt == "text":
         # "rows" sorts after every envelope key
-        pieces = [render_text(envelope)]
-        for i, (exps, (before, after)) in enumerate(rows):
+        out.write(render_text(envelope))
+    else:
+        head, _, tail = render_json(envelope).rpartition("[]")
+        out.write(head + "[")
+    fragments = {}
+    for i, (exps, record) in enumerate(rows):
+        # records are alive in the report, so their ids are distinct
+        frag = fragments.get(id(record))
+        if frag is None:
+            frag = fragments[id(record)] = _sweep_fragments(_brieskorn_record(record), fmt)
+        before, after = frag
+        # the shared fragments are written as they are, so a csv or json row
+        # allocates only the text of its own exponents
+        if fmt == "csv":
+            out.write(" ".join(map(str, exps)))
+            out.write(after)
+        elif fmt == "text":
             prefix = f"rows.{i}."
             lines = [*before, *(f"exponents.{j} = {a}" for j, a in enumerate(exps)), *after]
-            pieces += (prefix, ("\n" + prefix).join(lines), "\n")
-    else:
-        text = render_json(envelope)
-        if not rows:
-            return text
-        pieces = [text[: -len("[]\n}\n")], "[\n"]
-        for exps, (before, after) in rows:
-            pieces += (before, _JSON_EXPONENT_SEP.join(map(str, exps)), after, ",\n")
-        pieces[-1] = "\n  ]\n}\n"
-    return "".join(pieces)
+            out.write(prefix + ("\n" + prefix).join(lines) + "\n")
+        else:
+            out.write(",\n" if i else "\n")
+            out.write(before)
+            out.write(_JSON_EXPONENT_SEP.join(map(str, exps)))
+            out.write(after)
+    if fmt == "json":
+        out.write(("\n  ]" if rows else "]") + tail)
 
 
-def render(report, config):
+def render(report, config, out):
+    """Write the report to the stream `out` in the configured format."""
     if report.get("command") == "brieskorn-sweep":
-        return render_sweep(report, config.output_format)
-    if config.output_format == "json":
-        return render_json(report)
-    if config.output_format == "text":
-        return render_text(report)
-    raise ValueError("csv output is only available for brieskorn sweeps")
+        render_sweep(report, config.output_format, out)
+    elif config.output_format == "json":
+        out.write(render_json(report))
+    elif config.output_format == "text":
+        out.write(render_text(report))
+    else:
+        raise ValueError("csv output is only available for brieskorn sweeps")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
-
-class _UsageError(Exception):
-    """A command line the parser refuses; `main` reports it as a config record."""
-
 
 class _Parser(argparse.ArgumentParser):
     # subparsers are built with the class of their parent, so they raise too
@@ -625,7 +613,7 @@ def main(argv=None):
     except PresentationParseError as exc:
         sys.stderr.write(render_json(_error_record("parse", exc.message, exc.offset)))
         return 2
-    except LimitError as exc:
+    except (LimitError, _UsageError) as exc:
         sys.stderr.write(render_json(_error_record("config", str(exc))))
         return 2
     except FileNotFoundError as exc:
@@ -641,11 +629,10 @@ def main(argv=None):
         sys.stderr.write(render_json(_error_record("value", str(exc))))
         return 1
     try:
-        rendered = render(report, config)
+        render(report, config, sys.stdout)
     except ValueError as exc:
         sys.stderr.write(render_json(_error_record("value", str(exc))))
         return 1
-    sys.stdout.write(rendered)
     return 0
 
 

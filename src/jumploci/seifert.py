@@ -45,6 +45,7 @@ __all__ = [
     "is_one_formal_link",
     "tangent_cone_report",
     "integer_obstruction",
+    "link_invariants",
     "sweep",
 ]
 
@@ -302,13 +303,31 @@ def integer_obstruction(s):
     return _as_fraction_int(-s.euler - frac, "normalization obstruction b")
 
 
+def link_invariants(exps):
+    """Every invariant of the link of the given exponents, keyed by name.
+
+    Each is computed once, torsion included, so every failure is raised here
+    before anything is reported.
+    """
+    s = brieskorn_seifert(exps)
+    t = torsion_data(s)
+    return {
+        "seifert": s,
+        "torsion": t,
+        "components": v1_components(s, t),
+        "one_formal": is_one_formal_link(s),
+        "tangent_cone": tangent_cone_report(s),
+        "obstruction": integer_obstruction(s),
+    }
+
+
 def sweep(max_exponent, n):
-    """All Seifert/torsion/component data for exponent tuples in [2, max]^n.
+    """`(exponents, record)` pairs for all exponent tuples in [2, max]^n.
 
     Tuples are enumerated in lexicographic order; output order is canonical.
-    The invariants are symmetric in the exponents, so they are computed once
-    per multiset of exponents, and every ordered tuple of that multiset
-    shares the same result objects.  A sweep of more than `MAX_SWEEP_ROWS`
+    The invariants are symmetric in the exponents, so `link_invariants` runs
+    once per multiset of exponents, and every ordered tuple of that multiset
+    shares the same record object.  A sweep of more than `MAX_SWEEP_ROWS`
     rows is refused before any row is built; the count takes at least two
     choices per exponent, so that n is bounded even for max <= 2.  A
     multiset beyond MAX_INVARIANT_BITS raises LimitError naming it.
@@ -328,19 +347,11 @@ def sweep(max_exponent, n):
     shared = {}
     for exps in iter_product(range(2, max_exponent + 1), repeat=n):
         key = tuple(sorted(exps))
-        data = shared.get(key)
-        if data is None:
-            s = brieskorn_seifert(key)
+        record = shared.get(key)
+        if record is None:
             try:
-                t = torsion_data(s)
+                record = shared[key] = link_invariants(key)
             except LimitError as exc:
                 raise LimitError(f"exponents {','.join(map(str, key))}: {exc}") from None
-            data = shared[key] = {
-                "seifert": s,
-                "torsion": t,
-                "components": v1_components(s, t),
-                "one_formal": is_one_formal_link(s),
-                "tangent_cone": tangent_cone_report(s),
-            }
-        out.append({"exponents": exps, **data})
+        out.append((exps, record))
     return out

@@ -90,10 +90,10 @@ def test_criterion_1_brieskorn():
     assert time.perf_counter() - golden_start < 1.0, "golden suite must run in < 1s"
 
     for n in (3, 4):
-        for row in sweep(12, n):
-            t = row["torsion"]
+        for _, record in sweep(12, n):
+            t = record["torsion"]
             assert t.torsion_order == t.fiber_class_order * t.alpha
-            integer_obstruction(row["seifert"])
+            assert record["obstruction"] == integer_obstruction(record["seifert"])
 
 
 @criterion(2, "Alexander suite", 1.0)

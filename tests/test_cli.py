@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -116,6 +118,27 @@ class TestCharvar:
         assert code == 1
         record = json.loads(err)
         validate("error", record)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("abc", "character spec must look like 'm:e1,e2,...'"),
+        ("6:x", "character exponent 'x' is not an integer"),
+        ("0:1", "character order 0 is not positive"),
+    ], ids=["no-colon", "exponent-not-integer", "order-zero"])
+    def test_malformed_character_is_a_config_record(self, capsys, trefoil_file, spec, message):
+        code, out, err = run_cli(capsys, ["charvar", trefoil_file, spec])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {"type": "config", "message": message, "offset": None}
+
+    def test_exponent_count_mismatch_is_a_value_error(self, capsys, trefoil_file):
+        code, out, err = run_cli(capsys, ["charvar", trefoil_file, "6:1,2"])
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "value"
 
     def test_parse_character(self):
         chi = parse_character("6:1,2")
@@ -242,6 +265,16 @@ class TestBrieskorn:
         assert code == 1
         validate("error", json.loads(err))
 
+    def test_malformed_exponent_is_a_config_record(self, capsys):
+        code, out, err = run_cli(capsys, ["brieskorn", "2,x,3"])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {
+            "type": "config", "message": "exponent 'x' is not an integer", "offset": None,
+        }
+
     @pytest.mark.parametrize("argv", [
         ["--max", "1000", "--n", "5"],
         ["--n", "1000000000"],
@@ -299,6 +332,25 @@ class TestBrieskorn:
         code, out, _ = run_cli(capsys, ["--format", fmt, "brieskorn", "sweep", "--max", mx, "--n", n])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[mx, n, fmt]
+
+    # what marks one row: its line in csv, its `rows.<i>.` prefix in text, and
+    # its exponents key in json
+    ROW_MARKS = {
+        "csv": lambda piece: piece.count("\n"),
+        "text": lambda piece: len(set(re.findall(r"^rows\.(\d+)\.", piece, re.M))),
+        "json": lambda piece: piece.count('"exponents": ['),
+    }
+
+    @pytest.mark.parametrize("mx,n,fmt", sorted(SWEEP_DIGESTS))
+    def test_sweep_written_row_by_row(self, mx, n, fmt):
+        config = RunConfig(output_format=fmt)
+        report = cli.run_brieskorn_sweep(int(mx), int(n), config)
+        pieces = []
+        cli.render(report, config, types.SimpleNamespace(write=pieces.append))
+        text = "".join(pieces)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_DIGESTS[mx, n, fmt]
+        assert len(pieces) >= len(report["rows"])
+        assert max(map(self.ROW_MARKS[fmt], pieces)) <= 1
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_sweep_fragments_once_per_multiset(self, capsys, monkeypatch, fmt):

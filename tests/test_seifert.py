@@ -1,5 +1,6 @@
 """Brieskorn Seifert data, torsion invariants, components, formality."""
 
+import io
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -288,12 +289,12 @@ class TestSweep:
     def test_small_sweep_consistency(self):
         rows = sweep(6, 3)
         assert len(rows) == 5 ** 3
-        for row in rows:
-            s = row["seifert"]
-            t = row["torsion"]
+        for _, record in rows:
+            s = record["seifert"]
+            t = record["torsion"]
             assert t.torsion_order == t.fiber_class_order * t.alpha
             # the normalization obstruction must be an integer
-            integer_obstruction(s)
+            assert record["obstruction"] == integer_obstruction(s)
 
     def test_sweep_requires_three(self):
         with pytest.raises(ValueError):
@@ -302,20 +303,17 @@ class TestSweep:
     def test_permuted_rows_share_their_invariants(self):
         rows = sweep(6, 3)
         first = {}
-        for row in rows:
-            key = tuple(sorted(row["exponents"]))
-            base = first.setdefault(key, row)
-            for field in ("seifert", "torsion", "components", "tangent_cone"):
-                assert row[field] is base[field]
+        for exps, record in rows:
+            key = tuple(sorted(exps))
+            assert record is first.setdefault(key, record)
         assert len(first) == 35
-        assert [row["exponents"] for row in rows] == sorted(row["exponents"] for row in rows)
+        assert [exps for exps, _ in rows] == sorted(exps for exps, _ in rows)
+        for key, record in first.items():
+            assert record == seifert.link_invariants(key)
+            assert "exponents" not in cli._brieskorn_record(record)
         report = cli.run_brieskorn_sweep(6, 3, cli.RunConfig())
-        assert [exps for exps, _ in report["rows"]] == [row["exponents"] for row in rows]
-        bodies = {}
-        for exps, body in report["rows"]:
-            assert "exponents" not in body
-            assert body is bodies.setdefault(tuple(sorted(exps)), body)
-        assert len(bodies) == 35
+        assert report["rows"] == rows
+        assert len({id(record) for _, record in report["rows"]}) == 35
 
     def test_sweep_limit(self):
         with pytest.raises(LimitError):
@@ -333,31 +331,33 @@ class TestSweep:
 
 class TestTorsionOncePerRow:
     @pytest.fixture
-    def torsion_calls(self, monkeypatch):
+    def calls(self, monkeypatch):
+        """Names of the torsion_data and is_one_formal_link calls, in either module."""
         calls = []
-        real = seifert.torsion_data
+        for name in ("torsion_data", "is_one_formal_link"):
+            def counting(s, name=name, real=getattr(seifert, name)):
+                calls.append(name)
+                return real(s)
 
-        def counting(s):
-            calls.append(s)
-            return real(s)
-
-        monkeypatch.setattr(seifert, "torsion_data", counting)
-        monkeypatch.setattr(cli, "torsion_data", counting)
+            monkeypatch.setattr(seifert, name, counting)
+            monkeypatch.setattr(cli, name, counting, raising=False)
         return calls
 
-    def test_single_tuple(self, torsion_calls):
+    def test_single_tuple(self, calls):
         for exps in ((3, 3, 6), (2, 3, 5), (4, 6, 8, 10)):
-            torsion_calls.clear()
+            calls.clear()
             record = cli.run_brieskorn(exps, cli.RunConfig())
-            assert len(torsion_calls) == 1
+            assert sorted(calls) == ["is_one_formal_link", "torsion_data"]
             s = brieskorn_seifert(exps)
             assert record["translated"] == v1_components(s).translated_count
 
-    def test_sweep(self, torsion_calls):
+    def test_sweep(self, calls):
         report = cli.run_brieskorn_sweep(5, 3, cli.RunConfig())
         assert len(report["rows"]) == 64
-        # once per multiset of exponents in [2, 5]^3
-        assert len(torsion_calls) == 20
+        for fmt in ("json", "text", "csv"):
+            cli.render(report, cli.RunConfig(output_format=fmt), io.StringIO())
+        # once per multiset of exponents in [2, 5]^3, and none while rendering
+        assert calls.count("torsion_data") == calls.count("is_one_formal_link") == 20
 
     def test_supplied_torsion_is_used(self):
         for exps in ((3, 3, 6), (2, 2, 2, 3), (4, 6, 8, 10), (2, 3, 5)):
