@@ -28,6 +28,7 @@ from .alexander import (
     alexander_polynomial,
     almost_principal_sampled,
     elementary_ideal,
+    elementary_ideal_vanishes_at,
     ideal_vanishes_at,
     in_vd,
     sample_characters,

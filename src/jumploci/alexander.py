@@ -12,6 +12,16 @@ ideal generators.  The two answers must agree; the test suite enforces this
 on the whole corpus, which guards the minor-shape convention.  The CLI
 refuses characters of order above `MAX_CHARACTER_ORDER`.
 
+The ideal route never lists E_d.  By the fundamental formula of Fox calculus
+the columns satisfy sum_j u_j A_j = 0 with u_j = t^{phi(x_j)} - 1, so for any
+column j, u_j E_d lies in the ideal I_j of the minors that avoid column j, and
+I_j lies in E_d.  At chi with u_j(chi) != 0, E_d vanishes exactly when every
+generator of I_j does; `elementary_ideal_vanishes_at` streams those minors
+and stops at the first one that does not vanish.  It refuses with
+`LimitError` rather than decide from part of I_j.  `elementary_ideal` still
+lists E_d in full (up to its cap) for `alex`; `ideal_vanishes_at` tests such
+a listed ideal.
+
 The sampled check chi in V(E_1) <=> Delta(chi) = 0 folds E_1 and Delta once
 per sampled order and decides each distinct character once.
 """
@@ -22,10 +32,13 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import comb
+from operator import mul
 
 from . import _linalg
 from .laurent import Character, LaurentPoly, evaluate, fold, gcd_all
 from .presentation import abelianization, fox_derivative
+from .seifert import LimitError
 
 __all__ = [
     "AlexanderMatrix",
@@ -37,6 +50,7 @@ __all__ = [
     "alexander_polynomial",
     "twisted_h1_dim",
     "in_vd",
+    "elementary_ideal_vanishes_at",
     "almost_principal_sampled",
     "sample_characters",
     "CHARACTER_ORDERS",
@@ -50,7 +64,9 @@ CHARACTER_ORDERS = (2, 3, 4, 5, 6, 8, 12)
 MAX_CHARACTER_ORDER = 1024
 
 # full minor enumeration is affordable at corpus scale (g, r <= 6); beyond
-# this many generators the ideal is cut off and flagged as truncated
+# this many generators the ideal is cut off and flagged as truncated, and
+# `elementary_ideal_vanishes_at` refuses to decide after this many nonzero
+# minors that all vanish
 DEFAULT_GENERATOR_CAP = 512
 
 
@@ -195,6 +211,19 @@ def alexander_polynomial(a):
 # jump-locus membership
 # ---------------------------------------------------------------------------
 
+def _check_character(a, chi, what):
+    """Refuse a character of the wrong length, then the identity character.
+
+    The count comes first: an empty exponent list is also the identity.
+    """
+    if len(chi.exponents) != a.num_vars:
+        raise ValueError(
+            f"character has {len(chi.exponents)} exponents, expected {a.num_vars}"
+        )
+    if chi.is_identity:
+        raise IdentityCharacterError(f"{what} requires a non-identity character")
+
+
 def twisted_h1_dim(p, chi):
     """dim H^1 of the presentation 2-complex with coefficients twisted by chi != 1.
 
@@ -202,13 +231,8 @@ def twisted_h1_dim(p, chi):
     rank computed exactly over the cyclotomic field Q(zeta_m).  `p` is a
     presentation or an AlexanderMatrix already built from one.
     """
-    if chi.is_identity:
-        raise IdentityCharacterError("twisted_h1_dim requires a non-identity character")
     a = p if isinstance(p, AlexanderMatrix) else alexander_matrix(p)
-    if len(chi.exponents) != a.num_vars:
-        raise ValueError(
-            f"character has {len(chi.exponents)} exponents, expected {a.num_vars}"
-        )
+    _check_character(a, chi, "twisted_h1_dim")
     evaluated = a.evaluated(chi)
     rk = _linalg.rank(evaluated) if evaluated else 0
     return a.num_generators - 1 - rk
@@ -224,6 +248,73 @@ def in_vd(p, chi, d):
 def ideal_vanishes_at(ideal, chi):
     """True when every generator of the ideal evaluates to zero at chi."""
     return all(evaluate(g, chi).is_zero for g in ideal.generators)
+
+
+def _avoided_column(a, chi):
+    """First generator j with u_j(chi) != 0, where u_j = t^{phi(x_j)} - 1.
+
+    u_j(chi) = zeta_m^<phi(x_j), e> - 1, so this is an integer test of the
+    exponent pairing mod m.  The images of the generators span Z^{b1}, so
+    one exists for every chi != 1.
+    """
+    m = chi.order
+    return next(
+        j for j, img in enumerate(a.abelianization.gen_images)
+        if sum(map(mul, img.free, chi.exponents)) % m
+    )
+
+
+def elementary_ideal_vanishes_at(a, d, chi):
+    """True when every generator of E_d vanishes at chi != 1; E_d is never listed.
+
+    With j = `_avoided_column(a, chi)`, u_j E_d lies in the ideal I_j of the
+    (g-d)-minors that avoid column j, and I_j lies in E_d, so the answer is
+    exact: the minors of I_j are streamed through one Laplace memo and the
+    first that does not vanish at chi decides.  g - d <= 0 is the unit ideal
+    (False) and fewer than g - d rows the zero ideal (True).  A stream that
+    could pass `DEFAULT_GENERATOR_CAP` minors first drops the rows and
+    columns whose entries all vanish at chi.  After `DEFAULT_GENERATOR_CAP`
+    nonzero minors that all vanish, with more left, `LimitError` is raised
+    rather than an answer from part of the ideal.
+    """
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    _check_character(a, chi, "elementary_ideal_vanishes_at")
+    g = a.num_generators
+    r = a.num_relators
+    k = g - d
+    if k <= 0:
+        return False
+    if r < k:
+        return True
+    j = _avoided_column(a, chi)
+    cap = DEFAULT_GENERATOR_CAP
+    live_rows = range(r)
+    live_cols = tuple(c for c in range(g) if c != j)
+    if comb(r, k) * comb(g - 1, k) > cap:
+        # each minor through a row or column that vanishes at chi vanishes
+        # there; finding them costs r*g evaluations, which only a stream
+        # long enough to reach the cap repays
+        nonzero = [[c != j and not evaluate(e, chi).is_zero for c, e in enumerate(row)]
+                   for row in a.entries]
+        live_cols = tuple(c for c in live_cols if any(row[c] for row in nonzero))
+        live_rows = tuple(i for i in live_rows if any(nonzero[i]))
+    memo = {}
+    vanished = 0
+    for rows in combinations(live_rows, k):
+        for cols in combinations(live_cols, k):
+            if vanished >= cap:
+                raise LimitError(
+                    f"deciding chi in V(E_{d}) needs more than DEFAULT_GENERATOR_CAP = "
+                    f"{cap} nonzero minors avoiding column {j}, and all of them vanish"
+                )
+            minor = _minor(a.entries, rows, cols, memo)
+            if minor.is_zero:
+                continue
+            if not evaluate(minor, chi).is_zero:
+                return False
+            vanished += 1
+    return True
 
 
 # ---------------------------------------------------------------------------

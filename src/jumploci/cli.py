@@ -42,7 +42,7 @@ from . import alexander
 from .alexander import (
     alexander_matrix,
     almost_principal_sampled,
-    ideal_vanishes_at,
+    elementary_ideal_vanishes_at,
     twisted_h1_dim,
 )
 from .holonomy import DEFAULT_DEGREE_CAP, QuadraticData, holonomy_from_threeform, lie_ranks
@@ -268,7 +268,7 @@ def run_charvar(p, chi, d, config):
     a = alexander_matrix(p)
     h1 = twisted_h1_dim(a, chi)
     rank_based = h1 >= d
-    ideal_based = ideal_vanishes_at(a.ideal(d), chi)
+    ideal_based = elementary_ideal_vanishes_at(a, d, chi)
     return {
         "command": "charvar",
         "character": {"order": chi.order, "exponents": list(chi.exponents)},

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from jumploci import _linalg, alexander, cli, laurent
+from jumploci import _linalg, alexander, cli, laurent, seifert
 from jumploci import (
     Character,
     IdentityCharacterError,
@@ -14,6 +14,7 @@ from jumploci import (
     alexander_polynomial,
     almost_principal_sampled,
     elementary_ideal,
+    elementary_ideal_vanishes_at,
     evaluate,
     ideal_vanishes_at,
     in_vd,
@@ -376,3 +377,127 @@ class TestComputeOnce:
     def test_twisted_h1_dim_accepts_matrix(self):
         for p, chi in ((SURFACE_2, Character(3, (1, 0, 2, 0))), (Z2, Character(3, (1, 2)))):
             assert twisted_h1_dim(alexander_matrix(p), chi) == twisted_h1_dim(p, chi)
+
+
+# H_1 = Z + Z/2, and z maps to 0 in the free part, so u_0 vanishes at every
+# character and the one-column route must avoid another column
+TREFOIL_TORSION = parse_presentation("<z, x, y | z^2, [x, z], x y x y^-1 x^-1 y^-1>")
+
+# Z^6 characters at which the ideal route used to read a cut-off E_d
+Z6_CHARACTERS = (
+    ("5:0,1,2,1,1,3", 1),
+    ("5:0,1,3,3,4,2", 1),
+    ("5:0,1,0,1,3,1", 1),
+    ("2:0,0,0,0,0,1", 2),
+    ("4:0,0,0,1,0,2", 2),
+)
+
+
+def _zn(n):
+    gens = ", ".join(f"x{i}" for i in range(1, n + 1))
+    rels = ", ".join(f"[x{i},x{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return parse_presentation(f"<{gens} | {rels}>")
+
+
+def _u_vanishes(a, j, chi):
+    free = a.abelianization.gen_images[j].free
+    return sum(f * e for f, e in zip(free, chi.exponents)) % chi.order == 0
+
+
+def _route_cases():
+    """(matrix, characters) for the corpus plus a knot-like group with torsion.
+
+    Each gets 60 seeded characters, and every presentation with b1 >= 2 also
+    gets up to 20 characters with u_0(chi) = 0.
+    """
+    for p in cross_validation_corpus() + [TREFOIL_TORSION]:
+        a = alexander_matrix(p)
+        if a.num_vars == 0:
+            continue
+        chars = sample_characters(a.num_vars, 60, seed=13)
+        pool = sample_characters(a.num_vars, 400, seed=14)
+        chars += [chi for chi in pool if _u_vanishes(a, 0, chi)][:20]
+        yield a, chars
+
+
+class TestOneColumnIdealRoute:
+    def test_matches_full_uncapped_ideal(self):
+        avoided_later = 0
+        for a, chars in _route_cases():
+            full = {d: elementary_ideal(a, d, max_generators=None) for d in (1, 2, 3)}
+            assert not any(e.truncated for e in full.values())
+            for chi in chars:
+                j = alexander._avoided_column(a, chi)
+                assert not _u_vanishes(a, j, chi)
+                avoided_later += j > 0
+                for d in (1, 2, 3):
+                    expected = ideal_vanishes_at(full[d], chi)
+                    assert elementary_ideal_vanishes_at(a, d, chi) == expected, (a, chi, d)
+        assert avoided_later >= 100
+
+    def test_torsion_column_is_never_avoided(self):
+        a = alexander_matrix(TREFOIL_TORSION)
+        assert a.abelianization.b1 == 1 and a.abelianization.torsion == (2,)
+        for chi in sample_characters(1, 20, seed=3):
+            assert alexander._avoided_column(a, chi) > 0
+        assert elementary_ideal_vanishes_at(a, 1, Character(6, (1,)))
+        assert not elementary_ideal_vanishes_at(a, 1, Character(2, (1,)))
+
+    def test_pruned_stream_under_a_small_cap(self, monkeypatch):
+        """A cap of 1 prunes every stream longer than one minor; answers stay exact.
+
+        A stream whose first nonzero minor vanishes at chi is refused.
+        """
+        monkeypatch.setattr(alexander, "DEFAULT_GENERATOR_CAP", 1)
+        decided = refused = 0
+        for a, chars in _route_cases():
+            full = {d: elementary_ideal(a, d, max_generators=None) for d in (1, 2)}
+            for chi in chars:
+                for d in (1, 2):
+                    expected = ideal_vanishes_at(full[d], chi)
+                    try:
+                        got = elementary_ideal_vanishes_at(a, d, chi)
+                    except seifert.LimitError as exc:
+                        # refused, never answered from part of the ideal
+                        assert "DEFAULT_GENERATOR_CAP = 1" in str(exc)
+                        refused += 1
+                        continue
+                    assert got == expected, (a, chi, d)
+                    decided += 1
+        assert decided > 1000 and refused > 0
+
+    def test_edge_ideals(self):
+        chi = Character(6, (1,))
+        a = alexander_matrix(TREFOIL)
+        assert not elementary_ideal_vanishes_at(a, 2, chi)  # g - d = 0: unit ideal
+        s = alexander_matrix(SURFACE_2)
+        assert elementary_ideal_vanishes_at(s, 1, Character(3, (1, 0, 2, 0)))  # zero ideal
+        with pytest.raises(ValueError):
+            elementary_ideal_vanishes_at(a, -1, chi)
+
+    def test_character_count_checked_before_identity(self):
+        a = alexander_matrix(TREFOIL)
+        empty = Character(6, ())
+        assert empty.is_identity
+        for call in (lambda: twisted_h1_dim(TREFOIL, empty),
+                     lambda: elementary_ideal_vanishes_at(a, 1, empty)):
+            with pytest.raises(ValueError, match="^character has 0 exponents, expected 1$"):
+                call()
+        with pytest.raises(IdentityCharacterError):
+            elementary_ideal_vanishes_at(a, 1, Character(6, (6,)))
+
+    def test_z6_characters_agree(self):
+        z6 = _zn(6)
+        for spec, d in Z6_CHARACTERS:
+            out = cli.run_charvar(z6, cli.parse_character(spec), d, cli.RunConfig())
+            assert out["twisted_h1_dim"] == 0
+            assert out["ideal_based"] is False and out["agree"] is True, (spec, d)
+
+    def test_run_charvar_never_lists_an_ideal(self, monkeypatch):
+        ideals = _count_calls(monkeypatch, "elementary_ideal", alexander, cli)
+        cases = [(TREFOIL, Character(6, (1,)), 1), (TREFOIL, Character(2, (1,)), 1),
+                 (SURFACE_2, Character(3, (1, 0, 2, 0)), 2), (Z3, Character(4, (1, 0, 3)), 1),
+                 (_zn(5), Character(5, (0, 1, 2, 1, 1)), 2)]
+        for p, chi, d in cases:
+            cli.run_charvar(p, chi, d, cli.RunConfig())
+        assert ideals == []

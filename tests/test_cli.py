@@ -140,6 +140,31 @@ class TestCharvar:
         validate("error", record)
         assert record["error"]["type"] == "value"
 
+    def test_empty_exponent_list_is_a_count_error(self, capsys, trefoil_file):
+        code, out, err = run_cli(capsys, ["charvar", trefoil_file, "6:"])
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {
+            "type": "value", "message": "character has 0 exponents, expected 1", "offset": None,
+        }
+
+    def test_minor_cap_is_a_config_record(self, capsys, monkeypatch, tmp_path):
+        # Wirtinger trefoil: the three 2-minors avoiding a column all vanish at 6:1
+        f = tmp_path / "wirtinger.grp"
+        f.write_text("<a, b, c | a b a^-1 c^-1, b c b^-1 a^-1, c a c^-1 b^-1>\n")
+        code, out, _ = run_cli(capsys, ["charvar", str(f), "6:1"])
+        assert code == 0 and json.loads(out)["agree"] is True
+        monkeypatch.setattr(alexander, "DEFAULT_GENERATOR_CAP", 2)
+        code, out, err = run_cli(capsys, ["charvar", str(f), "6:1"])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert "DEFAULT_GENERATOR_CAP = 2" in record["error"]["message"]
+
     def test_parse_character(self):
         chi = parse_character("6:1,2")
         assert chi.order == 6 and chi.exponents == (1, 2)
