@@ -100,9 +100,17 @@ def _frac_str(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _json_int(value, what):
+    """A JSON integer as an int; a float, a boolean or any other value is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_rational(value):
-    if isinstance(value, int):
-        return Fraction(value)
+    """A JSON coefficient: an integer stays an int, a 'p/q' string becomes a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -144,11 +152,12 @@ def threeform_from_json(obj):
     if not isinstance(obj, dict):
         raise MalformedInputError("3-form JSON must be an object")
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"], "n")
         coeffs = {}
         for term in obj.get("terms", []):
-            key = (int(term["i"]) - 1, int(term["j"]) - 1, int(term["k"]) - 1)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + _parse_rational(term["c"])
+            key = tuple(_json_int(term[name], name) - 1 for name in "ijk")
+            c = _parse_rational(term["c"])
+            coeffs[key] = coeffs[key] + c if key in coeffs else c
         return ThreeForm(n, coeffs)
     except _SHAPE_ERRORS as exc:
         raise MalformedInputError(f"malformed 3-form: {exc}") from exc
@@ -162,7 +171,7 @@ def load_holonomy_input(path):
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(obj, dict) and "relations" in obj:
         try:
-            n = int(obj["n"])
+            n = _json_int(obj["n"], "n")
             rels = tuple(tuple(_parse_rational(c) for c in row) for row in obj["relations"])
             return QuadraticData(n=n, relations=rels)
         except _SHAPE_ERRORS as exc:

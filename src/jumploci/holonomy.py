@@ -74,15 +74,22 @@ def holonomy_from_threeform(eta):
 
     The relation span is the image of the duality pairing inside the wedge
     square: for each coordinate index k, the contraction with coefficients
-    eta(e_i, e_j, e_k) on the pair (i, j).  A reduced echelon basis is
-    returned, so equal spans give equal data.
+    eta(e_i, e_j, e_k) on the pair (i, j).  Each is read from eta's stored
+    integer coefficients, which scales it by eta's common denominator and
+    leaves the span unchanged.  A reduced echelon basis is returned, so equal
+    spans give equal data.
     """
     n = eta.n
     pairs = wedge_basis(n)
+    col = {p: q for q, p in enumerate(pairs)}
+    rows = [{} for _ in range(n)]
+    for (i, j, k), mu in eta._coeffs.items():
+        rows[k][col[i, j]] = mu
+        rows[j][col[i, k]] = -mu
+        rows[i][col[j, k]] = mu
     basis = {}
-    for k in range(n):
-        row = (eta.value(i, j, k) for i, j in pairs)
-        echelon_insert(basis, {col: c for col, c in enumerate(row) if c})
+    for row in rows:
+        echelon_insert(basis, dict(sorted(row.items())))
     relations = tuple(
         tuple(row.get(col, 0) for col in range(len(pairs))) for row in reduced(basis).values()
     )

@@ -73,29 +73,48 @@ def _sort_triple(i, j, k, c):
 
 
 class ThreeForm:
-    """Alternating 3-form on Q^n, stored on strictly increasing index triples."""
+    """Alternating 3-form on Q^n, stored on strictly increasing index triples.
 
-    __slots__ = ("n", "_coeffs")
+    The coefficients are kept once as integers over one common denominator:
+    `_coeffs` maps each stored triple to its coefficient times `_den`, the
+    lcm of the coefficients' denominators.  Every contraction, transform and
+    rank test reads these integers; `coeffs` and `value` give `Fraction`s.
+    """
+
+    __slots__ = ("n", "_coeffs", "_den")
 
     def __init__(self, n, coeffs=None):
         n = int(n)
         if n < 0:
             raise ValueError("dimension must be non-negative")
         clean = {}
+        rational = False
         for (i, j, k), c in (coeffs or {}).items():
+            if type(c) is not int:
+                if isinstance(c, Fraction):
+                    rational = True
+                elif isinstance(c, int):
+                    c = int(c)
+                else:
+                    raise TypeError(f"3-form coefficients must be int or Fraction, got {c!r}")
             i, j, k = int(i), int(j), int(k)
             if len({i, j, k}) != 3:
                 raise ValueError(f"indices in a 3-form term must be distinct: {(i, j, k)}")
             if not all(0 <= t < n for t in (i, j, k)):
                 raise ValueError(f"index out of range in {(i, j, k)} for dimension {n}")
-            key, val = _sort_triple(i, j, k, Fraction(c))
-            total = clean.get(key, Fraction(0)) + val
+            key, val = _sort_triple(i, j, k, c)
+            total = clean[key] + val if key in clean else val
             if total:
                 clean[key] = total
             else:
                 clean.pop(key, None)
+        den = 1
+        if rational:
+            den = lcm(*(c.denominator for c in clean.values()))
+            clean = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThreeForm is immutable")
@@ -121,7 +140,7 @@ class ThreeForm:
 
     @property
     def coeffs(self):
-        return dict(self._coeffs)
+        return {key: Fraction(c, self._den) for key, c in self._coeffs.items()}
 
     @property
     def is_zero(self):
@@ -132,15 +151,14 @@ class ThreeForm:
         if len({i, j, k}) != 3:
             return Fraction(0)
         key, sign = _sort_triple(i, j, k, 1)
-        return sign * self._coeffs.get(key, Fraction(0))
+        return Fraction(sign * self._coeffs.get(key, 0), self._den)
 
     def contract_pair(self, x, y):
         """The functional eta(x, y, .) as a coordinate vector of length n."""
-        mus, mu_den = _scaled_to_int(self._coeffs.values())
-        x, x_den = _scaled_to_int(_vec(x, self.n))
-        y, y_den = _scaled_to_int(_vec(y, self.n))
-        scale = mu_den * x_den * y_den
-        return tuple(Fraction(v, scale) for v in _integer_pair(self, mus, x, y))
+        x, x_den = _int_vec(x, self.n)
+        y, y_den = _int_vec(y, self.n)
+        scale = self._den * x_den * y_den
+        return tuple(Fraction(v, scale) for v in _integer_pair(self, x, y))
 
     def evaluate(self, x, y, z):
         z = _vec(z, self.n)
@@ -149,20 +167,19 @@ class ThreeForm:
     def transform(self, t):
         """Pullback along the invertible matrix t: result(x,y,z) = eta(tx, ty, tz).
 
-        Exact integer arithmetic.  The coefficients and the entries of t are
-        scaled to integers by the lcm of their denominators; the coefficient
-        on (a, b, c) is then the sum over stored (i, j, k) of mu_ijk times the
-        3x3 minor of t on rows (i, j, k) and columns (a, b, c), and the common
-        scale is divided out once at the end.
+        Exact integer arithmetic.  The entries of t are scaled to integers by
+        the lcm of their denominators; the coefficient on (a, b, c) is then
+        the sum over stored (i, j, k) of mu_ijk times the 3x3 minor of t on
+        rows (i, j, k) and columns (a, b, c), and the common scale is divided
+        out once at the end.
         """
         n = self.n
         flat, t_den = _scaled_to_int(Fraction(t[i][a]) for i in range(n) for a in range(n))
         m = [flat[i * n:(i + 1) * n] for i in range(n)]
-        mus, mu_den = _scaled_to_int(self._coeffs.values())
         # Expanding each minor along its first row i: the terms sharing the
         # trailing rows (j, k) combine into one weighted row sum of m.
         weighted = {}
-        for (i, j, k), mu in zip(self._coeffs, mus):
+        for (i, j, k), mu in self._coeffs.items():
             acc = weighted.setdefault((j, k), [0] * n)
             for a, x in enumerate(m[i]):
                 acc[a] += mu * x
@@ -176,7 +193,7 @@ class ThreeForm:
             minor2 = [rj[b] * rk[c] - rj[c] * rk[b] for b, c in pairs]
             for q, (a, b, c, bc, ac, ab) in enumerate(triples):
                 totals[q] += w[a] * minor2[bc] - w[b] * minor2[ac] + w[c] * minor2[ab]
-        scale = mu_den * t_den ** 3
+        scale = self._den * t_den ** 3
         coeffs = {(a, b, c): Fraction(s, scale)
                   for (a, b, c, *_), s in zip(triples, totals) if s}
         return ThreeForm(n, coeffs)
@@ -184,13 +201,13 @@ class ThreeForm:
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        return self.n == other.n and self._den == other._den and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._coeffs.items())))
+        return hash((self.n, self._den, frozenset(self._coeffs.items())))
 
     def __repr__(self):
-        terms = ", ".join(f"{ijk}: {c}" for ijk, c in sorted(self._coeffs.items()))
+        terms = ", ".join(f"{ijk}: {c}" for ijk, c in sorted(self.coeffs.items()))
         return f"ThreeForm(n={self.n}, {{{terms}}})"
 
 
@@ -201,10 +218,23 @@ def _scaled_to_int(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _integer_pair(eta, mus, x, y):
-    """eta(x, y, .) for integer coefficients `mus` (in stored order) and integer x, y."""
+def _int_vec(x, n):
+    """A vector of length n times the lcm `den` of its denominators, as ints; and `den`.
+
+    An all-int vector is taken as it is, with `den` = 1.
+    """
+    x = tuple(x)
+    if len(x) != n:
+        raise ValueError(f"vector has length {len(x)}, expected {n}")
+    if all(type(c) is int for c in x):
+        return x, 1
+    return _scaled_to_int(map(Fraction, x))
+
+
+def _integer_pair(eta, x, y):
+    """eta(x, y, .) times eta's common denominator, for integer x and y."""
     out = [0] * eta.n
-    for (a, b, c), mu in zip(eta._coeffs, mus):
+    for (a, b, c), mu in eta._coeffs.items():
         out[c] += mu * (x[a] * y[b] - x[b] * y[a])
         out[b] += mu * (x[c] * y[a] - x[a] * y[c])
         out[a] += mu * (x[b] * y[c] - x[c] * y[b])
@@ -262,17 +292,16 @@ def _integer_contraction(eta, x):
     isotropy system use it directly.
     """
     n = eta.n
-    x, x_den = _scaled_to_int(_vec(x, n))
-    mus, mu_den = _scaled_to_int(eta._coeffs.values())
+    x, x_den = _int_vec(x, n)
     a = [[0] * n for _ in range(n)]
-    for (i, j, k), mu in zip(eta._coeffs, mus):
+    for (i, j, k), mu in eta._coeffs.items():
         a[i][j] += mu * x[k]
         a[j][i] -= mu * x[k]
         a[i][k] -= mu * x[j]
         a[k][i] += mu * x[j]
         a[j][k] += mu * x[i]
         a[k][j] -= mu * x[i]
-    return a, x_den * mu_den
+    return a, x_den * eta._den
 
 
 def contraction_matrix(eta, x):
@@ -308,20 +337,19 @@ class R1FullnessReport:
 
 
 def _symbolic_contraction(eta):
-    """A(x) with x symbolic: entries are integer linear forms in x_1..x_n."""
+    """A(x) with x symbolic, times eta's common denominator: integer linear forms in x_1..x_n."""
     n = eta.n
-    denom = lcm(*(c.denominator for c in eta._coeffs.values())) if eta._coeffs else 1
-    entries = [[LaurentPoly.zero(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            for k in range(n):
-                c = eta.value(i, j, k) * denom
-                if c:
-                    e = tuple(1 if t == k else 0 for t in range(n))
-                    terms[e] = int(c)
-            entries[i][j] = LaurentPoly(n, terms)
-    return entries
+    linear = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j, k), mu in eta._coeffs.items():
+        linear[i][j][k] = mu
+        linear[j][i][k] = -mu
+        linear[i][k][j] = -mu
+        linear[k][i][j] = mu
+        linear[j][k][i] = mu
+        linear[k][j][i] = -mu
+    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    return [[LaurentPoly(n, {units[k]: c for k, c in sorted(row.items())}) for row in rows]
+            for rows in linear]
 
 
 def _pfaffian(entries, idx, memo):
@@ -363,7 +391,7 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     if n % 2 == 0:
         return R1FullnessReport(full=True, mode="parity")
     rng = random.Random(seed)
-    draws = ([Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(trials))
+    draws = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(trials))
     full = not any(
         any(x) and _linalg.rank(_integer_contraction(eta, x)[0]) == n - 1 for x in draws
     )
@@ -398,17 +426,16 @@ def restriction_rank(eta, w):
     """Rank of the restricted cup pairing on a subspace of dimension >= 1.
 
     Computed as the dimension of span{ eta(w_a, w_b, .) } over basis pairs.
-    The coefficients of eta and each basis vector are first scaled to
-    integers; that multiplies each row by a nonzero constant, so the rank is
-    unchanged and every row is built in integer arithmetic.
+    Each basis vector is scaled to integers and eta's integer coefficients
+    are read as stored; that multiplies each row by a nonzero constant, so
+    the rank is unchanged and every row is built in integer arithmetic.
     """
     if w.ambient_dim != eta.n:
         raise ValueError("subspace ambient dimension mismatch")
     if w.dim < 1:
         raise ValueError("restriction rank needs dim >= 1")
-    mus, _ = _scaled_to_int(eta._coeffs.values())
     vecs = [_scaled_to_int(v)[0] for v in w.basis]
-    rows = [_integer_pair(eta, mus, x, y) for x, y in combinations(vecs, 2)]
+    rows = [_integer_pair(eta, x, y) for x, y in combinations(vecs, 2)]
     return _linalg.rank(rows) if rows else 0
 
 
@@ -509,13 +536,15 @@ def _linear_factors(eta):
 
     The coefficient of eta ^ l on a 4-subset a < b < c < d is, up to sign,
     eta_bcd l_a - eta_acd l_b + eta_abd l_c - eta_abc l_d; only the 4-subsets
-    holding a stored triple give a nonzero row.
+    holding a stored triple give a nonzero row.  The rows are read from the
+    integer coefficients, which scales each by eta's common denominator.
     """
     n = eta.n
     quads = {tuple(sorted(t + (d,))) for t in eta._coeffs for d in range(n) if d not in t}
+    mu = eta._coeffs.get
     system = {}
     for a, b, c, d in quads:
-        row = (eta.value(b, c, d), -eta.value(a, c, d), eta.value(a, b, d), -eta.value(a, b, c))
+        row = (mu((b, c, d), 0), -mu((a, c, d), 0), mu((a, b, d), 0), -mu((a, b, c), 0))
         _linalg.echelon_insert(system, {k: x for k, x in zip((a, b, c, d), row) if x})
         if len(system) == n:  # rank n already: the nullspace is zero
             break

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -510,8 +511,18 @@ class TestErrors:
         json.dumps({"n": 3, "terms": [{"i": 1, "j": 2, "k": 4, "c": 1}]}).encode(),
         json.dumps({"n": -1, "terms": []}).encode(),
         b'\xff\xfe{"n": 3, "terms": []}',
+        # JSON floats and booleans are not integers: none is truncated or read as 1
+        b'{"n": 3.9, "terms": [{"i": 1.7, "j": 2, "k": 3, "c": true}]}',
+        b'{"n": 3, "terms": [{"i": 1.7, "j": 2, "k": 3, "c": 1}]}',
+        b'{"n": 3.0, "terms": [{"i": 1, "j": 2, "k": 3, "c": 1}]}',
+        b'{"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": true}]}',
+        b'{"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": 0.5}]}',
+        b'{"n": 3, "terms": [{"i": true, "j": 2, "k": 3, "c": 1}]}',
+        b'{"n": true, "terms": []}',
+        b'{"n": "3", "terms": []}',
     ], ids=["zero-denominator", "json-array", "repeated-index", "index-out-of-range",
-            "negative-n", "not-utf8"])
+            "negative-n", "not-utf8", "float-n-index-bool-c", "float-index", "float-n",
+            "bool-coefficient", "float-coefficient", "bool-index", "bool-n", "string-n"])
     def test_malformed_threeform(self, capsys, tmp_path, command, content):
         f = tmp_path / "bad.form"
         f.write_bytes(content)
@@ -522,10 +533,24 @@ class TestErrors:
         validate("error", record)
         assert record["error"]["type"] == "parse"
 
+    @pytest.mark.parametrize("content, coeffs", [
+        ('[{"i": 1, "j": 2, "k": 3, "c": 2}]', {(0, 1, 2): 2}),
+        ('[{"i": 1, "j": 2, "k": 3, "c": "-3/6"}]', {(0, 1, 2): Fraction(-1, 2)}),
+        ('[{"i": 2, "j": 1, "k": 3, "c": 1}, {"i": 1, "j": 2, "k": 3, "c": "1/2"}]',
+         {(0, 1, 2): Fraction(-1, 2)}),
+        ('[{"i": 1, "j": 2, "k": 3, "c": 1}, {"i": 3, "j": 2, "k": 1, "c": 1}]', {}),
+    ], ids=["int", "p/q", "permuted-mixed", "cancelling"])
+    def test_threeform_coefficients(self, content, coeffs):
+        eta = cli.threeform_from_json(json.loads(f'{{"n": 3, "terms": {content}}}'))
+        assert eta.coeffs == coeffs
+
     @pytest.mark.parametrize("content", [
         {"n": 3, "relations": [[1, 2]]},
         {"n": -1, "relations": [[1]]},
-    ], ids=["wrong-length", "negative-n"])
+        {"n": 2.5, "relations": [[1]]},
+        {"n": 2, "relations": [[True]]},
+        {"n": 2, "relations": [[0.5]]},
+    ], ids=["wrong-length", "negative-n", "float-n", "bool-coefficient", "float-coefficient"])
     def test_malformed_holonomy_relations(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(content))

@@ -135,3 +135,15 @@ def test_guard_sees_an_int_vector(float_guard):
     # a row that holds a float is caught
     _linalg.echelon_insert({}, {0: 2, 1: 0.5})
     assert float_guard["floats"]
+
+
+def test_threeform_refuses_a_float_coefficient():
+    # Fraction(0.1) would keep the binary value 3602879701896397 / 2^55
+    for c in (0.5, 0.1, 2.0):
+        with pytest.raises(TypeError):
+            ThreeForm(3, {(0, 1, 2): c})
+    with pytest.raises(TypeError):
+        ThreeForm(4, {(0, 1, 2): 1, (1, 2, 3): "1/2"})
+    eta = ThreeForm(4, {(0, 1, 2): 2, (1, 2, 3): Fraction(1, 2)})
+    assert eta.coeffs == {(0, 1, 2): 2, (1, 2, 3): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in eta.coeffs.values())

@@ -1,6 +1,7 @@
 """Resonance membership, genericity, isotropy search, and classification."""
 
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from jumploci import cli, resonance
+from jumploci import _linalg, cli, resonance
 from jumploci import (
     MalcevKind,
     Subspace,
@@ -16,10 +17,12 @@ from jumploci import (
     classify_malcev,
     contraction_matrix,
     corank_of_class,
+    holonomy_from_threeform,
     in_r1,
     is_generic,
     is_isotropic,
     isotropy_lower_bound,
+    lie_ranks,
     r1_fullness,
     r1_is_full,
     restriction_rank,
@@ -38,6 +41,7 @@ from _corpus import (
     random_invertible_matrix,
     random_nonzero_vector,
     random_threeform,
+    random_unimodular_matrix,
     random_vector,
 )
 
@@ -107,6 +111,148 @@ class TestThreeForm:
             assert list(pulled.coeffs) == list(ref)  # same canonical order
             assert all(isinstance(c, Fraction) for c in pulled.coeffs.values())
         assert fractional >= 30
+
+
+def _form_json(n, terms):
+    return {"n": n, "terms": [{"i": i + 1, "j": j + 1, "k": k + 1, "c": c}
+                              for (i, j, k), c in terms]}
+
+
+def _reference_pair(eta, x, y):
+    """eta(x, y, .) summed term by term in Fractions from `coeffs`."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    out = [Fraction(0)] * eta.n
+    for (a, b, c), mu in eta.coeffs.items():
+        out[c] += mu * (x[a] * y[b] - x[b] * y[a])
+        out[b] += mu * (x[c] * y[a] - x[a] * y[c])
+        out[a] += mu * (x[b] * y[c] - x[c] * y[b])
+    return tuple(out)
+
+
+class TestSharedIntegerForm:
+    """Each form keeps one integer coefficient vector over one denominator."""
+
+    @staticmethod
+    def _loaded_forms():
+        rng = random.Random(31)
+        for trial in range(40):
+            n = rng.randint(3, 8)
+            kind = ("int", "p/q", "p/q", "mixed")[trial % 4]
+            terms = []
+            for _ in range(rng.randint(0, 12)):
+                triple = tuple(rng.sample(range(n), 3))  # permuted indices
+                if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                    c = rng.randint(-4, 4)
+                else:
+                    c = f"{rng.randint(-6, 6)}/{rng.randint(1, 6)}"
+                terms.append((triple, c))
+            if terms and trial % 5 == 0:  # cancelling: the first term again, two indices swapped
+                (i, j, k), c = terms[0]
+                terms.append(((j, i, k), c))
+            yield cli.threeform_from_json(_form_json(n, terms))
+
+    def test_stored_vector_over_its_denominator_is_coeffs(self):
+        seen_den = set()
+        for eta in self._loaded_forms():
+            den, stored = eta._den, eta._coeffs
+            assert type(den) is int and den >= 1
+            assert all(type(mu) is int and mu for mu in stored.values())
+            assert math.gcd(den, *stored.values()) == 1
+            assert {key: Fraction(mu, den) for key, mu in stored.items()} == eta.coeffs
+            assert list(stored) == list(eta.coeffs)
+            assert all(i < j < k for i, j, k in stored)
+            seen_den.add(den > 1)
+        assert seen_den == {True, False}
+
+    def test_consumers_match_a_fraction_reference(self):
+        rng = random.Random(32)
+        forms = list(self._loaded_forms())
+        forms += [random_threeform(rng, n) for n in (3, 5, 7)]
+        for eta in forms:
+            n = eta.n
+            x = random_vector(rng, n)
+            y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n))
+            assert eta.contract_pair(x, y) == _reference_pair(eta, x, y)
+            assert eta.contract_pair([int(v) for v in x], y) == _reference_pair(eta, x, y)
+            cols = [_reference_pair(eta, unit(n, i), y) for i in range(n)]
+            a = contraction_matrix(eta, y)
+            assert a == [[sum(eta.value(i, j, k) * y[k] for k in range(n)) for j in range(n)]
+                         for i in range(n)]
+            assert a == [[-cols[i][j] for j in range(n)] for i in range(n)]
+            basis = [unit(n, i) for i in range(rng.randint(1, n))]
+            basis += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+                      for _ in range(2)]
+            basis = basis if rank(basis) == len(basis) else basis[:-2]
+            ref = [_reference_pair(eta, u, v) for u, v in combinations(basis, 2)]
+            assert restriction_rank(eta, Subspace(n, basis)) == (rank(ref) if ref else 0)
+
+    # (n, density, seed) -> (full, number of rank tests, the last point drawn), as
+    # found by the Fraction-draw loop this replaces; the symbolic and the sampled
+    # report each follow from `full`
+    FULLNESS_PINS = [
+        ((5, 0.5, 1), (False, 1, (-3, 4, -4, -1, -4))),
+        ((5, 0.2, 2), (True, 40, (-1, -5, -3, -3, -3))),
+        ((7, 0.5, 3), (False, 1, (-2, 4, 3, -3, 0, 4, 2))),
+        ((7, 0.08, 4), (True, 40, (-4, 2, 3, -1, 4, -3, -5))),
+        ((9, 0.08, 6), (True, 40, (1, -2, 4, -1, -4, 2, -4, 4, -5))),
+        ((11, 0.08, 7), (False, 1, (0, -3, 1, 5, -5, -4, 3, -4, 0, 4, -5))),
+        ((11, 0.06, 10), (True, 40, (3, -1, -5, 5, -3, 5, 1, -2, -4, 3, 5))),
+    ]
+
+    @pytest.mark.parametrize("key, expected", FULLNESS_PINS,
+                             ids=[f"n{k[0]}-s{k[2]}" for k, _ in FULLNESS_PINS])
+    def test_fullness_reports_and_draws_unchanged(self, monkeypatch, key, expected):
+        n, density, seed = key
+        full, count, last = expected
+        eta = random_threeform(random.Random(3000 + 10 * n + seed), n, density=density)
+        real = resonance._integer_contraction
+        drawn = []
+
+        def recording(form, x):
+            drawn.append(tuple(x))
+            return real(form, x)
+
+        monkeypatch.setattr(resonance, "_integer_contraction", recording)
+        for threshold, report in (
+            (n, R1FullnessReport(full=full, mode="symbolic")),
+            (n - 2, R1FullnessReport(full=full, mode="sampled", trials=40, seed=seed)),
+        ):
+            drawn.clear()
+            assert r1_fullness(eta, symbolic_threshold=threshold, trials=40, seed=seed) == report
+            assert (len(drawn), drawn[-1]) == (count, last)
+            assert all(type(v) is int for x in drawn for v in x)
+
+
+class TestUnimodularInvariance:
+    """A GL_n(Z) change of basis leaves every invariant of the form unchanged."""
+
+    @staticmethod
+    def _invariants(eta, with_isotropy):
+        verdict = classify_malcev(eta)
+        full = r1_fullness(eta).full
+        ranks = lie_ranks(holonomy_from_threeform(eta), 4).ranks
+        isotropy = isotropy_lower_bound(eta).dimension if with_isotropy else None
+        return (full, verdict.kind, verdict.genus, verdict.corank, ranks, isotropy)
+
+    @staticmethod
+    def _forms(seed):
+        rng = random.Random(seed)
+        # every form with n = 5 has a linear factor; at n = 7 omega ^ e_7 has one
+        yield random_threeform(rng, 5), True
+        yield random_threeform(rng, 5, density=0.3), True
+        yield random_threeform(rng, 7, density=0.3), False
+        omega = {(i, j, 6): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for i, j in combinations(range(6), 2) if rng.random() < 0.5}
+        yield ThreeForm(7, {k: c for k, c in omega.items() if c}), True
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_invariants_survive_a_unimodular_change_of_basis(self, seed):
+        for eta, with_isotropy in self._forms(seed):
+            t = random_unimodular_matrix(random.Random(100 + seed), eta.n)
+            assert abs(_linalg.int_det(t)) == 1
+            moved = eta.transform(t)
+            assert self._invariants(moved, with_isotropy) == self._invariants(
+                eta, with_isotropy), f"seed {seed}, n = {eta.n}, t = {t}"
 
 
 class TestContraction:
@@ -318,7 +464,7 @@ class TestWitnessFirstFullness:
             "n": eta.n,
             "terms": [
                 {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(c)}
-                for (i, j, k), c in eta._coeffs.items()
+                for (i, j, k), c in eta.coeffs.items()
             ],
         }))
         assert cli.main(["--seed", "7", "--trials", "40", "classify", str(f)]) == 0
