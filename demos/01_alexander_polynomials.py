@@ -8,7 +8,6 @@ ideal.  Run with `python3 demos/01_alexander_polynomials.py`.
 from jumploci import (
     abelianization,
     alexander_matrix,
-    alexander_polynomial,
     elementary_ideal,
     format_presentation,
     fox_derivative,
@@ -32,7 +31,7 @@ for j, name in enumerate(trefoil.generator_names):
 a = alexander_matrix(trefoil)
 e1 = elementary_ideal(a, 1)
 print("\nfirst elementary ideal generators:", [poly_to_string(g) for g in e1.generators])
-delta = alexander_polynomial(a)
+delta = a.delta
 print("Alexander polynomial (gcd, unit-normalized):", poly_to_string(delta))
 
 print("\n=== More groups ===")
@@ -44,7 +43,7 @@ for text in (
 ):
     p = parse_presentation(text)
     a = alexander_matrix(p)
-    delta = alexander_polynomial(a)
+    delta = a.delta
     e1 = elementary_ideal(a, 1)
     tag = "zero ideal" if e1.is_zero else f"{len(e1.generators)} generators"
     print(f"  {format_presentation(p):55s} E1: {tag:15s} Delta = {poly_to_string(delta)}")

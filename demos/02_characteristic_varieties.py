@@ -10,11 +10,10 @@ first ideal behaves like a principal one away from the identity.
 from jumploci import (
     Character,
     alexander_matrix,
-    alexander_polynomial,
     almost_principal_sampled,
     elementary_ideal,
+    elementary_ideal_vanishes_at,
     evaluate,
-    ideal_vanishes_at,
     in_vd,
     parse_presentation,
     poly_to_string,
@@ -24,7 +23,7 @@ from jumploci import (
 
 trefoil = parse_presentation("<x, y | x y x y^-1 x^-1 y^-1>")
 a = alexander_matrix(trefoil)
-delta = alexander_polynomial(a)
+delta = a.delta
 print(f"trefoil Delta = {poly_to_string(delta)}")
 
 print("\nmembership of selected characters (order m, t -> zeta_m^e):")
@@ -39,10 +38,9 @@ for order, exp in ((6, 1), (2, 1), (3, 1), (6, 5), (12, 2)):
     )
 
 print("\ncross-validation on 25 random characters (rank test vs ideal test):")
-e1 = elementary_ideal(a, 1)
 agreements = 0
 for chi in sample_characters(1, 25, seed=11):
-    if in_vd(trefoil, chi, 1) == ideal_vanishes_at(e1, chi):
+    if in_vd(trefoil, chi, 1) == elementary_ideal_vanishes_at(a, 1, chi):
         agreements += 1
 print(f"  {agreements}/25 agree")
 

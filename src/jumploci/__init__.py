@@ -25,11 +25,9 @@ from .alexander import (
     ElementaryIdeal,
     IdentityCharacterError,
     alexander_matrix,
-    alexander_polynomial,
     almost_principal_sampled,
     elementary_ideal,
     elementary_ideal_vanishes_at,
-    ideal_vanishes_at,
     in_vd,
     sample_characters,
     twisted_h1_dim,

@@ -3,11 +3,10 @@
 Every elimination goes through the sparse kernel `echelon_insert`, which keeps
 a row echelon basis.  Rational rows (entries `int` or `Fraction`) are stored as
 primitive integer rows and reduced fraction-free, so no division over Q
-happens; rows over another field (`CyclotomicElement`, or any field whose
-elements support +, -, *, 1 / x and are falsy exactly when zero) are scaled
-to 1 at their pivot by one inversion of the pivot.  `reduced` turns a
-rational basis into its reduced echelon form over Q, and `kernel` reads the
-nullspace off that form; `int_det` works over Z.
+happens; cyclotomic rows (entries `CyclotomicElement`) are scaled to 1 at
+their pivot by one inversion of the pivot.  A row of any other entries, a
+float among them, is refused.  `reduced` turns a rational basis into its
+reduced echelon form over Q, and `kernel` reads the nullspace off that form.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
+from .laurent import CyclotomicElement
+
 __all__ = [
     "rank",
     "echelon_insert",
     "reduced",
     "kernel",
-    "mat_vec",
-    "mat_mul",
-    "int_det",
 ]
 
 
@@ -52,8 +50,9 @@ def echelon_insert(basis, vec):
     pivot; a basis holds rows of one kind.  A rational `vec` (every entry of
     type `int` or `Fraction`) is scaled to a primitive integer row and reduced
     fraction-free: at a pivot holding `a` in its row and `c` in `vec`,
-    vec <- (a/g) vec - (c/g) row with g = gcd(a, c).  Any other `vec` is
-    reduced over its field against rows that hold 1 at their pivot.  Only
+    vec <- (a/g) vec - (c/g) row with g = gcd(a, c).  A cyclotomic `vec`
+    (every entry a `CyclotomicElement`) is reduced over Q(zeta_m) against
+    rows that hold 1 at their pivot; any other `vec` raises TypeError.  Only
     the pivots that `vec` meets are visited, least first, and the other rows
     are never touched.  An independent `vec` is stored with its pivot
     `min(vec)` (primitive with a positive pivot entry, or scaled to 1 there)
@@ -62,7 +61,13 @@ def echelon_insert(basis, vec):
     """
     types = set(map(type, vec.values()))
     rational = types <= _RATIONAL
-    vec = _primitive(vec, types) if rational and vec else dict(vec)
+    if rational:
+        vec = _primitive(vec, types) if vec else {}
+    elif types == {CyclotomicElement}:
+        vec = dict(vec)
+    else:
+        names = sorted(t.__name__ for t in types)
+        raise TypeError(f"row entries must be all rational or all cyclotomic, got {names}")
     heap = [k for k in vec if k in basis]
     heapify(heap)
     while heap:
@@ -103,7 +108,7 @@ def echelon_insert(basis, vec):
             for k in vec:
                 vec[k] //= g
     else:
-        inv = 1 / vec[pivot]
+        inv = vec[pivot].inverse()
         vec = {k: v * inv for k, v in vec.items()}
     basis[pivot] = vec
     return pivot
@@ -163,35 +168,3 @@ def kernel(basis, n):
                 v[pivot] = -c
         vecs.append(tuple(v))
     return vecs
-
-
-def mat_vec(m, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
-
-
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
-
-
-def int_det(matrix):
-    """Exact determinant of a square integer matrix (fraction-free elimination)."""
-    a = [list(map(int, row)) for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1

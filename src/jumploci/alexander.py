@@ -12,15 +12,17 @@ ideal generators.  The two answers must agree; the test suite enforces this
 on the whole corpus, which guards the minor-shape convention.  The CLI
 refuses characters of order above `MAX_CHARACTER_ORDER`.
 
-The ideal route never lists E_d.  By the fundamental formula of Fox calculus
-the columns satisfy sum_j u_j A_j = 0 with u_j = t^{phi(x_j)} - 1, so for any
-column j, u_j E_d lies in the ideal I_j of the minors that avoid column j, and
-I_j lies in E_d.  At chi with u_j(chi) != 0, E_d vanishes exactly when every
-generator of I_j does; `elementary_ideal_vanishes_at` streams those minors
-and stops at the first one that does not vanish.  It refuses with
-`LimitError` rather than decide from part of I_j.  `elementary_ideal` still
-lists E_d in full (up to its cap) for `alex`; `ideal_vanishes_at` tests such
-a listed ideal.
+Every answer about E_d reads its minors from one stream, `_nonzero_minors`,
+which expands them through one Laplace memo per matrix and stops an answer
+that would read more than `DEFAULT_GENERATOR_CAP` nonzero minors with
+`LimitError`.  So an answer is exact or refused, never read from part of an
+ideal.  `elementary_ideal` lists E_d for `alex`.  The jump-locus route never
+lists E_d: by the fundamental formula of Fox calculus the columns satisfy
+sum_j u_j A_j = 0 with u_j = t^{phi(x_j)} - 1, so for any column j, u_j E_d
+lies in the ideal I_j of the minors that avoid column j, and I_j lies in
+E_d.  At chi with u_j(chi) != 0, E_d vanishes exactly when every generator of
+I_j does; `elementary_ideal_vanishes_at` streams those minors and stops at
+the first one that does not vanish.
 
 The sampled check chi in V(E_1) <=> Delta(chi) = 0 folds E_1 and Delta once
 per sampled order and decides each distinct character once.
@@ -47,7 +49,6 @@ __all__ = [
     "IdentityCharacterError",
     "alexander_matrix",
     "elementary_ideal",
-    "alexander_polynomial",
     "twisted_h1_dim",
     "in_vd",
     "elementary_ideal_vanishes_at",
@@ -63,11 +64,9 @@ CHARACTER_ORDERS = (2, 3, 4, 5, 6, 8, 12)
 # costs grow with phi(m), to about 7 s for one trefoil charvar at m = 1021
 MAX_CHARACTER_ORDER = 1024
 
-# full minor enumeration is affordable at corpus scale (g, r <= 6); beyond
-# this many generators the ideal is cut off and flagged as truncated, and
-# `elementary_ideal_vanishes_at` refuses to decide after this many nonzero
-# minors that all vanish
-DEFAULT_GENERATOR_CAP = 512
+# an answer about E_d may read at most this many nonzero minors; one more
+# raises LimitError.  Z^5's E_1 (625 minors) is listed, Z^6's (7776) refused
+DEFAULT_GENERATOR_CAP = 1024
 
 
 class IdentityCharacterError(ValueError):
@@ -79,12 +78,14 @@ class AlexanderMatrix:
     """Fox Jacobian over the Laurent ring of the torsion-free abelianization.
 
     `ideal(d)` and `delta` are computed once per instance and then shared by
-    every consumer of the same matrix.
+    every consumer of the same matrix, and so is the memo of minors that
+    every E_d answer expands through.
     """
 
     entries: tuple
     abelianization: object
     _ideals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _minors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_relators(self):
@@ -102,7 +103,7 @@ class AlexanderMatrix:
         return [[evaluate(e, chi) for e in row] for row in self.entries]
 
     def ideal(self, d):
-        """The elementary ideal E_d with the default minor cap, memoized."""
+        """The elementary ideal E_d, memoized."""
         e = self._ideals.get(d)
         if e is None:
             e = self._ideals[d] = elementary_ideal(self, d)
@@ -136,7 +137,6 @@ class ElementaryIdeal:
 
     d: int
     generators: tuple
-    truncated: bool = False
 
     @property
     def is_zero(self):
@@ -169,42 +169,42 @@ def _minor(entries, rows, cols, memo):
     return val
 
 
-def elementary_ideal(a, d, max_generators=DEFAULT_GENERATOR_CAP):
+def _nonzero_minors(a, k, rows, cols, what):
+    """The nonzero k-minors of `a` on the given rows and columns, in order.
+
+    Each is expanded through the matrix's memo.  Asking for more than
+    `DEFAULT_GENERATOR_CAP` of them raises `LimitError` naming `what`.
+    """
+    cap = DEFAULT_GENERATOR_CAP
+    count = 0
+    for r in combinations(rows, k):
+        for c in combinations(cols, k):
+            minor = _minor(a.entries, r, c, a._minors)
+            if minor.is_zero:
+                continue
+            if count == cap:
+                raise LimitError(
+                    f"{what} needs more than DEFAULT_GENERATOR_CAP = {cap} nonzero minors"
+                )
+            count += 1
+            yield minor
+
+
+def elementary_ideal(a, d):
     """Elementary ideal E_d: all (g-d)x(g-d) minors of the Alexander matrix.
 
     g - d <= 0 yields the unit ideal; fewer than g - d rows yields the zero
-    ideal.  Minors are expanded with memoized sub-minors; when their number
-    exceeds `max_generators` (None to disable) the generator list is cut off
-    and `truncated` is set.
+    ideal.  An E_d of more than `DEFAULT_GENERATOR_CAP` nonzero minors is
+    refused with `LimitError`.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    g = a.num_generators
-    r = a.num_relators
-    k = g - d
+    k = a.num_generators - d
     if k <= 0:
         return ElementaryIdeal(d=d, generators=(LaurentPoly.one(a.num_vars),))
-    if r < k:
-        return ElementaryIdeal(d=d, generators=())
-    memo = {}
-    gens = []
-    truncated = False
-    for rows in combinations(range(r), k):
-        for cols in combinations(range(g), k):
-            if max_generators is not None and len(gens) >= max_generators:
-                truncated = True
-                break
-            m = _minor(a.entries, rows, cols, memo)
-            if not m.is_zero:
-                gens.append(m)
-        if truncated:
-            break
-    return ElementaryIdeal(d=d, generators=tuple(gens), truncated=truncated)
-
-
-def alexander_polynomial(a):
-    """Unit-normalized gcd of the generators of E_1 (0 for the zero ideal)."""
-    return a.delta
+    minors = _nonzero_minors(a, k, range(a.num_relators), range(a.num_generators),
+                             f"listing E_{d}")
+    return ElementaryIdeal(d=d, generators=tuple(minors))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,6 @@ def in_vd(p, chi, d):
     return twisted_h1_dim(p, chi) >= d
 
 
-def ideal_vanishes_at(ideal, chi):
-    """True when every generator of the ideal evaluates to zero at chi."""
-    return all(evaluate(g, chi).is_zero for g in ideal.generators)
-
-
 def _avoided_column(a, chi):
     """First generator j with u_j(chi) != 0, where u_j = t^{phi(x_j)} - 1.
 
@@ -269,13 +264,13 @@ def elementary_ideal_vanishes_at(a, d, chi):
 
     With j = `_avoided_column(a, chi)`, u_j E_d lies in the ideal I_j of the
     (g-d)-minors that avoid column j, and I_j lies in E_d, so the answer is
-    exact: the minors of I_j are streamed through one Laplace memo and the
-    first that does not vanish at chi decides.  g - d <= 0 is the unit ideal
-    (False) and fewer than g - d rows the zero ideal (True).  A stream that
-    could pass `DEFAULT_GENERATOR_CAP` minors first drops the rows and
-    columns whose entries all vanish at chi.  After `DEFAULT_GENERATOR_CAP`
-    nonzero minors that all vanish, with more left, `LimitError` is raised
-    rather than an answer from part of the ideal.
+    exact: the minors of I_j are streamed and the first that does not vanish
+    at chi decides.  g - d <= 0 is the unit ideal (False) and fewer than
+    g - d rows the zero ideal (True).  A stream that could pass
+    `DEFAULT_GENERATOR_CAP` minors first drops the rows and columns whose
+    entries all vanish at chi.  A stream with more nonzero minors than the
+    cap, all of which vanish up to it, raises `LimitError` rather than
+    answer from part of the ideal.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -285,36 +280,19 @@ def elementary_ideal_vanishes_at(a, d, chi):
     k = g - d
     if k <= 0:
         return False
-    if r < k:
-        return True
     j = _avoided_column(a, chi)
-    cap = DEFAULT_GENERATOR_CAP
-    live_rows = range(r)
-    live_cols = tuple(c for c in range(g) if c != j)
-    if comb(r, k) * comb(g - 1, k) > cap:
+    rows = range(r)
+    cols = tuple(c for c in range(g) if c != j)
+    if comb(r, k) * comb(g - 1, k) > DEFAULT_GENERATOR_CAP:
         # each minor through a row or column that vanishes at chi vanishes
         # there; finding them costs r*g evaluations, which only a stream
         # long enough to reach the cap repays
         nonzero = [[c != j and not evaluate(e, chi).is_zero for c, e in enumerate(row)]
                    for row in a.entries]
-        live_cols = tuple(c for c in live_cols if any(row[c] for row in nonzero))
-        live_rows = tuple(i for i in live_rows if any(nonzero[i]))
-    memo = {}
-    vanished = 0
-    for rows in combinations(live_rows, k):
-        for cols in combinations(live_cols, k):
-            if vanished >= cap:
-                raise LimitError(
-                    f"deciding chi in V(E_{d}) needs more than DEFAULT_GENERATOR_CAP = "
-                    f"{cap} nonzero minors avoiding column {j}, and all of them vanish"
-                )
-            minor = _minor(a.entries, rows, cols, memo)
-            if minor.is_zero:
-                continue
-            if not evaluate(minor, chi).is_zero:
-                return False
-            vanished += 1
-    return True
+        cols = tuple(c for c in cols if any(row[c] for row in nonzero))
+        rows = tuple(i for i in rows if any(nonzero[i]))
+    what = f"deciding chi in V(E_{d}) from the minors avoiding column {j}"
+    return all(evaluate(m, chi).is_zero for m in _nonzero_minors(a, k, rows, cols, what))
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,8 @@ def run_alex(p, config, ideal_ds=(1,)):
                 "d": d,
                 "generators": [poly_to_string(g) for g in e.generators],
                 "delta": delta_str,
-                "truncated": e.truncated,
+                # an ideal is listed in full or refused, never cut off
+                "truncated": False,
             }
         )
     if a.num_vars >= 1:

@@ -49,14 +49,18 @@ class QuadraticData:
     relations: tuple
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise TypeError(f"generator count must be int, got {self.n!r}")
         if self.n < 0:
             raise ValueError("generator count must be non-negative")
         m = self.n * (self.n - 1) // 2
-        rels = tuple(tuple(Fraction(c) for c in r) for r in self.relations)
+        rels = tuple(map(tuple, self.relations))
         for r in rels:
             if len(r) != m:
                 raise ValueError(f"relation vector must have length {m}")
-        object.__setattr__(self, "relations", rels)
+            if not all(isinstance(c, (int, Fraction)) for c in r):
+                raise TypeError(f"relation entries must be int or Fraction, got {r!r}")
+        object.__setattr__(self, "relations", tuple(tuple(map(Fraction, r)) for r in rels))
 
 
 @dataclass(frozen=True)

@@ -464,15 +464,24 @@ def euler_phi(m):
 
 @dataclass(frozen=True)
 class Character:
-    """Finite-order character on the torus (C*)^n: t_i -> zeta_m^{exponents[i]}."""
+    """Finite-order character on the torus (C*)^n: t_i -> zeta_m^{exponents[i]}.
+
+    The order and the exponents must be of type `int`; anything else, a float
+    or a bool among them, raises TypeError.
+    """
 
     order: int
     exponents: tuple
 
     def __post_init__(self):
+        exps = tuple(self.exponents)
+        if type(self.order) is not int or not all(type(e) is int for e in exps):
+            raise TypeError(
+                f"character order and exponents must be int, got {self.order!r} and {exps!r}"
+            )
         if self.order < 1:
             raise ValueError("character order must be a positive integer")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", exps)
 
     @property
     def is_identity(self):
@@ -589,18 +598,6 @@ class CyclotomicElement:
         c = next(c for c in reversed(r0) if c != 0)
         inv = [x / c for x in s0]
         return CyclotomicElement(self.order, inv)
-
-    def __truediv__(self, other):
-        q = self._check(other)
-        if q is None:
-            return NotImplemented
-        return self * q.inverse()
-
-    def __rtruediv__(self, other):
-        q = self._check(other)
-        if q is None:
-            return NotImplemented
-        return q * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, int):

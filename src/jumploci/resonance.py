@@ -35,6 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import index
 
 from . import _linalg
 from .laurent import LaurentPoly
@@ -84,7 +85,7 @@ class ThreeForm:
     __slots__ = ("n", "_coeffs", "_den")
 
     def __init__(self, n, coeffs=None):
-        n = int(n)
+        n = index(n)
         if n < 0:
             raise ValueError("dimension must be non-negative")
         clean = {}
@@ -97,7 +98,8 @@ class ThreeForm:
                     c = int(c)
                 else:
                     raise TypeError(f"3-form coefficients must be int or Fraction, got {c!r}")
-            i, j, k = int(i), int(j), int(k)
+            # operator.index refuses a float where int() would truncate it
+            i, j, k = index(i), index(j), index(k)
             if len({i, j, k}) != 3:
                 raise ValueError(f"indices in a 3-form term must be distinct: {(i, j, k)}")
             if not all(0 <= t < n for t in (i, j, k)):
@@ -218,17 +220,26 @@ def _scaled_to_int(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _exact(x, n):
+    """The entries of a vector of length n, each an int or a Fraction, as a tuple."""
+    x = tuple(x)
+    if len(x) != n:
+        raise ValueError(f"vector has length {len(x)}, expected {n}")
+    for c in x:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"vector entries must be int or Fraction, got {c!r}")
+    return x
+
+
 def _int_vec(x, n):
     """A vector of length n times the lcm `den` of its denominators, as ints; and `den`.
 
     An all-int vector is taken as it is, with `den` = 1.
     """
     x = tuple(x)
-    if len(x) != n:
-        raise ValueError(f"vector has length {len(x)}, expected {n}")
-    if all(type(c) is int for c in x):
+    if len(x) == n and all(type(c) is int for c in x):
         return x, 1
-    return _scaled_to_int(map(Fraction, x))
+    return _scaled_to_int(map(Fraction, _exact(x, n)))
 
 
 def _integer_pair(eta, x, y):
@@ -242,10 +253,7 @@ def _integer_pair(eta, x, y):
 
 
 def _vec(x, n):
-    v = tuple(Fraction(c) for c in x)
-    if len(v) != n:
-        raise ValueError(f"vector has length {len(v)}, expected {n}")
-    return v
+    return tuple(map(Fraction, _exact(x, n)))
 
 
 class Subspace:
@@ -254,7 +262,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim, basis):
-        n = int(ambient_dim)
+        n = index(ambient_dim)
         rows = tuple(_vec(b, n) for b in basis)
         if rows and _linalg.rank([list(r) for r in rows]) != len(rows):
             raise ValueError("basis vectors are linearly dependent")

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from itertools import product as iter_product
 from math import gcd, lcm, prod
+from operator import index
 
 __all__ = [
     "BrieskornInput",
@@ -77,7 +78,8 @@ class BrieskornInput:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(a) for a in self.exponents)
+        # operator.index refuses a float where int() would truncate it
+        exps = tuple(map(index, self.exponents))
         if len(exps) < 3:
             raise ValueError("need at least three exponents")
         if any(a < 2 for a in exps):

@@ -104,9 +104,39 @@ def random_nonzero_vector(rng, n, bound=4):
             return v
 
 
-def random_invertible_matrix(rng, n, bound=2):
-    from jumploci._linalg import int_det
+def mat_vec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
+
+def mat_mul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def int_det(matrix):
+    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    a = [list(map(int, row)) for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def random_invertible_matrix(rng, n, bound=2):
     while True:
         t = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if int_det(t) != 0:

@@ -11,12 +11,10 @@ from jumploci import (
     IdentityCharacterError,
     LaurentPoly,
     alexander_matrix,
-    alexander_polynomial,
     almost_principal_sampled,
     elementary_ideal,
     elementary_ideal_vanishes_at,
     evaluate,
-    ideal_vanishes_at,
     in_vd,
     normalize_unit,
     Presentation,
@@ -98,13 +96,13 @@ class TestElementaryIdeals:
         e2 = elementary_ideal(a, 2)
         assert e2.is_unit
 
-    def test_truncation_flag(self):
-        a = alexander_matrix(HEISENBERG)
-        full = elementary_ideal(a, 1)
-        cut = elementary_ideal(a, 1, max_generators=1)
-        assert not full.truncated
-        assert cut.truncated
-        assert len(cut.generators) <= 1
+    def test_an_ideal_beyond_the_cap_is_refused(self, monkeypatch):
+        full = elementary_ideal(alexander_matrix(HEISENBERG), 1)
+        assert len(full.generators) > 1
+        monkeypatch.setattr(alexander, "DEFAULT_GENERATOR_CAP", 1)
+        with pytest.raises(seifert.LimitError,
+                           match="^listing E_1 needs more than DEFAULT_GENERATOR_CAP = 1 "):
+            elementary_ideal(alexander_matrix(HEISENBERG), 1)
 
     def test_negative_d_rejected(self):
         with pytest.raises(ValueError):
@@ -114,37 +112,37 @@ class TestElementaryIdeals:
 class TestAlexanderPolynomial:
     def test_trefoil(self):
         t = tvar(1, 0)
-        assert alexander_polynomial(alexander_matrix(TREFOIL)) == t * t - t + 1
+        assert alexander_matrix(TREFOIL).delta == t * t - t + 1
 
     def test_figure_eight(self):
         t = tvar(1, 0)
-        assert alexander_polynomial(alexander_matrix(FIGURE_EIGHT)) == t * t - 3 * t + 1
+        assert alexander_matrix(FIGURE_EIGHT).delta == t * t - 3 * t + 1
 
     def test_torus_2_5(self):
         t = tvar(1, 0)
         expected = t ** 4 - t ** 3 + t * t - t + 1
-        assert alexander_polynomial(alexander_matrix(TORUS_2_5)) == expected
+        assert alexander_matrix(TORUS_2_5).delta == expected
 
     def test_z2_is_one(self):
-        assert alexander_polynomial(alexander_matrix(Z2)) == LaurentPoly.one(2)
+        assert alexander_matrix(Z2).delta == LaurentPoly.one(2)
 
     def test_free_is_zero(self):
-        assert alexander_polynomial(alexander_matrix(FREE_2)).is_zero
+        assert alexander_matrix(FREE_2).delta.is_zero
 
     def test_heisenberg_is_one(self):
-        assert alexander_polynomial(alexander_matrix(HEISENBERG)) == LaurentPoly.one(2)
+        assert alexander_matrix(HEISENBERG).delta == LaurentPoly.one(2)
 
     def test_invariance_under_relator_moves(self):
         rng = random.Random(55)
         for p in (TREFOIL, FIGURE_EIGHT, Z2):
-            base = alexander_polynomial(alexander_matrix(p))
+            base = alexander_matrix(p).delta
             rel = p.relators[0]
             for _ in range(5):
                 k = rng.randrange(max(len(rel), 1))
                 moved = type(p)(p.generator_names, (rel.cyclic_permutation(k),))
-                assert alexander_polynomial(alexander_matrix(moved)) == base
+                assert alexander_matrix(moved).delta == base
             inverted = type(p)(p.generator_names, (rel.inverse(),))
-            assert alexander_polynomial(alexander_matrix(inverted)) == base
+            assert alexander_matrix(inverted).delta == base
 
 
 class TestTwistedH1:
@@ -194,11 +192,10 @@ class TestCrossValidation:
             a = alexander_matrix(p)
             if a.num_vars == 0:
                 continue
-            ideals = {d: elementary_ideal(a, d) for d in (1, 2)}
             for chi in sample_characters(a.num_vars, 50, seed=77):
                 for d in (1, 2):
                     rank_based = in_vd(p, chi, d)
-                    ideal_based = ideal_vanishes_at(ideals[d], chi)
+                    ideal_based = elementary_ideal_vanishes_at(a, d, chi)
                     assert rank_based == ideal_based, (p, chi, d)
 
 
@@ -350,7 +347,7 @@ class TestComputeOnce:
     def test_matrix_memo(self):
         a = alexander_matrix(TREFOIL)
         assert a.ideal(1) is a.ideal(1)
-        assert alexander_polynomial(a) is a.delta
+        assert a.delta is a.delta
         # the memo takes no part in equality or hashing
         b = alexander_matrix(TREFOIL)
         assert a == b and hash(a) == hash(b)
@@ -420,18 +417,32 @@ def _route_cases():
         yield a, chars
 
 
+# a cap that no ideal listed in these tests reaches
+LARGE_CAP = 10**6
+
+
+def _listed(a, ds):
+    """E_d for each d in `ds`, listed under `LARGE_CAP`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alexander, "DEFAULT_GENERATOR_CAP", LARGE_CAP)
+        return {d: elementary_ideal(a, d) for d in ds}
+
+
+def _vanishes(ideal, chi):
+    return all(evaluate(g, chi).is_zero for g in ideal.generators)
+
+
 class TestOneColumnIdealRoute:
     def test_matches_full_uncapped_ideal(self):
         avoided_later = 0
         for a, chars in _route_cases():
-            full = {d: elementary_ideal(a, d, max_generators=None) for d in (1, 2, 3)}
-            assert not any(e.truncated for e in full.values())
+            full = _listed(a, (1, 2, 3))
             for chi in chars:
                 j = alexander._avoided_column(a, chi)
                 assert not _u_vanishes(a, j, chi)
                 avoided_later += j > 0
                 for d in (1, 2, 3):
-                    expected = ideal_vanishes_at(full[d], chi)
+                    expected = _vanishes(full[d], chi)
                     assert elementary_ideal_vanishes_at(a, d, chi) == expected, (a, chi, d)
         assert avoided_later >= 100
 
@@ -451,10 +462,10 @@ class TestOneColumnIdealRoute:
         monkeypatch.setattr(alexander, "DEFAULT_GENERATOR_CAP", 1)
         decided = refused = 0
         for a, chars in _route_cases():
-            full = {d: elementary_ideal(a, d, max_generators=None) for d in (1, 2)}
+            full = _listed(a, (1, 2))
             for chi in chars:
                 for d in (1, 2):
-                    expected = ideal_vanishes_at(full[d], chi)
+                    expected = _vanishes(full[d], chi)
                     try:
                         got = elementary_ideal_vanishes_at(a, d, chi)
                     except seifert.LimitError as exc:
@@ -501,3 +512,60 @@ class TestOneColumnIdealRoute:
         for p, chi, d in cases:
             cli.run_charvar(p, chi, d, cli.RunConfig())
         assert ideals == []
+
+
+class TestOneMinorStream:
+    """Every E_d answer reads one capped stream of minors: exact or refused."""
+
+    def test_z5_alex_is_exact(self):
+        p = _zn(5)
+        out = cli.run_alex(p, cli.RunConfig(trials=20), [1])
+        assert out["delta"] == "1"
+        [e1] = out["ideals"]
+        assert e1["truncated"] is False
+        full = _listed(alexander_matrix(p), (1,))[1]
+        assert len(full.generators) == 625
+        assert e1["generators"] == [laurent.poly_to_string(g) for g in full.generators]
+
+    def test_listing_is_exact_or_refused(self, monkeypatch):
+        cap = 3
+        listed = refused = 0
+        for p in cross_validation_corpus() + [TREFOIL_TORSION, _zn(4)]:
+            full = _listed(alexander_matrix(p), (1, 2, 3))
+            monkeypatch.setattr(alexander, "DEFAULT_GENERATOR_CAP", cap)
+            a = alexander_matrix(p)
+            for d in (1, 2, 3):
+                try:
+                    got = elementary_ideal(a, d)
+                except seifert.LimitError as exc:
+                    assert str(exc).startswith(
+                        f"listing E_{d} needs more than DEFAULT_GENERATOR_CAP = {cap} "), exc
+                    assert len(full[d].generators) > cap, (p, d)
+                    refused += 1
+                    continue
+                assert got == full[d], (p, d)
+                listed += 1
+            monkeypatch.undo()
+        assert listed > 10 and refused > 5
+
+    def test_one_memo_expands_each_minor_once(self, monkeypatch):
+        real = alexander._minor
+        expanded = Counter()
+
+        def counting(entries, rows, cols, memo):
+            if (rows, cols) not in memo:
+                expanded[rows, cols] += 1
+            return real(entries, rows, cols, memo)
+
+        monkeypatch.setattr(alexander, "_minor", counting)
+        a = alexander_matrix(_zn(4))
+        a.ideal(1)
+        a.ideal(2)
+        listed = sum(expanded.values())
+        for spec in ("4:1,0,3,2", "2:0,1,1,0", "3:0,0,1,2"):
+            chi = cli.parse_character(spec)
+            for d in (1, 2):
+                elementary_ideal_vanishes_at(a, d, chi)
+        assert max(expanded.values()) == 1
+        # the streamed minors were all expanded while listing E_1 and E_2
+        assert sum(expanded.values()) == listed == len(a._minors)

@@ -98,6 +98,23 @@ class TestAlex:
         assert code == 0
         assert "delta = t^2 - t + 1" in out
 
+    def test_z6_alex_is_refused_not_cut_off(self, capsys, tmp_path):
+        # Z^6's E_1 has 7776 nonzero minors; the gcd of a cut-off list is t1 - 1, not 1
+        gens = [f"x{i}" for i in range(1, 7)]
+        rels = [f"[{a},{b}]" for i, a in enumerate(gens) for b in gens[i + 1:]]
+        f = tmp_path / "z6.grp"
+        f.write_text(f"<{', '.join(gens)} | {', '.join(rels)}>\n")
+        code, out, err = run_cli(capsys, ["alex", str(f)])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {
+            "type": "config",
+            "message": "listing E_1 needs more than DEFAULT_GENERATOR_CAP = 1024 nonzero minors",
+            "offset": None,
+        }
+
 
 class TestCharvar:
     def test_zeta6_membership(self, capsys, trefoil_file):

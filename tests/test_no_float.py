@@ -5,8 +5,8 @@ literals, calls of `float`, and imports from outside the stdlib, and
 pyproject.toml must declare no dependencies.  At run time the elimination
 kernel is wrapped (in `_linalg` and under the name `holonomy` imported) and a
 float anywhere in a basis it keeps fails the test.  Rational rows are stored
-as integer rows and reduced without division, so a float can only come in
-with the input.
+as integer rows and reduced without division, and the kernel refuses a row
+that holds a float, as the API refuses a float index, order or entry.
 """
 
 import ast
@@ -31,6 +31,8 @@ from jumploci import (
 )
 from jumploci import _linalg, holonomy
 from jumploci._linalg import rank
+from jumploci.resonance import Subspace, contraction_matrix, in_r1
+from jumploci.seifert import brieskorn_seifert
 
 from _corpus import random_invertible_matrix, random_threeform
 
@@ -132,9 +134,12 @@ def test_guard_sees_an_int_vector(float_guard):
     assert all(type(x) is int for row in basis.values() for x in row.values())
     assert float_guard["calls"] == 2
     assert float_guard["floats"] == []
-    # a row that holds a float is caught
-    _linalg.echelon_insert({}, {0: 2, 1: 0.5})
-    assert float_guard["floats"]
+    # a row that holds a float is refused before any arithmetic
+    with pytest.raises(TypeError):
+        _linalg.echelon_insert({}, {0: 2, 1: 0.5})
+    with pytest.raises(TypeError):
+        _linalg.rank([[0.1, 0.3], [0.3, 0.9]])  # exact rank 1; float elimination reads 2
+    assert float_guard["floats"] == []
 
 
 def test_threeform_refuses_a_float_coefficient():
@@ -147,3 +152,26 @@ def test_threeform_refuses_a_float_coefficient():
     eta = ThreeForm(4, {(0, 1, 2): 2, (1, 2, 3): Fraction(1, 2)})
     assert eta.coeffs == {(0, 1, 2): 2, (1, 2, 3): Fraction(1, 2)}
     assert all(type(c) is Fraction for c in eta.coeffs.values())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ThreeForm(3, {(0.9, 1, 2): 1}),  # int() reads it as the volume form
+    lambda: ThreeForm(3.0, {(0, 1, 2): 1}),
+    lambda: QuadraticData(2, ((0.1,),)),  # Fraction(0.1) is 3602879701896397 / 2^55
+    lambda: QuadraticData(2.0, ((1,),)),
+    lambda: in_r1(ThreeForm.volume(), (0.1, 0, 0)),  # not a rational point
+    lambda: contraction_matrix(ThreeForm.volume(), (0.5, 0, 0)),
+    lambda: ThreeForm.volume().contract_pair((1, 0, 0), (0, 0.5, 0)),
+    lambda: Subspace(3, [(1, 0.5, 0)]),
+    lambda: Subspace(3.0, [(1, 0, 0)]),
+    lambda: Character(6, (1.5,)),  # int() reads it as exponent 1
+    lambda: Character(6.0, (1,)),
+    lambda: Character(6, (True,)),
+    lambda: brieskorn_seifert((2.5, 3, 5)),  # int() reads it as (2, 3, 5)
+], ids=["threeform-index", "threeform-n", "quadratic-entry", "quadratic-n", "in_r1",
+        "contraction", "contract_pair", "subspace-entry", "subspace-n", "character-exponent",
+        "character-order", "character-bool", "brieskorn"])
+def test_api_refuses_a_float_index_order_or_entry(call):
+    with pytest.raises(TypeError):
+        call()
+

@@ -18,13 +18,14 @@ from jumploci import (
     smith_normal_form,
     word_image,
 )
-from jumploci._linalg import int_det, mat_mul
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH, MAX_WORD_LENGTH
 
 from _corpus import (
     FREE_1,
     TREFOIL,
     Z2,
+    int_det,
+    mat_mul,
     random_commutator_presentation,
     random_unimodular_matrix,
     random_word,

@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from jumploci import _linalg, cli, resonance
+from jumploci import cli, resonance
 from jumploci import (
     MalcevKind,
     Subspace,
@@ -28,7 +28,7 @@ from jumploci import (
     restriction_rank,
     zero_vector_in_r1,
 )
-from jumploci._linalg import mat_vec, rank
+from jumploci._linalg import rank
 from jumploci.resonance import (
     R1FullnessReport,
     _pair_masks,
@@ -37,7 +37,9 @@ from jumploci.resonance import (
 )
 
 from _corpus import (
+    int_det,
     isotropy_corpus,
+    mat_vec,
     random_invertible_matrix,
     random_nonzero_vector,
     random_threeform,
@@ -249,7 +251,7 @@ class TestUnimodularInvariance:
     def test_invariants_survive_a_unimodular_change_of_basis(self, seed):
         for eta, with_isotropy in self._forms(seed):
             t = random_unimodular_matrix(random.Random(100 + seed), eta.n)
-            assert abs(_linalg.int_det(t)) == 1
+            assert abs(int_det(t)) == 1
             moved = eta.transform(t)
             assert self._invariants(moved, with_isotropy) == self._invariants(
                 eta, with_isotropy), f"seed {seed}, n = {eta.n}, t = {t}"
