@@ -1,21 +1,23 @@
 """Exact linear algebra over Q and Q(zeta_m), shared by the invariant computations.
 
-Every elimination goes through the sparse kernel `echelon_insert`, which keeps
-a row echelon basis.  Rational rows (entries `int` or `Fraction`) are stored as
-primitive integer rows and reduced fraction-free, so no division over Q
-happens; cyclotomic rows (entries `CyclotomicElement`) are scaled to 1 at
-their pivot by one inversion of the pivot.  A row of any other entries, a
-float among them, is refused.  `reduced` turns a rational basis into its
-reduced echelon form over Q, and `kernel` reads the nullspace off that form.
+Every elimination over Q goes through the sparse kernel `echelon_insert`: it
+keeps a row echelon basis of rational rows, stored as primitive integer rows
+and reduced fraction-free so that nothing is divided, and refuses any other
+row.  `reduced` gives the reduced echelon form over Q and `kernel` reads the
+nullspace off it.  `rank` over Q(zeta_m) is certified from ranks over F_p
+(`_cyclotomic_rank`) and inverts nothing in the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from itertools import accumulate, count
+from math import gcd, lcm, prod
+from operator import mul
 
-from .laurent import CyclotomicElement
+from .laurent import CyclotomicElement, euler_phi
 
 __all__ = [
     "rank",
@@ -47,27 +49,20 @@ def echelon_insert(basis, vec):
 
     `vec` maps ordered keys (column indices, tensor words, ...) to nonzero
     entries.  `basis` maps each pivot key to its row, whose least key is the
-    pivot; a basis holds rows of one kind.  A rational `vec` (every entry of
-    type `int` or `Fraction`) is scaled to a primitive integer row and reduced
-    fraction-free: at a pivot holding `a` in its row and `c` in `vec`,
-    vec <- (a/g) vec - (c/g) row with g = gcd(a, c).  A cyclotomic `vec`
-    (every entry a `CyclotomicElement`) is reduced over Q(zeta_m) against
-    rows that hold 1 at their pivot; any other `vec` raises TypeError.  Only
-    the pivots that `vec` meets are visited, least first, and the other rows
-    are never touched.  An independent `vec` is stored with its pivot
-    `min(vec)` (primitive with a positive pivot entry, or scaled to 1 there)
-    and its pivot is returned.  A dependent `vec` leaves `basis` unchanged
-    and gives None.
+    pivot.  `vec` must be rational (every entry of type `int` or `Fraction`);
+    any other `vec` raises TypeError.  It is scaled to a primitive integer
+    row and reduced fraction-free: at a pivot holding `a` in its row and `c`
+    in `vec`, vec <- (a/g) vec - (c/g) row with g = gcd(a, c).  Only the
+    pivots that `vec` meets are visited, least first, and the other rows are
+    never touched.  An independent `vec` is stored with its pivot `min(vec)`,
+    primitive with a positive pivot entry, and its pivot is returned.  A
+    dependent `vec` leaves `basis` unchanged and gives None.
     """
     types = set(map(type, vec.values()))
-    rational = types <= _RATIONAL
-    if rational:
-        vec = _primitive(vec, types) if vec else {}
-    elif types == {CyclotomicElement}:
-        vec = dict(vec)
-    else:
+    if not types <= _RATIONAL:
         names = sorted(t.__name__ for t in types)
-        raise TypeError(f"row entries must be all rational or all cyclotomic, got {names}")
+        raise TypeError(f"row entries must be int or Fraction, got {names}")
+    vec = _primitive(vec, types) if vec else {}
     heap = [k for k in vec if k in basis]
     heapify(heap)
     while heap:
@@ -76,14 +71,13 @@ def echelon_insert(basis, vec):
         if c is None:  # a duplicate entry, already cleared
             continue
         row = basis[p]
-        if rational:
-            a = row[p]
-            g = gcd(a, c)
-            if g != a:
-                s = a // g
-                for k in vec:
-                    vec[k] *= s
-            c //= g
+        a = row[p]
+        g = gcd(a, c)
+        if g != a:
+            s = a // g
+            for k in vec:
+                vec[k] *= s
+        c //= g
         m = -c
         for k, v in row.items():
             old = vec.get(k)
@@ -100,16 +94,12 @@ def echelon_insert(basis, vec):
     if not vec:
         return None
     pivot = min(vec)
-    if rational:
-        g = gcd(*vec.values())
-        if vec[pivot] < 0:
-            g = -g
-        if g != 1:
-            for k in vec:
-                vec[k] //= g
-    else:
-        inv = vec[pivot].inverse()
-        vec = {k: v * inv for k, v in vec.items()}
+    g = gcd(*vec.values())
+    if vec[pivot] < 0:
+        g = -g
+    if g != 1:
+        for k in vec:
+            vec[k] //= g
     basis[pivot] = vec
     return pivot
 
@@ -139,7 +129,9 @@ def reduced(basis):
 
 
 def rank(rows):
-    """Rank of a matrix given as dense rows."""
+    """Rank of dense rows: over Q(zeta_m) for `CyclotomicElement` entries, else over Q."""
+    if rows and rows[0] and type(rows[0][0]) is CyclotomicElement:
+        return _cyclotomic_rank(rows)
     basis = {}
     for row in rows:
         echelon_insert(basis, {j: x for j, x in enumerate(row) if x})
@@ -168,3 +160,89 @@ def kernel(basis, n):
                 v[pivot] = -c
         vecs.append(tuple(v))
     return vecs
+
+
+# ---------------------------------------------------------------------------
+# rank over Q(zeta_m) from ranks over F_p
+# ---------------------------------------------------------------------------
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 12 primes as bases: deterministic below 3.3 * 10^24."""
+    if n < 2 or any(n % b == 0 for b in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _WITNESSES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+def _prime_factors(m):
+    """The distinct primes dividing m, ascending."""
+    return [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+
+
+@lru_cache(maxsize=None)
+def _modular_root(m, i):
+    """(p, w): the i-th prime p = 1 (mod m) below 2^61, counting down, and w of order m in F_p."""
+    p = _modular_root(m, i - 1)[0] - m if i else ((1 << 61) - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    factors = _prime_factors(m)
+    for w in (pow(a, (p - 1) // m, p) for a in count(2)):
+        if all(pow(w, m // q, p) != 1 for q in factors):
+            return p, w
+
+
+def _rank_mod(rows, p):
+    """Rank over F_p of dense rows of residues, by fraction-free elimination."""
+    r = 0
+    while rows:
+        pivot = rows.pop()
+        c = next((j for j, x in enumerate(pivot) if x), None)
+        if c is not None:
+            r += 1
+            rows = [[(pivot[c] * x - row[c] * y) % p for x, y in zip(row, pivot)] for row in rows]
+    return r
+
+
+def _cyclotomic_rank(rows):
+    """Rank over Q(zeta_m) of rows of `CyclotomicElement`s of one order m, from ranks over F_p.
+
+    Rows are scaled to integer coefficient vectors.  Each prime (p, zeta - w^k)
+    of Z[zeta_m], for p = 1 (mod m), w of order m in F_p and k prime to m,
+    maps them to F_p.  A minor nonzero there is nonzero, so the largest
+    modular rank r is a lower bound.  It is exact once r = min(rows, cols),
+    or once the product of the norms p used, squared, exceeds (H^2)^phi(m),
+    H^2 being the product of the r + 1 largest row weights sum_j |a_ij|_1^2:
+    by Hadamard's bound every (r+1)-minor mu has |N(mu)| <= H^phi(m), and the
+    product divides N(mu), so mu = 0.  A zero matrix needs no prime.
+    """
+    m = rows[0][0].order
+    if any(type(x) is not CyclotomicElement or x.order != m for row in rows for x in row):
+        raise TypeError(f"row entries must all be CyclotomicElements of order {m}")
+    vecs = []
+    for row in rows:
+        den = lcm(*(c.denominator for x in row for c in x.coeffs))
+        vecs.append([[c.numerator * (den // c.denominator) for c in x.coeffs] for x in row])
+    weights = sorted((sum(sum(map(abs, v)) ** 2 for v in row) for row in vecs), reverse=True)
+    if not weights[0]:
+        return 0
+    full = min(len(rows), len(rows[0]))
+    phi = euler_phi(m)
+    units = [k for k in range(m) if gcd(k, m) == 1]
+    r, norms = 0, 1
+    for i in count():
+        p, w = _modular_root(m, i)
+        for k in units:
+            z = pow(w, k, p)
+            powers = list(accumulate(range(1, phi), lambda x, _: x * z % p, initial=1))
+            images = [[sum(map(mul, v, powers)) % p for v in row] for row in vecs]
+            r = max(r, _rank_mod(images, p))
+            norms *= p
+            if r == full or norms ** 2 > prod(weights[:r + 1]) ** phi:
+                return r

@@ -6,9 +6,10 @@ elementary ideal is generated by its (g-d)-minors; the Alexander polynomial
 is the unit-normalized gcd of the first elementary ideal.
 
 Membership of a finite-order character chi != 1 in the degree-1 jump locus of
-the presentation 2-complex is decided two independent ways: exact rank of the
-evaluated matrix over a cyclotomic field, and simultaneous vanishing of the
-ideal generators.  The two answers must agree; the test suite enforces this
+the presentation 2-complex is decided two independent ways: the rank of the
+evaluated matrix over the cyclotomic field, certified from ranks modulo
+primes (`_linalg.rank`), and simultaneous vanishing of the ideal
+generators.  The two answers must agree; the test suite enforces this
 on the whole corpus, which guards the minor-shape convention.  The CLI
 refuses characters of order above `MAX_CHARACTER_ORDER`.
 
@@ -60,8 +61,9 @@ __all__ = [
 
 CHARACTER_ORDERS = (2, 3, 4, 5, 6, 8, 12)
 
-# the CLI refuses characters of larger order: the exact rank over Q(zeta_m)
-# costs grow with phi(m), to about 7 s for one trefoil charvar at m = 1021
+# the CLI refuses characters of larger order: certifying a rank-deficient
+# rank over Q(zeta_m) costs about phi(m)^2, so Z^4's 6x4 matrix (rank 3)
+# takes 0.065 s at m = 1021 and 0.82 s at m = 4093
 MAX_CHARACTER_ORDER = 1024
 
 # an answer about E_d may read at most this many nonzero minors; one more
@@ -227,15 +229,13 @@ def _check_character(a, chi, what):
 def twisted_h1_dim(p, chi):
     """dim H^1 of the presentation 2-complex with coefficients twisted by chi != 1.
 
-    Equals g - 1 - rank of the Alexander matrix evaluated at chi, with the
-    rank computed exactly over the cyclotomic field Q(zeta_m).  `p` is a
-    presentation or an AlexanderMatrix already built from one.
+    Equals g - 1 - rank of the Alexander matrix evaluated at chi, the exact
+    rank over Q(zeta_m) that `_linalg.rank` certifies from ranks over F_p.
+    `p` is a presentation or an AlexanderMatrix already built from one.
     """
     a = p if isinstance(p, AlexanderMatrix) else alexander_matrix(p)
     _check_character(a, chi, "twisted_h1_dim")
-    evaluated = a.evaluated(chi)
-    rk = _linalg.rank(evaluated) if evaluated else 0
-    return a.num_generators - 1 - rk
+    return a.num_generators - 1 - _linalg.rank(a.evaluated(chi))
 
 
 def in_vd(p, chi, d):
@@ -299,14 +299,14 @@ def elementary_ideal_vanishes_at(a, d, chi):
 # sampled almost-principality check
 # ---------------------------------------------------------------------------
 
-def sample_characters(num_vars, count, seed, orders=CHARACTER_ORDERS):
-    """Reproducible non-identity finite-order characters on (C*)^num_vars."""
+def sample_characters(num_vars, count, seed):
+    """Reproducible non-identity characters on (C*)^num_vars, of orders in CHARACTER_ORDERS."""
     if num_vars < 1:
         raise ValueError("need at least one variable to sample characters")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        m = rng.choice(orders)
+        m = rng.choice(CHARACTER_ORDERS)
         exps = tuple(rng.randrange(m) for _ in range(num_vars))
         chi = Character(order=m, exponents=exps)
         if chi.is_identity:
@@ -333,7 +333,7 @@ class AlmostPrincipalReport:
         return not self.counterexamples
 
 
-def almost_principal_sampled(a, trials, seed, orders=CHARACTER_ORDERS):
+def almost_principal_sampled(a, trials, seed):
     """Compare chi in V(E_1) with Delta(chi) = 0 at `trials` sampled characters.
 
     E_1 and Delta are folded once per sampled order m (`laurent.fold`), and
@@ -348,7 +348,7 @@ def almost_principal_sampled(a, trials, seed, orders=CHARACTER_ORDERS):
     folded = {}
     decided = {}
     bad = []
-    for chi in sample_characters(a.num_vars, trials, seed, orders):
+    for chi in sample_characters(a.num_vars, trials, seed):
         disagree = decided.get(chi)
         if disagree is None:
             m = chi.order
@@ -363,6 +363,6 @@ def almost_principal_sampled(a, trials, seed, orders=CHARACTER_ORDERS):
     return AlmostPrincipalReport(
         trials=trials,
         seed=seed,
-        orders=tuple(orders),
+        orders=CHARACTER_ORDERS,
         counterexamples=tuple(bad),
     )

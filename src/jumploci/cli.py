@@ -56,11 +56,15 @@ from .presentation import (
 from .resonance import MalcevKind, ThreeForm, classify_malcev
 from .seifert import MAX_INVARIANT_BITS, IntegralityError, LimitError, link_invariants, sweep
 
-__all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_CHARACTER_DIGITS"]
+__all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_CHARACTER_DIGITS", "MAX_FORM_DIMENSION"]
 
 # sampled checks draw --trials characters (alex) or witness points (classify);
 # a larger count is refused before anything is drawn
 MAX_TRIALS = 2**14
+
+# a larger "n" in a 3-form or holonomy input is refused when read: `classify` builds
+# an n x n contraction per witness draw (n = 63, one term, MAX_TRIALS draws: 1.6 s)
+MAX_FORM_DIMENSION = 64
 
 # a character's numbers matter only mod its order (at most MAX_CHARACTER_ORDER);
 # a longer token is refused unread, before `int` refuses it with its own message
@@ -148,17 +152,27 @@ def load_presentation(path):
         raise MalformedInputError(f"malformed presentation: {exc}") from exc
 
 
+def _dimension(obj):
+    """The JSON integer "n" of a 3-form or holonomy input, at most MAX_FORM_DIMENSION."""
+    n = _json_int(obj["n"], "n")
+    if n > MAX_FORM_DIMENSION:
+        raise LimitError(f"dimension n = {n} exceeds MAX_FORM_DIMENSION = {MAX_FORM_DIMENSION}")
+    return n
+
+
 def threeform_from_json(obj):
     if not isinstance(obj, dict):
         raise MalformedInputError("3-form JSON must be an object")
     try:
-        n = _json_int(obj["n"], "n")
+        n = _dimension(obj)
         coeffs = {}
         for term in obj.get("terms", []):
             key = tuple(_json_int(term[name], name) - 1 for name in "ijk")
             c = _parse_rational(term["c"])
             coeffs[key] = coeffs[key] + c if key in coeffs else c
         return ThreeForm(n, coeffs)
+    except LimitError:
+        raise
     except _SHAPE_ERRORS as exc:
         raise MalformedInputError(f"malformed 3-form: {exc}") from exc
 
@@ -171,9 +185,11 @@ def load_holonomy_input(path):
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(obj, dict) and "relations" in obj:
         try:
-            n = _json_int(obj["n"], "n")
+            n = _dimension(obj)
             rels = tuple(tuple(_parse_rational(c) for c in row) for row in obj["relations"])
             return QuadraticData(n=n, relations=rels)
+        except LimitError:
+            raise
         except _SHAPE_ERRORS as exc:
             raise MalformedInputError(f"malformed holonomy relations: {exc}") from exc
     return holonomy_from_threeform(threeform_from_json(obj))

@@ -5,11 +5,13 @@ coefficient), so two values are equal exactly when their term maps agree.
 The module supplies the project-wide unit normalization, gcds up to units,
 and exact evaluation at finite-order characters with values in cyclotomic
 fields (`CyclotomicElement`, reduced modulo the m-th cyclotomic polynomial
-so zero-testing is honest field arithmetic).  The m-th cyclotomic polynomial
-is monic with integer coefficients, so `evaluate` and field products reduce
-modulo it without division; `evaluate` works in integers until the reduced
-coefficients become the element.  `fold(p, m)` reduces every exponent mod m,
-which keeps the value of p at every character of order m.
+so zero-testing is exact).  The m-th cyclotomic polynomial is monic with
+integer coefficients, so `evaluate` reduces modulo it without division and
+works in integers until the reduced coefficients become the element.  An
+element is a value, not a field: it has no arithmetic, and ranks over
+Q(zeta_m) are taken from its integer coefficients modulo primes
+(`_linalg.rank`).  `fold(p, m)` reduces every exponent mod m, which keeps
+the value of p at every character of order m.
 
 Unit-normalization convention, fixed once for the whole project: the
 canonical associate of p is u*p, where u is the unique +/- monomial making
@@ -494,8 +496,9 @@ class Character:
 class CyclotomicElement:
     """Element of Q(zeta_m), represented modulo the m-th cyclotomic polynomial.
 
-    Coefficients must be `int` or `Fraction`.  Anything else raises
-    TypeError, so a float is never turned silently into its binary fraction.
+    An immutable value with exact `is_zero` and equality, and no arithmetic.
+    Coefficients must be `int` or `Fraction`; anything else raises TypeError,
+    so a float is never turned silently into its binary fraction.
     """
 
     __slots__ = ("order", "coeffs")
@@ -514,25 +517,6 @@ class CyclotomicElement:
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order, [])
-
-    @classmethod
-    def one(cls, order):
-        return cls(order, [1])
-
-    @classmethod
-    def from_int(cls, order, a):
-        return cls(order, [a])
-
-    @classmethod
-    def root_power(cls, order, k):
-        """zeta_m^k as a field element."""
-        k %= order
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return cls(order, coeffs)
-
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -540,68 +524,7 @@ class CyclotomicElement:
     def __bool__(self):
         return not self.is_zero
 
-    def _check(self, other):
-        if isinstance(other, int):
-            other = CyclotomicElement.from_int(self.order, other)
-        if not isinstance(other, CyclotomicElement):
-            return None
-        if other.order != self.order:
-            raise ValueError("cyclotomic orders differ")
-        return other
-
-    def __add__(self, other):
-        q = self._check(other)
-        if q is None:
-            return NotImplemented
-        return CyclotomicElement(self.order, [a + b for a, b in zip(self.coeffs, q.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicElement(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        q = self._check(other)
-        if q is None:
-            return NotImplemented
-        return CyclotomicElement(self.order, [a - b for a, b in zip(self.coeffs, q.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        q = self._check(other)
-        if q is None:
-            return NotImplemented
-        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(q.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CyclotomicElement(self.order, prod)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero:
-            raise ZeroDivisionError("cyclotomic element is zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        # r0 is a nonzero constant multiple of gcd = 1
-        c = next(c for c in reversed(r0) if c != 0)
-        inv = [x / c for x in s0]
-        return CyclotomicElement(self.order, inv)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicElement.from_int(self.order, other)
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
@@ -611,48 +534,6 @@ class CyclotomicElement:
 
     def __repr__(self):
         return f"CyclotomicElement(order={self.order}, coeffs={list(self.coeffs)})"
-
-
-def _frac_poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_divmod(a, b):
-    a = _frac_poly_trim(list(a))
-    b = _frac_poly_trim(list(b))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for j, bc in enumerate(b):
-            a[d + j] -= c * bc
-        _frac_poly_trim(a)
-        if not a:
-            break
-    return q, a
 
 
 def _reduce_mod_cyclotomic(order, coeffs):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jumploci import LaurentPoly, ThreeForm, Word, parse_presentation
+from jumploci import CyclotomicElement, LaurentPoly, ThreeForm, Word, parse_presentation
+from jumploci.laurent import _reduce_mod_cyclotomic, euler_phi
 
 # -- named presentations -----------------------------------------------------
 
@@ -134,6 +135,68 @@ def int_det(matrix):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1] if n else 1
+
+
+# -- Q(zeta_m) for tests: the package's elements carry no arithmetic ----------
+
+def field_add(x, y):
+    return CyclotomicElement(x.order, [a + b for a, b in zip(x.coeffs, y.coeffs)])
+
+
+def field_mul(x, y):
+    """x * y: the product of the coefficient polynomials reduced modulo Phi_m."""
+    prod = [0] * (2 * len(x.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] += a * b
+    return CyclotomicElement(x.order, _reduce_mod_cyclotomic(x.order, prod))
+
+
+def random_field_matrix(rng, m, nrows, ncols, k=None, bound=2):
+    """Entries of Q(zeta_m) with small integer coefficients, a third of them 0.
+
+    With `k`, the product of an nrows x k and a k x ncols factor, so its
+    rank is at most k.
+    """
+    phi = euler_phi(m)
+
+    def entry():
+        if rng.random() < 0.33:
+            return CyclotomicElement(m, [])
+        return CyclotomicElement(m, [rng.randint(-bound, bound) for _ in range(phi)])
+
+    if k is None:
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    left = [[entry() for _ in range(k)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(k)]
+    out = []
+    for row in left:
+        out.append([])
+        for col in zip(*right):
+            acc = CyclotomicElement(m, [])
+            for a, b in zip(row, col):
+                acc = field_add(acc, field_mul(a, b))
+            out[-1].append(acc)
+    return out
+
+
+def regular_representation(rows):
+    """Each entry a of Q(zeta_m) blown up to the phi x phi rational matrix of x -> a x.
+
+    Column i of a block holds the coefficients of a * zeta^i, reduced
+    modulo Phi_m; the rank over Q of the result is phi(m) times the rank of
+    `rows` over Q(zeta_m).
+    """
+    out = []
+    for row in rows:
+        blocks = []
+        for a in row:
+            m = a.order
+            blocks.append([_reduce_mod_cyclotomic(m, [0] * i + list(a.coeffs))
+                           for i in range(euler_phi(m))])
+        for r in range(len(blocks[0]) if blocks else 0):
+            out.append([col[r] for block in blocks for col in block])
+    return out
 
 
 def random_invertible_matrix(rng, n, bound=2):

@@ -324,6 +324,14 @@ class TestCharacterSampling:
     def test_orders_from_menu(self):
         chars = sample_characters(2, 200, seed=12)
         assert {c.order for c in chars} <= {2, 3, 4, 5, 6, 8, 12}
+        # the menu is fixed: orders=(1,) once made every draw the identity
+        # and the loop never ended
+        with pytest.raises(TypeError):
+            sample_characters(1, 3, 0, orders=(1,))
+        with pytest.raises(TypeError):
+            almost_principal_sampled(alexander_matrix(TREFOIL), 3, 0, orders=(1,))
+        rep = almost_principal_sampled(alexander_matrix(TREFOIL), 3, 0)
+        assert rep.orders == alexander.CHARACTER_ORDERS
 
 
 def _count_calls(monkeypatch, name, *holders):

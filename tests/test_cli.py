@@ -457,6 +457,36 @@ class TestHolonomy:
         assert code == 1
         validate("error", json.loads(err))
 
+    @pytest.mark.parametrize("content, degree, limit", [
+        # 2 * 10^9 Lyndon words on 300 letters at degree 4: refused unlisted
+        ({"n": 300, "relations": []}, "4", "MAX_FORM_DIMENSION = 64"),
+        ({"n": 65, "relations": []}, "1", "MAX_FORM_DIMENSION = 64"),
+        ({"n": 20001, "terms": [{"i": 1, "j": 2, "k": 3, "c": 1}]}, "2", "MAX_FORM_DIMENSION = 64"),
+        # the free Lie algebra on 11 letters has dimension 32208 in degree 5
+        ({"n": 11, "relations": []}, "5", "MAX_LIE_DIMENSION = 20000"),
+    ], ids=["n-300", "n-65", "form-n-20001", "lie-dimension"])
+    def test_input_beyond_a_limit_is_refused(self, capsys, tmp_path, content, degree, limit):
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, ["holonomy", str(f), "--degree", degree])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "config"
+        assert limit in record["error"]["message"]
+
+    def test_inputs_at_the_limits_are_answered(self, capsys, tmp_path):
+        f = tmp_path / "free.json"
+        f.write_text(json.dumps({"n": 10, "relations": []}))
+        code, out, _ = run_cli(capsys, ["holonomy", str(f), "--degree", "5"])
+        assert code == 0
+        assert json.loads(out)["ranks"][-1] == 19998
+        f.write_text(json.dumps({"n": 64, "relations": []}))
+        code, out, _ = run_cli(capsys, ["holonomy", str(f), "--degree", "2"])
+        assert code == 0
+        assert json.loads(out)["ranks"] == [64, 2016]
+
 
 class TestTrialsLimit:
     def test_cap_allowed(self, capsys, trefoil_file):
@@ -549,6 +579,21 @@ class TestErrors:
         record = json.loads(err)
         validate("error", record)
         assert record["error"]["type"] == "parse"
+
+    @pytest.mark.parametrize("n, code", [(20001, 2), (65, 2), (64, 0)])
+    def test_threeform_dimension_limit(self, capsys, tmp_path, n, code):
+        # classify would build an n x n contraction for each witness draw
+        f = tmp_path / "wide.form"
+        f.write_text(json.dumps({"n": n, "terms": [{"i": 1, "j": 2, "k": 3, "c": 1}]}))
+        got, out, err = run_cli(capsys, ["classify", str(f)])
+        assert got == code
+        if code:
+            record = json.loads(err)
+            validate("error", record)
+            assert record["error"]["type"] == "config"
+            assert "MAX_FORM_DIMENSION = 64" in record["error"]["message"]
+        else:
+            assert json.loads(out)["class"] == "Obstructed"
 
     @pytest.mark.parametrize("content, coeffs", [
         ('[{"i": 1, "j": 2, "k": 3, "c": 2}]', {(0, 1, 2): 2}),

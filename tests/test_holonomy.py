@@ -13,7 +13,9 @@ from jumploci import (
     lyndon_words,
     wedge_basis,
 )
+from jumploci import holonomy
 from jumploci._linalg import rank
+from jumploci.seifert import LimitError
 
 from _corpus import random_threeform
 
@@ -211,6 +213,24 @@ class TestQuotients:
         ]
         q2 = QuadraticData(3, tuple(mixed))
         assert lie_ranks(q1, 5).ranks == lie_ranks(q2, 5).ranks
+
+
+class TestDimensionLimit:
+    def test_witt_formula_counts_lyndon_words(self, monkeypatch):
+        for n in range(6):
+            for d in range(1, 8):
+                assert holonomy._witt(n, d) == len(lyndon_words(n, d)), (n, d)
+        # the ranks no longer list the words
+        monkeypatch.setattr(holonomy, "lyndon_words", None)
+        assert lie_ranks(QuadraticData(10, ()), 5).ranks[-1] == 19998
+
+    def test_refused_before_any_work(self):
+        # 300 letters give about 2 * 10^9 Lyndon words of length 4
+        with pytest.raises(LimitError, match="MAX_LIE_DIMENSION"):
+            lie_ranks(QuadraticData(300, ()), 4)
+        with pytest.raises(LimitError, match="dimension 32208 in degree 5"):
+            lie_ranks(QuadraticData(11, ()), 5)
+        assert holonomy._witt(7, 6) == 19544 <= holonomy.MAX_LIE_DIMENSION
 
 
 class TestDegreeCap:
