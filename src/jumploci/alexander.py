@@ -17,13 +17,23 @@ Every answer about E_d reads its minors from one stream, `_nonzero_minors`,
 which expands them through one Laplace memo per matrix and stops an answer
 that would read more than `DEFAULT_GENERATOR_CAP` nonzero minors with
 `LimitError`.  So an answer is exact or refused, never read from part of an
-ideal.  `elementary_ideal` lists E_d for `alex`.  The jump-locus route never
-lists E_d: by the fundamental formula of Fox calculus the columns satisfy
-sum_j u_j A_j = 0 with u_j = t^{phi(x_j)} - 1, so for any column j, u_j E_d
-lies in the ideal I_j of the minors that avoid column j, and I_j lies in
-E_d.  At chi with u_j(chi) != 0, E_d vanishes exactly when every generator of
-I_j does; `elementary_ideal_vanishes_at` streams those minors and stops at
-the first one that does not vanish.
+ideal.  `elementary_ideal` lists E_d for `alex` from the Laurent memo.  The
+jump-locus route never lists E_d: by the fundamental formula of Fox calculus
+the columns satisfy sum_j u_j A_j = 0 with u_j = t^{phi(x_j)} - 1, so for any
+column j, u_j E_d lies in the ideal I_j of the minors that avoid column j,
+and I_j lies in E_d.  At chi with u_j(chi) != 0, E_d vanishes exactly when
+every generator of I_j does; `elementary_ideal_vanishes_at` streams those
+minors and stops at the first one that does not vanish.
+
+A character of order m factors through the ring map Z[H_1] -> Z[H_1/mH_1],
+which reduces every exponent mod m (`laurent.fold`) and commutes with
+determinants.  So the jump-locus route expands its minors folded: each entry
+is folded when a minor first reads it and every Laplace product is folded,
+so no intermediate has more than (2m - 1)^b1 terms, however long the
+relators are or however high Delta's degree.  A query that expands no minor
+folds nothing.  The folded minors live in one memo per (matrix, m), next to
+the Laurent memo, and there the cap counts nonzero folded minors, never more
+than the Laurent ones, so an input can stop being refused but never start.
 
 The sampled check chi in V(E_1) <=> Delta(chi) = 0 folds E_1 and Delta once
 per sampled order and decides each distinct character once.
@@ -66,8 +76,9 @@ CHARACTER_ORDERS = (2, 3, 4, 5, 6, 8, 12)
 # takes 0.065 s at m = 1021 and 0.82 s at m = 4093
 MAX_CHARACTER_ORDER = 1024
 
-# an answer about E_d may read at most this many nonzero minors; one more
-# raises LimitError.  Z^5's E_1 (625 minors) is listed, Z^6's (7776) refused
+# an answer about E_d may read at most this many nonzero minors, folded ones
+# for the jump-locus route; one more raises LimitError.  Z^5's E_1 (625
+# minors) is listed, Z^6's (7776) refused
 DEFAULT_GENERATOR_CAP = 1024
 
 
@@ -80,14 +91,16 @@ class AlexanderMatrix:
     """Fox Jacobian over the Laurent ring of the torsion-free abelianization.
 
     `ideal(d)` and `delta` are computed once per instance and then shared by
-    every consumer of the same matrix, and so is the memo of minors that
-    every E_d answer expands through.
+    every consumer of the same matrix, and so are the memos of minors that
+    every E_d answer expands through: `_minors` over the Laurent ring, and
+    `_folded_minors[m]` folded into Z[H_1/mH_1] for characters of order m.
     """
 
     entries: tuple
     abelianization: object
     _ideals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _minors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _folded_minors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_relators(self):
@@ -149,39 +162,49 @@ class ElementaryIdeal:
         return any(g.is_one for g in self.generators)
 
 
-def _minor(entries, rows, cols, memo):
-    """Determinant of the submatrix, by Laplace expansion with memoized minors."""
+def _minor(entries, rows, cols, memo, m=0):
+    """Determinant of the submatrix, by Laplace expansion with memoized minors.
+
+    With an order m >= 1 the minor is folded into Z[H_1/mH_1]: an entry is
+    folded when a minor first reads it, and kept in `memo` as a 1-minor, and
+    every product is folded.  A folded minor has at most m^b1 terms, and the
+    product of two at most (2m - 1)^b1 before it is folded.
+    """
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
         return cached
     if len(rows) == 1:
         val = entries[rows[0]][cols[0]]
+        if m:
+            val = fold(val, m)
     else:
-        rest = rows[1:]
-        val = LaurentPoly.zero(entries[rows[0]][cols[0]].num_vars)
+        top, rest = rows[:1], rows[1:]
+        val = LaurentPoly.zero(entries[0][0].num_vars)
         for pos, c in enumerate(cols):
-            e = entries[rows[0]][c]
+            e = _minor(entries, top, (c,), memo, m)
             if e.is_zero:
                 continue
-            sub = _minor(entries, rest, cols[:pos] + cols[pos + 1:], memo)
-            term = e * sub
+            sub = _minor(entries, rest, cols[:pos] + cols[pos + 1:], memo, m)
+            term = fold(e * sub, m) if m else e * sub
             val = val + term if pos % 2 == 0 else val - term
     memo[key] = val
     return val
 
 
-def _nonzero_minors(a, k, rows, cols, what):
+def _nonzero_minors(a, k, rows, cols, what, m=0):
     """The nonzero k-minors of `a` on the given rows and columns, in order.
 
-    Each is expanded through the matrix's memo.  Asking for more than
+    Each is expanded through the matrix's Laurent memo, or with an order
+    m >= 1 folded through its memo for m.  Asking for more than
     `DEFAULT_GENERATOR_CAP` of them raises `LimitError` naming `what`.
     """
+    memo = a._folded_minors.setdefault(m, {}) if m else a._minors
     cap = DEFAULT_GENERATOR_CAP
     count = 0
     for r in combinations(rows, k):
         for c in combinations(cols, k):
-            minor = _minor(a.entries, r, c, a._minors)
+            minor = _minor(a.entries, r, c, memo, m)
             if minor.is_zero:
                 continue
             if count == cap:
@@ -265,12 +288,14 @@ def elementary_ideal_vanishes_at(a, d, chi):
     With j = `_avoided_column(a, chi)`, u_j E_d lies in the ideal I_j of the
     (g-d)-minors that avoid column j, and I_j lies in E_d, so the answer is
     exact: the minors of I_j are streamed and the first that does not vanish
-    at chi decides.  g - d <= 0 is the unit ideal (False) and fewer than
-    g - d rows the zero ideal (True).  A stream that could pass
-    `DEFAULT_GENERATOR_CAP` minors first drops the rows and columns whose
-    entries all vanish at chi.  A stream with more nonzero minors than the
-    cap, all of which vanish up to it, raises `LimitError` rather than
-    answer from part of the ideal.
+    at chi decides.  The minors are expanded folded to m = chi.order, the
+    image of each Laurent minor in Z[H_1/mH_1], which has the same value at
+    chi.  g - d <= 0 is the unit ideal (False) and fewer than g - d rows the
+    zero ideal (True).  A stream that could pass `DEFAULT_GENERATOR_CAP`
+    minors first drops the rows and columns whose entries all vanish at chi.
+    A stream with more nonzero folded minors than the cap, all of which
+    vanish up to it, raises `LimitError` rather than answer from part of the
+    ideal.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -292,7 +317,8 @@ def elementary_ideal_vanishes_at(a, d, chi):
         cols = tuple(c for c in cols if any(row[c] for row in nonzero))
         rows = tuple(i for i in rows if any(nonzero[i]))
     what = f"deciding chi in V(E_{d}) from the minors avoiding column {j}"
-    return all(evaluate(m, chi).is_zero for m in _nonzero_minors(a, k, rows, cols, what))
+    minors = _nonzero_minors(a, k, rows, cols, what, chi.order)
+    return all(evaluate(minor, chi).is_zero for minor in minors)
 
 
 # ---------------------------------------------------------------------------

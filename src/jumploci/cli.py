@@ -45,7 +45,13 @@ from .alexander import (
     elementary_ideal_vanishes_at,
     twisted_h1_dim,
 )
-from .holonomy import DEFAULT_DEGREE_CAP, QuadraticData, holonomy_from_threeform, lie_ranks
+from .holonomy import (
+    DEFAULT_DEGREE_CAP,
+    MAX_DEGREE_CAP,
+    QuadraticData,
+    holonomy_from_threeform,
+    lie_ranks,
+)
 from .laurent import Character, poly_to_string
 from .presentation import (
     PresentationParseError,
@@ -86,6 +92,9 @@ class RunConfig:
             raise LimitError(f"trials {self.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
         if self.symbolic_threshold < 1 or self.degree_cap < 1:
             raise ValueError("thresholds must be positive")
+        if self.degree_cap > MAX_DEGREE_CAP:
+            raise LimitError(
+                f"degree cap {self.degree_cap} exceeds MAX_DEGREE_CAP = {MAX_DEGREE_CAP}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv, or text")
 

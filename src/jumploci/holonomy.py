@@ -34,9 +34,16 @@ __all__ = [
     "lyndon_words",
     "DEFAULT_DEGREE_CAP",
     "MAX_LIE_DIMENSION",
+    "MAX_DEGREE_CAP",
 ]
 
 DEFAULT_DEGREE_CAP = 6
+
+# the CLI refuses a larger --degree-cap.  MAX_LIE_DIMENSION admits no degree
+# above 18 for n >= 2 (the free Lie algebra on 2 letters has dimension 14532
+# in degree 18 and 27594 in degree 19), while for n <= 1 the dimension stays
+# 0 or 1 and the time grew quadratically in the degree: 8.2 s at degree 16000
+MAX_DEGREE_CAP = 18
 
 # a larger free Lie dimension at the top degree is refused before any work.
 # It admits Sigma_3 x S^1 at degree 6 (n = 7, dimension 19544: 0.64 s, 97 MiB

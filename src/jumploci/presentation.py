@@ -10,8 +10,14 @@ where words juxtapose ``g``, ``g^-1``, ``g^k`` and nestable commutator sugar
 ``[u, v]`` = u v u^-1 v^-1, nested at most ``MAX_COMMUTATOR_DEPTH`` deep; a
 word longer than ``MAX_WORD_LENGTH`` letters before free reduction is
 refused, and a power or commutator is checked before it is built.
-The letters of a word, and of a power ``w^k``, are collected first and
-freely reduced in one pass, so parsing is linear in the expanded length.
+A word is scanned left to right: each generator with its optional ``^k`` is
+read by one match of a compiled pattern and appended as |k| letters, while
+``1``, ``[u, v]`` and anything malformed go through a character reader.  The
+letters of a word, and of a power ``w^k``, are collected first and freely
+reduced in one pass, so parsing is linear in the expanded length.  Names
+follow ``str.isalpha`` and ``str.isalnum`` (plus ``_``), exponents
+``str.isdecimal``, and every error keeps the message and offset of the
+character reader.
 It also computes Smith normal forms of integer matrices, the abelianization
 data (Betti number, invariant factors, generator images), and free
 derivatives pushed through the maximal torsion-free abelian quotient,
@@ -24,6 +30,7 @@ unit normalization absorbs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
@@ -242,9 +249,52 @@ def _check_length(cur, length, offset):
         cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", offset)
 
 
+# a generator atom with its optional power, read by one match: the name, then
+# the '^' if one follows, then the exponent if the pattern can read it.  In
+# str patterns \s, \w and \d match exactly what str.isspace, str.isalnum (or
+# "_") and str.isdecimal accept, so the match reads what `_parse_ident` and
+# `_parse_exponent` would; only the name's first character is checked apart,
+# since \w also admits digits such as '²' that str.isalpha refuses
+_GENERATOR_POWER = re.compile(r"\s*(\w+)\s*(\^\s*(-?\d+)?)?")
+
+# a longer exponent, sign included, is read by `_parse_exponent`, which refuses
+# what int() cannot convert; every exponent that short converts
+_SCANNED_EXPONENT_CHARS = 18
+
+
 def _parse_word(cur, gen_index, stop_chars, depth=0):
+    text = cur.text
+    match = _GENERATOR_POWER.match
     letters = []
     while True:
+        atom = match(text, cur.pos)
+        if atom is not None:
+            name, caret, exponent = atom.groups()
+            first = name[0]
+            if first.isalpha() or first == "_":
+                # |k| letters (g, sign k), checked against MAX_WORD_LENGTH before
+                # they are built; an exponent the pattern does not read whole
+                # (malformed, too long, or followed by a digit that is not
+                # decimal) is left to `_parse_exponent`, which fails as before
+                g = gen_index.get(name)
+                if g is None:
+                    cur.fail(f"unknown generator name '{name}'", atom.start(1))
+                cur.pos = end = atom.end()
+                if caret is None:
+                    k = 1
+                elif (exponent is not None and len(exponent) <= _SCANNED_EXPONENT_CHARS
+                      and not text[end:end + 1].isdigit()):
+                    k = int(exponent)
+                else:
+                    cur.pos = atom.start(2) + 1
+                    k = _parse_exponent(cur)
+                if len(letters) + abs(k) > MAX_WORD_LENGTH:
+                    cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", atom.start(1))
+                if k == 1 or k == -1:
+                    letters.append((g, k))
+                else:
+                    letters += [(g, 1 if k > 0 else -1)] * abs(k)
+                continue
         cur.skip_ws()
         start = cur.pos
         ch = cur.peek()
@@ -269,11 +319,6 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
             cur.pos += 1
             _check_length(cur, len(letters) + 2 * (len(u) + len(v)), start)
             atom = commutator(u, v)
-        elif _is_ident_start(ch):
-            name, start = _parse_ident(cur)
-            if name not in gen_index:
-                cur.fail(f"unknown generator name '{name}'", start)
-            atom = Word.generator(gen_index[name])
         elif ch == "]":
             cur.fail("unbalanced brackets: unexpected ']'")
         else:

@@ -67,6 +67,36 @@ def random_commutator_presentation(rng, gens=3):
     return Presentation(names, tuple(relators))
 
 
+# exponent-sum rows of the two relators of `sum_pattern_presentation`, before
+# a random permutation of the generators: they fix b1 = 1
+SUM_PATTERN = ((1, 2, -1), (3, -1, 2))
+
+
+def sum_pattern_text(rng, length):
+    """`<a, b, c | r1, r2>`: two random relators of `length` letters with b1 = 1.
+
+    Each relator has the exponent sums of a row of SUM_PATTERN, permuted,
+    padded with cancelling pairs g g^-1 and shuffled, so its Fox derivatives
+    have about as many terms as the word has letters.
+    """
+    perm = list(range(3))
+    rng.shuffle(perm)
+    relators = []
+    for row in SUM_PATTERN:
+        letters = []
+        for g in range(3):
+            s = row[perm[g]]
+            letters += [(g, 1 if s > 0 else -1)] * abs(s)
+        while len(letters) < length:
+            g = rng.randrange(3)
+            letters += [(g, 1), (g, -1)]
+        rng.shuffle(letters)
+        relators.append(letters)
+    text = ", ".join(" ".join("abc"[g] + ("" if s > 0 else "^-1") for g, s in letters)
+                     for letters in relators)
+    return f"<a, b, c | {text}>"
+
+
 def random_poly(rng, num_vars, max_terms=4, exp_bound=3, coeff_bound=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):

@@ -21,10 +21,13 @@ from jumploci import (
     parse_presentation,
     sample_characters,
     twisted_h1_dim,
+    Word,
     word_image,
 )
+from jumploci.presentation import format_presentation, smith_normal_form
 
 from _corpus import (
+    DOUBLE_COMM,
     FIGURE_EIGHT,
     FREE_2,
     HEISENBERG,
@@ -33,7 +36,9 @@ from _corpus import (
     TREFOIL,
     Z2,
     cross_validation_corpus,
+    mat_mul,
     random_word,
+    sum_pattern_text,
 )
 
 
@@ -557,23 +562,178 @@ class TestOneMinorStream:
         assert listed > 10 and refused > 5
 
     def test_one_memo_expands_each_minor_once(self, monkeypatch):
+        # one memo per order: E_d listings share the Laurent memo, and the
+        # jump-locus route expands each folded minor once per order m, shared
+        # by every d and every character of that order
         real = alexander._minor
         expanded = Counter()
 
-        def counting(entries, rows, cols, memo):
+        def counting(entries, rows, cols, memo, m=0):
             if (rows, cols) not in memo:
-                expanded[rows, cols] += 1
-            return real(entries, rows, cols, memo)
+                expanded[m, rows, cols] += 1
+            return real(entries, rows, cols, memo, m)
 
         monkeypatch.setattr(alexander, "_minor", counting)
         a = alexander_matrix(_zn(4))
         a.ideal(1)
         a.ideal(2)
-        listed = sum(expanded.values())
-        for spec in ("4:1,0,3,2", "2:0,1,1,0", "3:0,0,1,2"):
+        assert {m for m, _, _ in expanded} == {0}
+        assert sum(expanded.values()) == len(a._minors)
+        listed = Counter(expanded)
+        specs = ("4:1,0,3,2", "4:0,1,1,0", "2:0,1,1,0", "3:0,0,1,2")
+        for spec in specs:
             chi = cli.parse_character(spec)
             for d in (1, 2):
                 elementary_ideal_vanishes_at(a, d, chi)
+        streamed = Counter(expanded)
+        for spec in specs:
+            chi = cli.parse_character(spec)
+            for d in (1, 2):
+                elementary_ideal_vanishes_at(a, d, chi)
+        assert expanded == streamed  # a second pass expands nothing
         assert max(expanded.values()) == 1
-        # the streamed minors were all expanded while listing E_1 and E_2
-        assert sum(expanded.values()) == listed == len(a._minors)
+        assert +(streamed - listed) and all(m for m, _, _ in streamed - listed)
+        assert sorted(a._folded_minors) == [2, 3, 4]
+        for m, memo in a._folded_minors.items():
+            assert sum(1 for key in expanded if key[0] == m) == len(memo)
+            for key, minor in memo.items():
+                # each is the image of the listed Laurent minor in Z[H_1/m]
+                assert minor == laurent.fold(a._minors[key], m)
+
+
+# orders at which the folded ideal route is checked against Laurent minors
+FOLD_ORDERS = tuple(range(2, 13)) + (1021,)
+
+
+def _oracle_presentations():
+    rng = random.Random(41)
+    return (cross_validation_corpus() + [TREFOIL_TORSION, _zn(5)]
+            + [_conjugation_presentation(rng) for _ in range(3)]
+            + [parse_presentation(sum_pattern_text(rng, 60)) for _ in range(2)])
+
+
+class TestFoldedMinors:
+    """The ideal route folds its minors to the character's order m."""
+
+    def test_folded_ideal_test_matches_laurent_minors(self):
+        rng = random.Random(43)
+        answers = Counter()
+        for p in _oracle_presentations():
+            a = alexander_matrix(p)
+            if a.num_vars == 0:
+                continue
+            ds = range(1, min(a.num_generators, 4))
+            full = _listed(a, ds)
+            for m in FOLD_ORDERS:
+                chars = {Character(m, tuple(rng.randrange(m) for _ in range(a.num_vars)))
+                         for _ in range(3)}
+                for chi in chars - {Character(m, (0,) * a.num_vars)}:
+                    h1 = twisted_h1_dim(a, chi)
+                    for d in ds:
+                        got = elementary_ideal_vanishes_at(a, d, chi)
+                        # the Laurent minors evaluated at chi, and the rank route
+                        assert got == _vanishes(full[d], chi), (format_presentation(p), chi, d)
+                        assert got == (h1 >= d), (format_presentation(p), chi, d)
+                        answers[got] += 1
+            # every minor the route read is the image of the Laurent minor
+            for m, memo in a._folded_minors.items():
+                for key, minor in memo.items():
+                    assert minor == laurent.fold(a._minors[key], m), (format_presentation(p), m)
+        assert answers[True] > 100 and answers[False] > 100
+        assert sorted(a._folded_minors) == list(FOLD_ORDERS)
+
+    def test_cap_counts_folded_minors(self, monkeypatch):
+        # at chi = (-1, 1, 1) the five nonzero 2-minors avoiding column 0 all
+        # vanish, and all of them fold to 0 mod 2: read folded, the stream
+        # decides under a cap of 4, where the Laurent stream is refused
+        p = parse_presentation("<x, y, z | [x^2, y], [x^2, z], [y^2, z], [x^2, y^2]>")
+        chi = Character(2, (1, 0, 0))
+        monkeypatch.setattr(alexander, "DEFAULT_GENERATOR_CAP", 4)
+        a = alexander_matrix(p)
+        assert alexander._avoided_column(a, chi) == 0
+        with pytest.raises(seifert.LimitError):
+            list(alexander._nonzero_minors(a, 2, range(4), (1, 2), "the Laurent stream"))
+        assert list(alexander._nonzero_minors(a, 2, range(4), (1, 2), "folded", 2)) == []
+        assert elementary_ideal_vanishes_at(a, 1, chi) is True
+        assert twisted_h1_dim(a, chi) >= 1
+
+    def test_no_minor_no_fold(self, monkeypatch):
+        # a zero or unit ideal reads no minor, so nothing is folded
+        folds = _count_calls(monkeypatch, "fold", laurent, alexander)
+        for p, chi, d in ((SURFACE_2, Character(3, (1, 0, 2, 0)), 1),
+                          (FREE_2, Character(4, (1, 3)), 1), (TREFOIL, Character(6, (1,)), 2)):
+            cli.run_charvar(p, chi, d, cli.RunConfig())
+        assert folds == []
+
+
+# -- Tietze moves: the group, and so Delta and each V_d, stays the same ------
+
+def _conjugate_relator(rng, p):
+    i = rng.randrange(p.num_relators)
+    w = random_word(rng, p.num_generators, rng.randint(1, 3))
+    rels = list(p.relators)
+    rels[i] = w * rels[i] * w.inverse()
+    return Presentation(p.generator_names, tuple(rels))
+
+
+def _multiply_relators(rng, p):
+    i, j = rng.sample(range(p.num_relators), 2)
+    rels = list(p.relators)
+    rels[i] = rels[i] * (rels[j] if rng.random() < 0.5 else rels[j].inverse())
+    return Presentation(p.generator_names, tuple(rels))
+
+
+def _add_generator(rng, p):
+    # a new generator s with the defining relator s^-1 w
+    g = p.num_generators
+    w = random_word(rng, g, rng.randint(1, 4))
+    return Presentation(p.generator_names + (f"s{g}",),
+                        p.relators + (Word.generator(g, -1) * w,))
+
+
+TIETZE_BASES = (TREFOIL, FIGURE_EIGHT, TORUS_2_5, Z2, Z3, HEISENBERG, DOUBLE_COMM,
+                SURFACE_2, TREFOIL_TORSION)
+
+
+def _left_inverse(rows):
+    """The integer L with L * rows = 1, for integer rows that span Z^b."""
+    snf = smith_normal_form(rows)
+    b = len(rows[0])
+    assert snf.diagonal == (1,) * b
+    return mat_mul(snf.right, snf.left[:b])
+
+
+class TestTietzeMoves:
+    def test_delta_and_jump_loci_survive_tietze_moves(self):
+        """After 1-3 seeded moves, Delta agrees up to units and the change of
+        basis of H_1's free part, and twisted_h1_dim and the ideal route
+        agree at every transported character."""
+        for seed in range(150):
+            rng = random.Random(seed)
+            base = rng.choice(TIETZE_BASES)
+            p = base
+            for _ in range(rng.randint(1, 3)):
+                moves = [_conjugate_relator, _add_generator]
+                if p.num_relators > 1:
+                    moves.append(_multiply_relators)
+                p = rng.choice(moves)(rng, p)
+            a, b = alexander_matrix(base), alexander_matrix(p)
+            n = a.num_vars
+            assert b.num_vars == n, f"seed {seed}"
+            # x_j has coordinates old_j in a's basis of H_1's free part and
+            # new_j in b's: old = new * (L old) with L new = 1
+            old = [img.free for img in a.abelianization.gen_images]
+            new = [img.free for img in b.abelianization.gen_images[:base.num_generators]]
+            lift = _left_inverse(new)
+            to_old = mat_mul(lift, old)
+            moved = LaurentPoly(n, {tuple(mat_mul((y,), to_old)[0]): c
+                                    for y, c in b.delta.terms.items()})
+            assert normalize_unit(moved) == a.delta, f"seed {seed}: {format_presentation(p)}"
+            for chi in sample_characters(n, 4, seed):
+                values = mat_mul(old, tuple((e,) for e in chi.exponents))
+                moved_chi = Character(chi.order, tuple(e % chi.order for (e,) in
+                                                       mat_mul(lift, values)))
+                assert twisted_h1_dim(b, moved_chi) == twisted_h1_dim(a, chi), f"seed {seed}"
+                for d in (1, 2):
+                    assert (elementary_ideal_vanishes_at(b, d, moved_chi)
+                            == elementary_ideal_vanishes_at(a, d, chi)), f"seed {seed}, d = {d}"

@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import jumploci
-from jumploci import alexander, cli, laurent, seifert
+from jumploci import alexander, cli, holonomy, laurent, seifert
 from jumploci.cli import MAX_CHARACTER_DIGITS, MAX_TRIALS, RunConfig, main, parse_character
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
@@ -456,6 +456,33 @@ class TestHolonomy:
         code, out, err = run_cli(capsys, ["holonomy", t3_form_file, "--degree", "9"])
         assert code == 1
         validate("error", json.loads(err))
+
+    def test_degree_cap_above_its_limit_is_refused(self, capsys, tmp_path):
+        cap = holonomy.MAX_DEGREE_CAP
+        # the limit admits every degree that MAX_LIE_DIMENSION admits for n >= 2
+        assert holonomy._witt(2, cap) <= holonomy.MAX_LIE_DIMENSION < holonomy._witt(2, cap + 1)
+        f = tmp_path / "line.json"
+        f.write_text(json.dumps({"n": 1, "relations": []}))
+        # n = 1 at degree 16000 once took 8.2 s: its cap is refused before any work
+        for degree_cap, degree in ((cap + 1, 3), (16000, 16000)):
+            code, out, err = run_cli(capsys, ["--degree-cap", str(degree_cap), "holonomy",
+                                              str(f), "--degree", str(degree)])
+            assert code == 2
+            assert out == ""
+            record = json.loads(err)
+            validate("error", record)
+            assert record["error"]["type"] == "config"
+            assert record["error"]["message"] == (
+                f"degree cap {degree_cap} exceeds MAX_DEGREE_CAP = {cap}")
+        code, out, _ = run_cli(capsys, ["--degree-cap", str(cap), "holonomy", str(f),
+                                        "--degree", str(cap)])
+        assert code == 0
+        assert json.loads(out)["ranks"] == [1] + [0] * (cap - 1)
+        f.write_text(json.dumps({"n": 2, "relations": []}))
+        code, out, _ = run_cli(capsys, ["--degree-cap", str(cap), "holonomy", str(f),
+                                        "--degree", str(cap)])
+        assert code == 0
+        assert json.loads(out)["ranks"][-1] == holonomy._witt(2, cap) == 14532
 
     @pytest.mark.parametrize("content, degree, limit", [
         # 2 * 10^9 Lyndon words on 300 letters at degree 4: refused unlisted

@@ -6,6 +6,7 @@ import pytest
 
 from jumploci import (
     LaurentPoly,
+    Presentation,
     PresentationParseError,
     Word,
     abelianization,
@@ -205,6 +206,144 @@ class TestParser:
 
 
 FREE_FOR_IMAGES = parse_presentation("<x, y | >")
+
+
+# malformed inputs with the message and offset of the character-by-character
+# parser that the one-match generator scanner replaced; every one must fail alike
+PINNED_ERRORS = [
+    ("<a | a^>", "malformed exponent", 7),
+    ("<a | a^->", "malformed exponent", 7),
+    ("<a | a^x>", "malformed exponent", 7),
+    ("<a | a ^>", "malformed exponent", 8),
+    ("<a | a ^ - 2 b>", "malformed exponent", 9),
+    ("<a | a ^\t-\n3>", "malformed exponent", 9),
+    ("<a | a^--1>", "malformed exponent", 7),
+    ("<a | a^+1>", "malformed exponent", 7),
+    ("<a | a^\u2003-\u20032>", "malformed exponent", 8),
+    # '²' is a digit that int() refuses, alone or after decimal digits
+    ("<a | a^²>", "malformed exponent", 7),
+    ("<a | a^ ²>", "malformed exponent", 8),
+    ("<a | a^-²>", "malformed exponent", 7),
+    ("<a | a^2²>", "malformed exponent", 7),
+    ("<a | a^" + "0" * 5000 + "1>", "malformed exponent", 7),
+    ("<a | b>", "unknown generator name 'b'", 5),
+    ("<a | a1>", "unknown generator name 'a1'", 5),
+    ("<a | aa>", "unknown generator name 'aa'", 5),
+    ("<a | a²>", "unknown generator name 'a²'", 5),
+    ("<a | a٣>", "unknown generator name 'a٣'", 5),
+    ("<a | _>", "unknown generator name '_'", 5),
+    ("<a|a^3_>", "unknown generator name '_'", 6),
+    ("<a | [a, a b>", "unknown generator name 'b'", 11),
+    # '²' and '½' are alphanumeric but not alphabetic, so they start no name
+    ("<a | ²a>", "unexpected character '²' in word", 5),
+    ("<a | ½>", "unexpected character '½' in word", 5),
+    ("<a | a^3½>", "unexpected character '½' in word", 8),
+    ("<a | a^3 ٣>", "unexpected character '٣' in word", 9),
+    ("<a | a $>", "unexpected character '$' in word", 7),
+    ("<a | a^2^3>", "unexpected character '^' in word", 8),
+    ("<a | 12>", "unexpected character '2' in word", 6),
+    ("<a, b | [a,b>", "unbalanced brackets: expected ']'", 8),
+    ("<a | [a>", "unbalanced brackets: expected ',' in commutator", 5),
+    ("<a, b | a]>", "unbalanced brackets: unexpected ']'", 9),
+    ("<a | ]>", "unbalanced brackets: unexpected ']'", 5),
+    ("<a | " + "[" * 101 + "a,a" + "]" * 101 + ">", "commutators nested deeper than 100", 105),
+    ("<a | a^262145>", "word longer than 262144 letters", 5),
+    ("<a | a^-262145>", "word longer than 262144 letters", 5),
+    ("<a | a^00000000000000000000262145>", "word longer than 262144 letters", 5),
+    ("<a | a^9223372036854775808>", "word longer than 262144 letters", 5),
+    ("<a | a^99999999999999999999999999>", "word longer than 262144 letters", 5),
+    ("<a, b | [a, b]^131073>", "word longer than 262144 letters", 8),
+    ("<a | a^2 [a^131072, a]>", "word longer than 262144 letters", 9),
+    ("<a | " + "a " * 262145 + ">", "word longer than 262144 letters", 524293),
+    ("<²a | a>", "expected identifier", 1),
+    ("<a, a | a>", "duplicate generator name 'a'", 4),
+    ("a | a>", "expected '<' to open presentation", 0),
+    ("<a  a>", "expected '|' between generators and relators", 4),
+    ("<a | a", "expected '>' to close presentation", 6),
+    ("<a | a> x", "trailing input after '>'", 8),
+]
+
+# edge inputs the same parser accepted, with their letters
+PINNED_WORDS = [
+    ("<a | a^٣>", ((0, 1),) * 3),  # an Arabic-Indic 3 is a decimal digit
+    ("<a | a^-٣>", ((0, -1),) * 3),
+    ("<a | a^0002>", ((0, 1),) * 2),
+    ("<a | a^-000000000000000000003>", ((0, -1),) * 3),
+    ("<a|a^ -3>", ((0, -1),) * 3),
+    ("<a | a^3a>", ((0, 1),) * 4),
+    ("<a | a\u2003a>", ((0, 1),) * 2),
+    ("<a | a^0>", ()),
+    ("<a | 1^5>", ()),
+    ("<a | 1a>", ((0, 1),)),
+    ("<a | [a,a] ^ 2 a>", ((0, 1),)),
+    ("<a, b | a^-1b^-1 1 b>", ((0, -1),)),
+    ("<a, b1 | b1^2 a^-1b1^-1 >", ((1, 1), (1, 1), (0, -1), (1, -1))),
+    ("<é, b | é b é^-1 b^-1>", ((0, 1), (1, 1), (0, -1), (1, -1))),
+    ("<_x | _x^3>", ((0, 1),) * 3),
+    ("<a | a^262144>", ((0, 1),) * 262144),
+]
+
+
+class TestPinnedParser:
+    @pytest.mark.parametrize("text, message, offset", PINNED_ERRORS,
+                             ids=[f"error-{i}" for i in range(len(PINNED_ERRORS))])
+    def test_malformed_input_fails_alike(self, text, message, offset):
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize("text, letters", PINNED_WORDS,
+                             ids=[f"word-{i}" for i in range(len(PINNED_WORDS))])
+    def test_edge_input_reads_alike(self, text, letters):
+        [relator] = parse_presentation(text).relators
+        assert relator.letters == letters
+
+    def test_roundtrip_with_powers_commutators_and_unicode_names(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        starts = "abxyéλЖß_"
+        name = st.tuples(st.sampled_from(starts),
+                         st.text(alphabet=starts + "0129²٣", max_size=2)).map("".join)
+        exponent = st.integers(-3, 3)
+        leaf = st.one_of(st.tuples(st.just("gen"), st.integers(0, 3), exponent),
+                         st.just(("one",)))
+        atom = st.recursive(
+            leaf,
+            lambda inner: st.tuples(st.just("comm"), st.lists(inner, min_size=1, max_size=3),
+                                    st.lists(inner, min_size=1, max_size=3), exponent),
+            max_leaves=10)
+        relator = st.lists(atom, min_size=1, max_size=5)
+
+        def render(node, names):
+            if node[0] == "one":
+                return "1", Word()
+            if node[0] == "gen":
+                _, i, k = node
+                text, word = names[i % len(names)], Word.generator(i % len(names))
+            else:
+                _, u, v, k = node
+                (ut, uw), (vt, vw) = render_word(u, names), render_word(v, names)
+                text, word = f"[{ut}, {vt}]", uw * vw * uw.inverse() * vw.inverse()
+            return (text if k == 1 else f"{text}^{k}"), word ** k
+
+        def render_word(atoms, names):
+            parts = [render(a, names) for a in atoms]
+            word = Word()
+            for _, w in parts:
+                word = word * w
+            return " ".join(t for t, _ in parts), word
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(name, min_size=1, max_size=4, unique=True),
+                          st.lists(relator, max_size=3))
+        def check(names, relators):
+            rendered = [render_word(r, names) for r in relators]
+            text = f"<{', '.join(names)} | {', '.join(t for t, _ in rendered)}>"
+            p = parse_presentation(text)
+            assert p == Presentation(tuple(names), tuple(w for _, w in rendered)), text
+            assert parse_presentation(format_presentation(p)) == p
+
+        check()
 
 
 class TestSmithNormalForm:
