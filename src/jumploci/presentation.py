@@ -89,8 +89,11 @@ class Word:
 
     def __pow__(self, k):
         # free reduction is confluent: reducing the |k|-fold concatenation once
-        # gives the same word as |k| successive products, in linear time
+        # gives the same word as |k| successive products, in linear time.  The
+        # empty word is returned before a huge |k| can overflow the repeat
         k = int(k)
+        if not self.letters:
+            return self
         base = self if k >= 0 else self.inverse()
         return Word(base.letters * abs(k))
 
@@ -275,7 +278,7 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
                 # |k| letters (g, sign k), checked against MAX_WORD_LENGTH before
                 # they are built; an exponent the pattern does not read whole
                 # (malformed, too long, or followed by a digit that is not
-                # decimal) is left to `_parse_exponent`, which fails as before
+                # decimal) is read or refused by `_parse_exponent`
                 g = gen_index.get(name)
                 if g is None:
                     cur.fail(f"unknown generator name '{name}'", atom.start(1))

@@ -592,7 +592,8 @@ class TestOneMinorStream:
                 elementary_ideal_vanishes_at(a, d, chi)
         assert expanded == streamed  # a second pass expands nothing
         assert max(expanded.values()) == 1
-        assert +(streamed - listed) and all(m for m, _, _ in streamed - listed)
+        folded = streamed - listed
+        assert folded and all(m for m, _, _ in folded)
         assert sorted(a._folded_minors) == [2, 3, 4]
         for m, memo in a._folded_minors.items():
             assert sum(1 for key in expanded if key[0] == m) == len(memo)
@@ -640,7 +641,6 @@ class TestFoldedMinors:
                 for key, minor in memo.items():
                     assert minor == laurent.fold(a._minors[key], m), (format_presentation(p), m)
         assert answers[True] > 100 and answers[False] > 100
-        assert sorted(a._folded_minors) == list(FOLD_ORDERS)
 
     def test_cap_counts_folded_minors(self, monkeypatch):
         # at chi = (-1, 1, 1) the five nonzero 2-minors avoiding column 0 all
