@@ -273,8 +273,7 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
         atom = match(text, cur.pos)
         if atom is not None:
             name, caret, exponent = atom.groups()
-            first = name[0]
-            if first.isalpha() or first == "_":
+            if _is_ident_start(name[0]):
                 # |k| letters (g, sign k), checked against MAX_WORD_LENGTH before
                 # they are built; an exponent the pattern does not read whole
                 # (malformed, too long, or followed by a digit that is not
