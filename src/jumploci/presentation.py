@@ -271,32 +271,31 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
     letters = []
     while True:
         atom = match(text, cur.pos)
-        if atom is not None:
+        if atom is not None and _is_ident_start(atom[1][0]):
+            # |k| letters (g, sign k), checked against MAX_WORD_LENGTH before
+            # they are built; an exponent the pattern does not read whole
+            # (malformed, too long, or followed by a digit that is not
+            # decimal) is read or refused by `_parse_exponent`
             name, caret, exponent = atom.groups()
-            if _is_ident_start(name[0]):
-                # |k| letters (g, sign k), checked against MAX_WORD_LENGTH before
-                # they are built; an exponent the pattern does not read whole
-                # (malformed, too long, or followed by a digit that is not
-                # decimal) is read or refused by `_parse_exponent`
-                g = gen_index.get(name)
-                if g is None:
-                    cur.fail(f"unknown generator name '{name}'", atom.start(1))
-                cur.pos = end = atom.end()
-                if caret is None:
-                    k = 1
-                elif (exponent is not None and len(exponent) <= _SCANNED_EXPONENT_CHARS
-                      and not text[end:end + 1].isdigit()):
-                    k = int(exponent)
-                else:
-                    cur.pos = atom.start(2) + 1
-                    k = _parse_exponent(cur)
-                if len(letters) + abs(k) > MAX_WORD_LENGTH:
-                    cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", atom.start(1))
-                if k == 1 or k == -1:
-                    letters.append((g, k))
-                else:
-                    letters += [(g, 1 if k > 0 else -1)] * abs(k)
-                continue
+            g = gen_index.get(name)
+            if g is None:
+                cur.fail(f"unknown generator name '{name}'", atom.start(1))
+            cur.pos = end = atom.end()
+            if caret is None:
+                k = 1
+            elif (exponent is not None and len(exponent) <= _SCANNED_EXPONENT_CHARS
+                  and not text[end:end + 1].isdigit()):
+                k = int(exponent)
+            else:
+                cur.pos = atom.start(2) + 1
+                k = _parse_exponent(cur)
+            if len(letters) + abs(k) > MAX_WORD_LENGTH:
+                cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", atom.start(1))
+            if k == 1 or k == -1:
+                letters.append((g, k))
+            else:
+                letters += [(g, 1 if k > 0 else -1)] * abs(k)
+            continue
         cur.skip_ws()
         start = cur.pos
         ch = cur.peek()
