@@ -42,7 +42,6 @@ from .holonomy import (
 )
 from .laurent import (
     Character,
-    CyclotomicElement,
     LaurentPoly,
     cyclotomic_polynomial,
     divides,

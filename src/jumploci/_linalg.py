@@ -4,8 +4,10 @@ Every elimination over Q goes through the sparse kernel `echelon_insert`: it
 keeps a row echelon basis of rational rows, stored as primitive integer rows
 and reduced fraction-free so that nothing is divided, and refuses any other
 row.  `reduced` gives the reduced echelon form over Q and `kernel` reads the
-nullspace off it.  `rank` over Q(zeta_m) is certified from ranks over F_p
-(`_cyclotomic_rank`) and inverts nothing in the field.
+nullspace off it.  `rank(rows, order=m)` takes rows of values in Z[zeta_m],
+each the tuple of phi(m) integer coefficients that `laurent.evaluate` gives;
+its rank over Q(zeta_m) is certified from ranks over F_p (`_cyclotomic_rank`)
+and inverts nothing in the field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import accumulate, count
 from math import gcd, lcm, prod
 from operator import mul
 
-from .laurent import CyclotomicElement, euler_phi
+from .laurent import euler_phi
 
 __all__ = [
     "rank",
@@ -128,10 +130,14 @@ def reduced(basis):
     return {p: out[p] for p in sorted(out)}
 
 
-def rank(rows):
-    """Rank of dense rows: over Q(zeta_m) for `CyclotomicElement` entries, else over Q."""
-    if rows and rows[0] and type(rows[0][0]) is CyclotomicElement:
-        return _cyclotomic_rank(rows)
+def rank(rows, order=None):
+    """Rank of dense rows over Q, or with an order m over Q(zeta_m).
+
+    Over Q(zeta_m) every entry must be a tuple of phi(m) ints, the
+    coefficients of a value in Z[zeta_m]; any other entry raises TypeError.
+    """
+    if order is not None:
+        return _cyclotomic_rank(rows, order)
     basis = {}
     for row in rows:
         echelon_insert(basis, {j: x for j, x in enumerate(row) if x})
@@ -210,30 +216,28 @@ def _rank_mod(rows, p):
     return r
 
 
-def _cyclotomic_rank(rows):
-    """Rank over Q(zeta_m) of rows of `CyclotomicElement`s of one order m, from ranks over F_p.
+def _cyclotomic_rank(rows, m):
+    """Rank over Q(zeta_m) of rows of values in Z[zeta_m], from ranks over F_p.
 
-    Rows are scaled to integer coefficient vectors.  Each prime (p, zeta - w^k)
-    of Z[zeta_m], for p = 1 (mod m), w of order m in F_p and k prime to m,
-    maps them to F_p.  A minor nonzero there is nonzero, so the largest
-    modular rank r is a lower bound.  It is exact once r = min(rows, cols),
-    or once the product of the norms p used, squared, exceeds (H^2)^phi(m),
-    H^2 being the product of the r + 1 largest row weights sum_j |a_ij|_1^2:
-    by Hadamard's bound every (r+1)-minor mu has |N(mu)| <= H^phi(m), and the
-    product divides N(mu), so mu = 0.  A zero matrix needs no prime.
+    Each entry is the tuple of its phi(m) integer coefficients in the power
+    basis.  Each prime (p, zeta - w^k) of Z[zeta_m], for p = 1 (mod m), w of
+    order m in F_p and k prime to m, maps the rows to F_p.  A minor nonzero
+    there is nonzero, so the largest modular rank r is a lower bound.  It is
+    exact once r = min(rows, cols), or once the product of the norms p used,
+    squared, exceeds (H^2)^phi(m), H^2 being the product of the r + 1 largest
+    row weights sum_j |a_ij|_1^2: by Hadamard's bound every (r+1)-minor mu
+    has |N(mu)| <= H^phi(m), and the product divides N(mu), so mu = 0.  A
+    zero matrix needs no prime.
     """
-    m = rows[0][0].order
-    if any(type(x) is not CyclotomicElement or x.order != m for row in rows for x in row):
-        raise TypeError(f"row entries must all be CyclotomicElements of order {m}")
-    vecs = []
+    phi = euler_phi(m)
     for row in rows:
-        den = lcm(*(c.denominator for x in row for c in x.coeffs))
-        vecs.append([[c.numerator * (den // c.denominator) for c in x.coeffs] for x in row])
-    weights = sorted((sum(sum(map(abs, v)) ** 2 for v in row) for row in vecs), reverse=True)
-    if not weights[0]:
+        for x in row:
+            if type(x) is not tuple or len(x) != phi or not all(type(c) is int for c in x):
+                raise TypeError(f"row entries must be tuples of phi({m}) = {phi} ints")
+    weights = sorted((sum(sum(map(abs, v)) ** 2 for v in row) for row in rows), reverse=True)
+    if not any(weights):
         return 0
     full = min(len(rows), len(rows[0]))
-    phi = euler_phi(m)
     units = [k for k in range(m) if gcd(k, m) == 1]
     r, norms = 0, 1
     for i in count():
@@ -241,7 +245,7 @@ def _cyclotomic_rank(rows):
         for k in units:
             z = pow(w, k, p)
             powers = list(accumulate(range(1, phi), lambda x, _: x * z % p, initial=1))
-            images = [[sum(map(mul, v, powers)) % p for v in row] for row in vecs]
+            images = [[sum(map(mul, v, powers)) % p for v in row] for row in rows]
             r = max(r, _rank_mod(images, p))
             norms *= p
             if r == full or norms ** 2 > prod(weights[:r + 1]) ** phi:

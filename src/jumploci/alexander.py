@@ -6,12 +6,14 @@ elementary ideal is generated by its (g-d)-minors; the Alexander polynomial
 is the unit-normalized gcd of the first elementary ideal.
 
 Membership of a finite-order character chi != 1 in the degree-1 jump locus of
-the presentation 2-complex is decided two independent ways: the rank of the
-evaluated matrix over the cyclotomic field, certified from ranks modulo
-primes (`_linalg.rank`), and simultaneous vanishing of the ideal
-generators.  The two answers must agree; the test suite enforces this
-on the whole corpus, which guards the minor-shape convention.  The CLI
-refuses characters of order above `MAX_CHARACTER_ORDER`.
+the presentation 2-complex is decided two independent ways: the rank over
+Q(zeta_m) of the evaluated matrix, whose entries are values in Z[zeta_m]
+given as integer coefficient tuples (`laurent.evaluate`) and whose rank is
+certified from ranks modulo primes (`_linalg.rank`), and simultaneous
+vanishing of the ideal generators, read as `not any(value)`.  The two
+answers must agree; the test suite enforces this on the whole corpus, which
+guards the minor-shape convention.  The CLI refuses characters of order
+above `MAX_CHARACTER_ORDER`.
 
 Every answer about E_d reads its minors from one stream, `_nonzero_minors`,
 which expands them through one Laplace memo per matrix and stops an answer
@@ -253,12 +255,13 @@ def twisted_h1_dim(p, chi):
     """dim H^1 of the presentation 2-complex with coefficients twisted by chi != 1.
 
     Equals g - 1 - rank of the Alexander matrix evaluated at chi, the exact
-    rank over Q(zeta_m) that `_linalg.rank` certifies from ranks over F_p.
+    rank over Q(zeta_m), m = chi.order, that `_linalg.rank` certifies from
+    ranks over F_p.
     `p` is a presentation or an AlexanderMatrix already built from one.
     """
     a = p if isinstance(p, AlexanderMatrix) else alexander_matrix(p)
     _check_character(a, chi, "twisted_h1_dim")
-    return a.num_generators - 1 - _linalg.rank(a.evaluated(chi))
+    return a.num_generators - 1 - _linalg.rank(a.evaluated(chi), order=chi.order)
 
 
 def in_vd(p, chi, d):
@@ -312,13 +315,13 @@ def elementary_ideal_vanishes_at(a, d, chi):
         # each minor through a row or column that vanishes at chi vanishes
         # there; finding them costs r*g evaluations, which only a stream
         # long enough to reach the cap repays
-        nonzero = [[c != j and not evaluate(e, chi).is_zero for c, e in enumerate(row)]
+        nonzero = [[c != j and any(evaluate(e, chi)) for c, e in enumerate(row)]
                    for row in a.entries]
         cols = tuple(c for c in cols if any(row[c] for row in nonzero))
         rows = tuple(i for i in rows if any(nonzero[i]))
     what = f"deciding chi in V(E_{d}) from the minors avoiding column {j}"
     minors = _nonzero_minors(a, k, rows, cols, what, chi.order)
-    return all(evaluate(minor, chi).is_zero for minor in minors)
+    return not any(any(evaluate(minor, chi)) for minor in minors)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +385,9 @@ def almost_principal_sampled(a, trials, seed):
                 gens = tuple(dict.fromkeys(fold(g, m) for g in e1.generators))
                 folded[m] = (gens, fold(delta, m))
             gens, delta_m = folded[m]
-            in_variety = all(evaluate(g, chi).is_zero for g in gens)
-            disagree = decided[chi] = in_variety != evaluate(delta_m, chi).is_zero
+            in_variety = not any(any(evaluate(g, chi)) for g in gens)
+            # chi in V(E_1) while Delta(chi) != 0, or the reverse
+            disagree = decided[chi] = in_variety == any(evaluate(delta_m, chi))
         if disagree:
             bad.append(chi)
     return AlmostPrincipalReport(

@@ -601,12 +601,15 @@ def _parser():
 
 
 def _dispatch(args, config):
+    """Refuse a per-command option value before any input is read, then run."""
     if args.command == "alex":
         ds = args.ideal_d if args.ideal_d else [1]
         if any(d < 0 for d in ds):
-            raise ValueError("ideal depth must be non-negative")
+            raise _UsageError("ideal depth must be non-negative")
         return run_alex(load_presentation(args.file), config, ds)
     if args.command == "charvar":
+        if args.d < 1:
+            raise _UsageError("d must be a positive integer")
         p = load_presentation(args.file)
         chi = parse_character(args.character)
         return run_charvar(p, chi, args.d, config)
@@ -614,9 +617,15 @@ def _dispatch(args, config):
         return run_classify(load_threeform(args.file), config)
     if args.command == "brieskorn":
         if args.spec == "sweep":
+            if args.n < 3:
+                raise _UsageError("sweep needs n >= 3")
             return run_brieskorn_sweep(args.max, args.n, config)
         return run_brieskorn(parse_exponents(args.spec), config)
     if args.command == "holonomy":
+        if args.degree < 1:
+            raise _UsageError("degree must be at least 1")
+        if args.degree > config.degree_cap:
+            raise _UsageError(f"degree {args.degree} exceeds the cap {config.degree_cap}")
         data = load_holonomy_input(args.file)
         return run_holonomy(data, args.degree, config)
     raise ValueError(f"unknown command {args.command!r}")

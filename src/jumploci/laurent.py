@@ -3,15 +3,13 @@
 `LaurentPoly` stores a canonical term map (exponent tuple -> nonzero integer
 coefficient), so two values are equal exactly when their term maps agree.
 The module supplies the project-wide unit normalization, gcds up to units,
-and exact evaluation at finite-order characters with values in cyclotomic
-fields (`CyclotomicElement`, reduced modulo the m-th cyclotomic polynomial
-so zero-testing is exact).  The m-th cyclotomic polynomial is monic with
-integer coefficients, so `evaluate` reduces modulo it without division and
-works in integers until the reduced coefficients become the element.  An
-element is a value, not a field: it has no arithmetic, and ranks over
-Q(zeta_m) are taken from its integer coefficients modulo primes
-(`_linalg.rank`).  `fold(p, m)` reduces every exponent mod m, which keeps
-the value of p at every character of order m.
+and exact evaluation at finite-order characters.  At a character of order
+m, `evaluate` gives the value of p in Z[zeta_m] as the tuple of its phi(m)
+integer coefficients in the power basis, reduced modulo the monic m-th
+cyclotomic polynomial without division, so zero-testing is exact.  A value
+has no arithmetic: ranks over Q(zeta_m) are taken from these integers
+modulo primes (`_linalg.rank`).  `fold(p, m)` reduces every exponent mod
+m, which keeps the value of p at every character of order m.
 
 Unit-normalization convention, fixed once for the whole project: the
 canonical associate of p is u*p, where u is the unique +/- monomial making
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
@@ -32,7 +29,6 @@ from types import MappingProxyType
 __all__ = [
     "LaurentPoly",
     "Character",
-    "CyclotomicElement",
     "normalize_unit",
     "gcd_all",
     "evaluate",
@@ -493,55 +489,11 @@ class Character:
         return f"{self.order}:{','.join(str(e) for e in self.exponents)}"
 
 
-class CyclotomicElement:
-    """Element of Q(zeta_m), represented modulo the m-th cyclotomic polynomial.
-
-    An immutable value with exact `is_zero` and equality, and no arithmetic.
-    Coefficients must be `int` or `Fraction`; anything else raises TypeError,
-    so a float is never turned silently into its binary fraction.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        phi = euler_phi(order)
-        cs = list(coeffs)
-        if not all(isinstance(c, (int, Fraction)) for c in cs):
-            raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
-        if len(cs) > phi:
-            cs = _reduce_mod_cyclotomic(order, cs)
-        cs += [0] * (phi - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(map(Fraction, cs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicElement is immutable")
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicElement(order={self.order}, coeffs={list(self.coeffs)})"
-
-
 def _reduce_mod_cyclotomic(order, coeffs):
-    """Remainder of sum(coeffs[i] x^i) modulo Phi_order: exactly phi(order) coefficients.
+    """Remainder of sum(coeffs[i] x^i) modulo Phi_order: a tuple of phi(order) ints.
 
     Phi_m is monic with integer coefficients, so each step subtracts an
-    integer multiple of a shifted Phi_m and nothing is divided: `int`
-    coefficients stay `int`, and `Fraction` coefficients stay exact.
+    integer multiple of a shifted Phi_m and nothing is divided.
     """
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
@@ -555,20 +507,20 @@ def _reduce_mod_cyclotomic(order, coeffs):
                 r[base + j] -= c * pj
     del r[d:]
     r += [0] * (d - len(r))
-    return r
+    return tuple(r)
 
 
 def evaluate(p, chi):
-    """Exact image of p under t_i -> zeta_m^{chi.exponents[i]}.
+    """Exact image of p under t_i -> zeta_m^{chi.exponents[i]}, m = chi.order.
 
-    The coefficients are summed by exponent residue mod m = chi.order, in
-    integers, and reduced modulo the monic m-th cyclotomic polynomial without
-    division.  The result lives in Q(zeta_m) in its reduced form, so
-    `result.is_zero` is an exact vanishing test.
+    The value lies in Z[zeta_m] and is returned as the tuple of its phi(m)
+    integer coefficients in the power basis 1, zeta_m, ..., zeta_m^{phi(m)-1}:
+    the coefficients of p are summed by exponent residue mod m and reduced
+    modulo the monic m-th cyclotomic polynomial without division.  A value
+    is zero exactly when all its coefficients are, so `not any(value)` is an
+    exact vanishing test.
     """
     m = chi.order
-    if m < 1:
-        raise ValueError("character order must be positive")
     xs = chi.exponents
     if len(xs) != p.num_vars:
         raise ValueError(
@@ -577,7 +529,7 @@ def evaluate(p, chi):
     acc = [0] * m
     for exps, c in p.terms.items():
         acc[sum(map(mul, exps, xs)) % m] += c
-    return CyclotomicElement(m, _reduce_mod_cyclotomic(m, acc))
+    return _reduce_mod_cyclotomic(m, acc)
 
 
 def fold(p, m):

@@ -564,14 +564,10 @@ def exponent_matrix(p):
 
 def abelianization(p):
     g = p.num_generators
-    rows = exponent_matrix(p)
-    if not rows:
-        rows = []
-    snf = smith_normal_form(rows) if rows else SmithNormalForm((), (), tuple(
-        tuple(int(i == j) for j in range(g)) for i in range(g)
-    ), (0, g))
+    # no relators: one zero row gives b1 = g and the identity as V
+    snf = smith_normal_form(exponent_matrix(p) or [[0] * g])
     diag = snf.diagonal
-    rank = sum(1 for d in diag if d != 0)
+    rank = snf.rank
     torsion_info = [(i, diag[i]) for i in range(rank) if diag[i] > 1]
     free_indices = list(range(rank, g))
     b1 = g - rank

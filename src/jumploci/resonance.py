@@ -6,7 +6,7 @@ A(x) x = 0; a nonzero x avoids the degree-1 resonance variety exactly when
 rank A(x) = n - 1.  Whether resonance fills all of H^1 is decided exactly up to
 a size threshold: by a seeded random x with rank A(x) = n - 1 when one is
 found, which is an exact witness of non-fullness, and otherwise by expanding
-the principal sub-Pfaffians of the generic contraction matrix.  Above the
+one principal sub-Pfaffian of the generic contraction matrix.  Above the
 threshold the same witness search runs, and a form without a witness is
 reported full at sampling confidence.
 
@@ -388,9 +388,14 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     Even n: parity decides.  Odd n: seeded random integer vectors are tried
     first; a single x with rank A(x) = n - 1 is an exact witness that the form
     is not full.  Without a witness, odd n <= symbolic_threshold is decided
-    exactly by expanding every principal (n-1)-sub-Pfaffian of the symbolic
+    exactly by expanding one principal (n-1)-sub-Pfaffian of the symbolic
     contraction matrix and testing it for identical vanishing; a full form
     therefore pays for `trials` rank computations before the expansion.
+    One suffices.  For odd n, adj A(x) = v v^T with v_i = +/-Pf of A(x)
+    without row and column i, and A(x) v = 0 = A(x) x.  So v = lambda(x) x
+    for one polynomial lambda: when A(x) has rank n - 1 both span its
+    kernel, and otherwise v = 0.  Every sub-Pfaffian is +/-x_i lambda(x), and
+    all of them vanish identically exactly when the one for i = 0 does.
     Larger odd n reports fullness at sampling confidence.
     """
     n = eta.n
@@ -406,12 +411,7 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     if n > symbolic_threshold:
         return R1FullnessReport(full=full, mode="sampled", trials=trials, seed=seed)
     if full:
-        entries = _symbolic_contraction(eta)
-        memo = {}
-        full = all(
-            _pfaffian(entries, tuple(j for j in range(n) if j != i), memo).is_zero
-            for i in range(n)
-        )
+        full = _pfaffian(_symbolic_contraction(eta), tuple(range(1, n)), {}).is_zero
     return R1FullnessReport(full=full, mode="symbolic")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jumploci import CyclotomicElement, LaurentPoly, ThreeForm, Word, parse_presentation
+from jumploci import LaurentPoly, ThreeForm, Word, parse_presentation
 from jumploci.laurent import _reduce_mod_cyclotomic, euler_phi
 
 # -- named presentations -----------------------------------------------------
@@ -167,33 +167,34 @@ def int_det(matrix):
     return sign * a[-1][-1] if n else 1
 
 
-# -- Q(zeta_m) for tests: the package's elements carry no arithmetic ----------
+# -- Z[zeta_m] for tests: a value is the tuple of its phi(m) coefficients ----
 
 def field_add(x, y):
-    return CyclotomicElement(x.order, [a + b for a, b in zip(x.coeffs, y.coeffs)])
+    return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-def field_mul(x, y):
-    """x * y: the product of the coefficient polynomials reduced modulo Phi_m."""
-    prod = [0] * (2 * len(x.coeffs) - 1)
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
+def field_mul(m, x, y):
+    """x * y in Z[zeta_m]: the product of the coefficient polynomials reduced modulo Phi_m."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
             prod[i + j] += a * b
-    return CyclotomicElement(x.order, _reduce_mod_cyclotomic(x.order, prod))
+    return _reduce_mod_cyclotomic(m, prod)
 
 
 def random_field_matrix(rng, m, nrows, ncols, k=None, bound=2):
-    """Entries of Q(zeta_m) with small integer coefficients, a third of them 0.
+    """Entries of Z[zeta_m] with small integer coefficients, a third of them 0.
 
     With `k`, the product of an nrows x k and a k x ncols factor, so its
     rank is at most k.
     """
     phi = euler_phi(m)
+    zero = (0,) * phi
 
     def entry():
         if rng.random() < 0.33:
-            return CyclotomicElement(m, [])
-        return CyclotomicElement(m, [rng.randint(-bound, bound) for _ in range(phi)])
+            return zero
+        return tuple(rng.randint(-bound, bound) for _ in range(phi))
 
     if k is None:
         return [[entry() for _ in range(ncols)] for _ in range(nrows)]
@@ -203,28 +204,26 @@ def random_field_matrix(rng, m, nrows, ncols, k=None, bound=2):
     for row in left:
         out.append([])
         for col in zip(*right):
-            acc = CyclotomicElement(m, [])
+            acc = zero
             for a, b in zip(row, col):
-                acc = field_add(acc, field_mul(a, b))
+                acc = field_add(acc, field_mul(m, a, b))
             out[-1].append(acc)
     return out
 
 
-def regular_representation(rows):
-    """Each entry a of Q(zeta_m) blown up to the phi x phi rational matrix of x -> a x.
+def regular_representation(m, rows):
+    """Each entry a of Z[zeta_m] blown up to the phi x phi integer matrix of x -> a x.
 
     Column i of a block holds the coefficients of a * zeta^i, reduced
     modulo Phi_m; the rank over Q of the result is phi(m) times the rank of
     `rows` over Q(zeta_m).
     """
+    phi = euler_phi(m)
     out = []
     for row in rows:
-        blocks = []
-        for a in row:
-            m = a.order
-            blocks.append([_reduce_mod_cyclotomic(m, [0] * i + list(a.coeffs))
-                           for i in range(euler_phi(m))])
-        for r in range(len(blocks[0]) if blocks else 0):
+        blocks = [[_reduce_mod_cyclotomic(m, [0] * i + list(a)) for i in range(phi)]
+                  for a in row]
+        for r in range(phi if blocks else 0):
             out.append([col[r] for block in blocks for col in block])
     return out
 

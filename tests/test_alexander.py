@@ -236,8 +236,8 @@ def _naive_counterexamples(a, trials, seed):
     return tuple(
         chi
         for chi in sample_characters(a.num_vars, trials, seed)
-        if all(evaluate(g, chi).is_zero for g in e1.generators)
-        != evaluate(delta, chi).is_zero
+        if (not any(any(evaluate(g, chi)) for g in e1.generators))
+        != (not any(evaluate(delta, chi)))
     )
 
 
@@ -442,7 +442,7 @@ def _listed(a, ds):
 
 
 def _vanishes(ideal, chi):
-    return all(evaluate(g, chi).is_zero for g in ideal.generators)
+    return not any(any(evaluate(g, chi)) for g in ideal.generators)
 
 
 class TestOneColumnIdealRoute:

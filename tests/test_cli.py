@@ -454,7 +454,7 @@ class TestHolonomy:
 
     def test_degree_cap(self, capsys, t3_form_file):
         code, out, err = run_cli(capsys, ["holonomy", t3_form_file, "--degree", "9"])
-        assert code == 1
+        assert code == 2
         validate("error", json.loads(err))
 
     def test_degree_cap_above_its_limit_is_refused(self, capsys, tmp_path):
@@ -706,6 +706,24 @@ class TestParser:
         validate("error", record)
         assert record["error"]["type"] == "config"
         assert record["error"]["message"].startswith("jumploci")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["holonomy", "{missing}", "--degree", "0"], "degree must be at least 1"),
+        (["--degree-cap", "5", "holonomy", "{missing}", "--degree", "6"],
+         "degree 6 exceeds the cap 5"),
+        (["charvar", "{missing}", "2:1", "--d", "0"], "d must be a positive integer"),
+        (["alex", "{missing}", "--ideal-d", "-1"], "ideal depth must be non-negative"),
+        (["brieskorn", "sweep", "--n", "2"], "sweep needs n >= 3"),
+    ], ids=["degree-0", "degree-above-cap", "charvar-d-0", "negative-ideal-d", "sweep-n-2"])
+    def test_refused_option_value_is_a_config_record(self, capsys, tmp_path, argv, message):
+        # refused before any input is read: the missing file is never opened
+        missing = str(tmp_path / "missing")
+        code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {"type": "config", "message": message, "offset": None}
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,6 @@
 """Laurent ring arithmetic, normalization, gcd, and cyclotomic evaluation."""
 
 import random
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from jumploci import laurent
 from jumploci import (
     Character,
-    CyclotomicElement,
     LaurentPoly,
     cyclotomic_polynomial,
     divides,
@@ -129,10 +127,10 @@ class TestGcd:
         # witnesses: each evaluates to zero where the other does not
         chi_a = Character(3, (0, 1))
         chi_b = Character(3, (1, 0))
-        assert evaluate(t1 - 1, chi_a).is_zero
-        assert not evaluate(1 - t2, chi_a).is_zero
-        assert evaluate(1 - t2, chi_b).is_zero
-        assert not evaluate(t1 - 1, chi_b).is_zero
+        assert not any(evaluate(t1 - 1, chi_a))
+        assert any(evaluate(1 - t2, chi_a))
+        assert not any(evaluate(1 - t2, chi_b))
+        assert any(evaluate(t1 - 1, chi_b))
         assert gcd_all([1 - t2, t1 - 1]) == LaurentPoly.one(2)
 
     def test_single_element(self):
@@ -256,32 +254,21 @@ class TestCyclotomic:
         # t -> zeta_m: t^k - 1 vanishes exactly when m divides k
         for m in (1, 2, 3, 4, 5, 6, 8, 12):
             for k in range(3 * m):
-                assert evaluate(t() ** k - 1, Character(m, (1,))).is_zero == (k % m == 0)
-
-    def test_float_coefficients_rejected(self):
-        # Fraction(0.1) would keep the binary value 3602879701896397 / 2^55
-        with pytest.raises(TypeError):
-            CyclotomicElement(6, [0.5, 0.1])
-        with pytest.raises(TypeError):
-            CyclotomicElement(4, [1, 2.0])
-        # 1 + t/2 + t^2 is 3t/2 modulo t^2 - t + 1
-        el = CyclotomicElement(6, [1, Fraction(1, 2), 1])
-        assert el.coeffs == (Fraction(0), Fraction(3, 2))
-        assert all(type(c) is Fraction for c in el.coeffs)
+                assert not any(evaluate(t() ** k - 1, Character(m, (1,)))) == (k % m == 0)
 
 
 class TestEvaluate:
     def test_identity_character(self):
-        assert evaluate(t() - 1, Character(1, (0,))).is_zero
+        assert evaluate(t() - 1, Character(1, (0,))) == (0,)
 
     def test_zeta6_root(self):
         x = t()
-        assert evaluate(x * x - x + 1, Character(6, (1,))).is_zero
+        assert evaluate(x * x - x + 1, Character(6, (1,))) == (0, 0)
 
     def test_minus_one(self):
         t2 = LaurentPoly.variable(2, 1)
         v = evaluate(1 - t2, Character(2, (0, 1)))
-        assert v == CyclotomicElement(2, [2])
+        assert v == (2,)
 
     def test_ring_homomorphism(self):
         rng = random.Random(31)
@@ -291,7 +278,7 @@ class TestEvaluate:
             q = random_poly(rng, n)
             m = rng.choice((2, 3, 4, 6, 8, 12))
             chi = Character(m, tuple(rng.randrange(m) for _ in range(n)))
-            assert evaluate(p * q, chi) == field_mul(evaluate(p, chi), evaluate(q, chi))
+            assert evaluate(p * q, chi) == field_mul(m, evaluate(p, chi), evaluate(q, chi))
             assert evaluate(p + q, chi) == field_add(evaluate(p, chi), evaluate(q, chi))
 
     def test_order_zero_rejected(self):
@@ -303,7 +290,11 @@ class TestEvaluate:
             evaluate(t(), Character(3, (1, 0)))
 
     def test_matches_sympy_remainder(self):
-        """evaluate(p, chi) is the remainder of p(zeta -> x) modulo Phi_m, by sympy."""
+        """evaluate(p, chi) is the remainder of p(zeta -> x) modulo Phi_m, by sympy.
+
+        The value is a tuple of exactly phi(m) ints: the remainder's
+        coefficients, ascending, padded with zeros.
+        """
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = random.Random(41)
@@ -318,9 +309,12 @@ class TestEvaluate:
                 shift = m * -(min(ks.values(), default=0) // m)
                 image = sum((c * x ** (ks[e] + shift) for e, c in p.terms.items()), sympy.S(0))
                 rem = sympy.Poly(image, x, domain="ZZ").rem(phi_m).all_coeffs()[::-1]
-                want = [Fraction(int(c)) for c in rem]
-                want += [Fraction(0)] * (euler_phi(m) - len(want))
-                assert list(evaluate(p, chi).coeffs) == want, (p, chi)
+                want = tuple(int(c) for c in rem)
+                want += (0,) * (euler_phi(m) - len(want))
+                value = evaluate(p, chi)
+                assert type(value) is tuple and len(value) == euler_phi(m), (p, chi)
+                assert all(type(c) is int for c in value), (p, chi)
+                assert value == want, (p, chi)
 
 
 class TestIntegerReduction:
@@ -329,15 +323,12 @@ class TestIntegerReduction:
         for m in range(1, 61):
             coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 3 * m))]
             r = laurent._reduce_mod_cyclotomic(m, coeffs)
-            assert len(r) == euler_phi(m)
+            assert type(r) is tuple and len(r) == euler_phi(m)
             assert all(type(c) is int for c in r)
             # coeffs - r is an exact multiple of Phi_m, so r is the remainder
             padded = coeffs + [0] * (len(r) - len(coeffs))
             diff = [c - (r[i] if i < len(r) else 0) for i, c in enumerate(padded)]
             laurent._int_poly_divexact(diff, cyclotomic_polynomial(m))
-            # Fraction input is reduced exactly too
-            halves = [Fraction(c, 2) for c in coeffs]
-            assert laurent._reduce_mod_cyclotomic(m, halves) == [Fraction(c, 2) for c in r]
 
     def test_evaluate_sums_integers_before_the_element(self, monkeypatch):
         seen = []
@@ -349,7 +340,8 @@ class TestIntegerReduction:
 
         monkeypatch.setattr(laurent, "_reduce_mod_cyclotomic", spy)
         p = parse_poly("t^7 - 3*t^-2 + 5", 1)
-        assert evaluate(p, Character(5, (2,))) == CyclotomicElement(5, [5, -3, 0, 0, 1])
+        # 5 - 3 zeta + zeta^4, and zeta^4 = -1 - zeta - zeta^2 - zeta^3
+        assert evaluate(p, Character(5, (2,))) == (4, -4, -1, -1)
         assert seen and all(type(c) is int for coeffs in seen for c in coeffs)
 
 

@@ -419,6 +419,17 @@ class TestAbelianization:
         assert ab.torsion == (2,)
         assert ab.gen_images[0].torsion == (1,)
 
+    @pytest.mark.parametrize("text, g", [("< | >", 0), ("<a | >", 1), ("<a, b, c | >", 3)])
+    def test_no_relators(self, text, g):
+        # a free group: b1 = g, no torsion, each generator a basis vector
+        ab = abelianization(parse_presentation(text))
+        assert ab.b1 == g
+        assert ab.torsion == ()
+        assert [img.free for img in ab.gen_images] == [
+            tuple(int(i == j) for j in range(g)) for i in range(g)
+        ]
+        assert all(img.torsion == () for img in ab.gen_images)
+
     def test_relators_die(self):
         rng = random.Random(30)
         for _ in range(20):

@@ -11,6 +11,7 @@ import pytest
 
 from jumploci import cli, resonance
 from jumploci import (
+    LaurentPoly,
     MalcevKind,
     Subspace,
     ThreeForm,
@@ -26,6 +27,7 @@ from jumploci import (
     r1_fullness,
     r1_is_full,
     restriction_rank,
+    try_divide,
     zero_vector_in_r1,
 )
 from jumploci._linalg import rank
@@ -387,15 +389,17 @@ class TestFullnessAndGenericity:
         assert rep.mode == "parity" and rep.full
 
 
-def _expansion_full(eta):
-    """Fullness decided by the sub-Pfaffian expansion alone."""
+def _sub_pfaffians(eta):
+    """All n principal (n-1)-sub-Pfaffians of the symbolic contraction matrix."""
     n = eta.n
     entries = _symbolic_contraction(eta)
     memo = {}
-    return all(
-        _pfaffian(entries, tuple(j for j in range(n) if j != i), memo).is_zero
-        for i in range(n)
-    )
+    return [_pfaffian(entries, tuple(j for j in range(n) if j != i), memo) for i in range(n)]
+
+
+def _expansion_full(eta):
+    """Fullness decided by expanding every sub-Pfaffian, the reference."""
+    return all(pf.is_zero for pf in _sub_pfaffians(eta))
 
 
 def _scrambled_product(rng, g):
@@ -427,6 +431,28 @@ class TestWitnessFirstFullness:
         # the corpus exercises both answers, at n = 11 too
         assert True in fulls and False in fulls
         assert {eta.n for eta, f in zip(forms, fulls) if f} >= {5, 7, 9, 11}
+
+    def test_one_sub_pfaffian_decides(self):
+        # with no draws the expansion alone decides, from the sub-Pfaffian
+        # without row and column 0; the all-n expansion is the reference.
+        # Each sub-Pfaffian is (-1)^i x_i lambda(x) for one polynomial lambda
+        rng = random.Random(13)
+        forms = [VOL, PROD_2, PADDED, ThreeForm.zero(5)]
+        for n in (3, 5, 7, 9, 11):
+            forms += [random_threeform(rng, n, density=d) for d in (0.1, 0.05)]
+            if n < 11:  # a dense n = 11 expansion takes seconds
+                forms += [_scrambled_product(rng, n // 2), random_threeform(rng, n)]
+        fulls = set()
+        for eta in forms:
+            n = eta.n
+            pfs = _sub_pfaffians(eta)
+            full = all(pf.is_zero for pf in pfs)
+            fulls.add((n, full))
+            report = r1_fullness(eta, symbolic_threshold=n, trials=0)
+            assert report == R1FullnessReport(full=full, mode="symbolic"), eta
+            quotients = [try_divide(pf, LaurentPoly.variable(n, i)) for i, pf in enumerate(pfs)]
+            assert all(q == (-1) ** i * quotients[0] for i, q in enumerate(quotients)), eta
+        assert {(n, f) for n in (3, 5, 7, 9, 11) for f in (True, False)} <= fulls
 
     def test_expansion_skipped_for_generic_forms(self, monkeypatch):
         calls = []
