@@ -44,13 +44,11 @@ from .laurent import (
     Character,
     LaurentPoly,
     cyclotomic_polynomial,
-    divides,
     euler_phi,
     evaluate,
     fold,
     gcd_all,
     normalize_unit,
-    parse_poly,
     poly_to_string,
     try_divide,
 )
@@ -64,7 +62,6 @@ from .presentation import (
     format_presentation,
     format_word,
     fox_derivative,
-    free_reduce,
     parse_presentation,
     parse_word,
     presentation_from_json,
@@ -86,7 +83,6 @@ from .resonance import (
     is_isotropic,
     isotropy_lower_bound,
     r1_fullness,
-    r1_is_full,
     restriction_rank,
     zero_vector_in_r1,
 )

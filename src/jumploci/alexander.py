@@ -37,8 +37,9 @@ folds nothing.  The folded minors live in one memo per (matrix, m), next to
 the Laurent memo, and there the cap counts nonzero folded minors, never more
 than the Laurent ones, so an input can stop being refused but never start.
 
-The sampled check chi in V(E_1) <=> Delta(chi) = 0 folds E_1 and Delta once
-per sampled order and decides each distinct character once.
+The sampled check chi in V(E_1) <=> Delta(chi) = 0 decides chi in V(E_1)
+through `elementary_ideal_vanishes_at`, folds Delta once per sampled order,
+and decides each distinct character once.
 """
 
 from __future__ import annotations
@@ -308,6 +309,8 @@ def elementary_ideal_vanishes_at(a, d, chi):
     k = g - d
     if k <= 0:
         return False
+    if r < k:
+        return True
     j = _avoided_column(a, chi)
     rows = range(r)
     cols = tuple(c for c in range(g) if c != j)
@@ -365,14 +368,14 @@ class AlmostPrincipalReport:
 def almost_principal_sampled(a, trials, seed):
     """Compare chi in V(E_1) with Delta(chi) = 0 at `trials` sampled characters.
 
-    E_1 and Delta are folded once per sampled order m (`laurent.fold`), and
-    each distinct character is decided once; a repeated draw reuses its
+    chi in V(E_1) is decided by `elementary_ideal_vanishes_at(a, 1, chi)`,
+    which never lists E_1, and Delta is folded once per sampled order m.
+    Each distinct character is decided once; a repeated draw reuses its
     verdict.  `counterexamples` lists every disagreeing draw in draw order,
     repeats included.
     """
     if a.num_vars < 1:
         raise ValueError("almost-principality sampling requires b1 >= 1")
-    e1 = a.ideal(1)
     delta = a.delta
     folded = {}
     decided = {}
@@ -380,14 +383,11 @@ def almost_principal_sampled(a, trials, seed):
     for chi in sample_characters(a.num_vars, trials, seed):
         disagree = decided.get(chi)
         if disagree is None:
-            m = chi.order
-            if m not in folded:
-                gens = tuple(dict.fromkeys(fold(g, m) for g in e1.generators))
-                folded[m] = (gens, fold(delta, m))
-            gens, delta_m = folded[m]
-            in_variety = not any(any(evaluate(g, chi)) for g in gens)
+            if chi.order not in folded:
+                folded[chi.order] = fold(delta, chi.order)
+            in_variety = elementary_ideal_vanishes_at(a, 1, chi)
             # chi in V(E_1) while Delta(chi) != 0, or the reverse
-            disagree = decided[chi] = in_variety == any(evaluate(delta_m, chi))
+            disagree = decided[chi] = in_variety == any(evaluate(folded[chi.order], chi))
         if disagree:
             bad.append(chi)
     return AlmostPrincipalReport(

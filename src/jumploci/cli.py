@@ -536,10 +536,8 @@ def render(report, config, out):
         render_sweep(report, config.output_format, out)
     elif config.output_format == "json":
         out.write(render_json(report))
-    elif config.output_format == "text":
-        out.write(render_text(report))
     else:
-        raise ValueError("csv output is only available for brieskorn sweeps")
+        out.write(render_text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +600,9 @@ def _parser():
 
 def _dispatch(args, config):
     """Refuse a per-command option value before any input is read, then run."""
+    sweep = args.command == "brieskorn" and args.spec == "sweep"
+    if config.output_format == "csv" and not sweep:
+        raise _UsageError("csv output is only available for brieskorn sweeps")
     if args.command == "alex":
         ds = args.ideal_d if args.ideal_d else [1]
         if any(d < 0 for d in ds):
@@ -616,7 +617,7 @@ def _dispatch(args, config):
     if args.command == "classify":
         return run_classify(load_threeform(args.file), config)
     if args.command == "brieskorn":
-        if args.spec == "sweep":
+        if sweep:
             if args.n < 3:
                 raise _UsageError("sweep needs n >= 3")
             return run_brieskorn_sweep(args.max, args.n, config)

@@ -9,7 +9,9 @@ integer coefficients in the power basis, reduced modulo the monic m-th
 cyclotomic polynomial without division, so zero-testing is exact.  A value
 has no arithmetic: ranks over Q(zeta_m) are taken from these integers
 modulo primes (`_linalg.rank`).  `fold(p, m)` reduces every exponent mod
-m, which keeps the value of p at every character of order m.
+m, which keeps the value of p at every character of order m.  Exponents,
+coefficients, powers and the variable count are read with `operator.index`,
+so a float or a `Fraction` raises `TypeError` rather than being truncated.
 
 Unit-normalization convention, fixed once for the whole project: the
 canonical associate of p is u*p, where u is the unique +/- monomial making
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from types import MappingProxyType
 
 __all__ = [
@@ -34,8 +36,6 @@ __all__ = [
     "evaluate",
     "fold",
     "try_divide",
-    "divides",
-    "parse_poly",
     "poly_to_string",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -84,20 +84,17 @@ class LaurentPoly:
     __slots__ = ("_num_vars", "_terms", "_hash")
 
     def __init__(self, num_vars, terms=None):
-        num_vars = int(num_vars)
+        num_vars = index(num_vars)
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         clean = {}
         for exps, coeff in (terms or {}).items():
-            e = tuple(int(x) for x in exps)
+            e = tuple(map(index, exps))
             if len(e) != num_vars:
                 raise ValueError(
                     f"exponent vector {e} has length {len(e)}, expected {num_vars}"
                 )
-            value = int(coeff)
-            if value != coeff:
-                raise ValueError(f"coefficient {coeff!r} is not an integer")
-            c = clean.get(e, 0) + value
+            c = clean.get(e, 0) + index(coeff)
             if c:
                 clean[e] = c
             else:
@@ -121,11 +118,12 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, num_vars, c):
-        return cls(num_vars, {(0,) * num_vars: int(c)})
+        return cls(num_vars, {(0,) * num_vars: c})
 
     @classmethod
     def variable(cls, num_vars, i):
         """The generator t_{i+1} (0-based index i)."""
+        i = index(i)
         if not 0 <= i < num_vars:
             raise ValueError(f"variable index {i} out of range for {num_vars} variables")
         e = tuple(1 if j == i else 0 for j in range(num_vars))
@@ -204,7 +202,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
+        k = index(k)
         if k < 0:
             raise ValueError("negative powers are only defined for unit monomials")
         result = LaurentPoly.one(self._num_vars)
@@ -419,10 +417,6 @@ def try_divide(p, d):
     return quotient
 
 
-def divides(d, p):
-    """True when d divides p in the Laurent ring."""
-    return try_divide(p, d) is not None
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic fields and characters
@@ -549,7 +543,7 @@ def fold(p, m):
 
 
 # ---------------------------------------------------------------------------
-# textual form: sum of c*t1^a1*...*tn^an terms (exact round-trip)
+# textual form: sum of c*t1^a1*...*tn^an terms
 # ---------------------------------------------------------------------------
 
 def _var_name(num_vars, i):
@@ -580,104 +574,3 @@ def poly_to_string(p):
         else:
             pieces.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(pieces)
-
-
-class PolyParseError(ValueError):
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
-
-
-def parse_poly(text, num_vars):
-    """Parse the textual polynomial form; inverse of `poly_to_string`."""
-    pos = 0
-    n = len(text)
-    terms = {}
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_int():
-        nonlocal pos
-        start = pos
-        if pos < n and text[pos] == "-":
-            pos += 1
-        if pos >= n or not text[pos].isdigit():
-            raise PolyParseError("expected integer", start)
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        return int(text[start:pos])
-
-    def parse_var():
-        nonlocal pos
-        start = pos
-        pos += 1  # consumes 't'
-        digits = ""
-        while pos < n and text[pos].isdigit():
-            digits += text[pos]
-            pos += 1
-        if digits:
-            idx = int(digits) - 1
-        else:
-            if num_vars != 1:
-                raise PolyParseError("bare variable 't' needs a subscript", start)
-            idx = 0
-        if not 0 <= idx < num_vars:
-            raise PolyParseError(f"variable index out of range for {num_vars} variables", start)
-        return idx
-
-    first = True
-    while True:
-        skip_ws()
-        if pos >= n:
-            if first:
-                raise PolyParseError("empty polynomial", pos)
-            break
-        sign = 1
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", pos)
-        first = False
-        coeff = 1
-        exps = [0] * num_vars
-        saw_factor = False
-        while True:
-            skip_ws()
-            if pos < n and text[pos].isdigit():
-                num_start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                coeff *= int(text[num_start:pos])
-                saw_factor = True
-            elif pos < n and text[pos] == "t":
-                idx = parse_var()
-                e = 1
-                skip_ws()
-                if pos < n and text[pos] == "^":
-                    pos += 1
-                    skip_ws()
-                    e = parse_int()
-                exps[idx] += e
-                saw_factor = True
-            else:
-                raise PolyParseError("expected coefficient or variable", pos)
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise PolyParseError("empty term", pos)
-        key = tuple(exps)
-        c = terms.get(key, 0) + sign * coeff
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
-    return LaurentPoly(num_vars, terms)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 
 from .laurent import LaurentPoly
 
@@ -42,7 +43,6 @@ __all__ = [
     "GeneratorImage",
     "SmithNormalForm",
     "PresentationParseError",
-    "free_reduce",
     "parse_presentation",
     "parse_word",
     "format_word",
@@ -91,7 +91,7 @@ class Word:
         # free reduction is confluent: reducing the |k|-fold concatenation once
         # gives the same word as |k| successive products, in linear time.  The
         # empty word is returned before a huge |k| can overflow the repeat
-        k = int(k)
+        k = index(k)
         if not self.letters:
             return self
         base = self if k >= 0 else self.inverse()
@@ -119,8 +119,8 @@ class Word:
 def _reduce_letters(letters):
     stack = []
     for g, s in letters:
-        g = int(g)
-        s = int(s)
+        g = index(g)
+        s = index(s)
         if s not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {s}")
         if stack and stack[-1][0] == g and stack[-1][1] == -s:
@@ -128,11 +128,6 @@ def _reduce_letters(letters):
         else:
             stack.append((g, s))
     return tuple(stack)
-
-
-def free_reduce(word):
-    """Freely reduce a Word (idempotent; Word construction already reduces)."""
-    return Word(word.letters)
 
 
 def commutator(u, v):

@@ -50,7 +50,6 @@ __all__ = [
     "contraction_matrix",
     "in_r1",
     "r1_fullness",
-    "r1_is_full",
     "is_generic",
     "zero_vector_in_r1",
     "restriction_rank",
@@ -415,15 +414,11 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     return R1FullnessReport(full=full, mode="symbolic")
 
 
-def r1_is_full(eta, symbolic_threshold=9, trials=200, seed=0):
-    return r1_fullness(eta, symbolic_threshold, trials, seed).full
-
-
 def is_generic(eta, symbolic_threshold=9, trials=200, seed=0):
     """Odd-dimensional forms whose resonance variety is a proper subvariety."""
     if eta.n % 2 == 0:
         raise ValueError("genericity is defined for odd n only")
-    return not r1_is_full(eta, symbolic_threshold, trials, seed)
+    return not r1_fullness(eta, symbolic_threshold, trials, seed).full
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,18 @@ class TestSampledCheckMatchesNaiveLoop:
         assert set(counts) == set(chars)
         assert max(counts.values()) <= polys
 
+    @pytest.mark.parametrize("text", sorted(NOT_ALMOST_PRINCIPAL))
+    def test_one_ideal_test_per_distinct_character(self, monkeypatch, text):
+        a = alexander_matrix(parse_presentation(text))
+        seed = NOT_ALMOST_PRINCIPAL[text][0]
+        a.delta  # Delta lists E_1 once; the check itself reads no listed generator
+        monkeypatch.setattr(alexander.AlexanderMatrix, "ideal", None)
+        calls = _count_calls(monkeypatch, "elementary_ideal_vanishes_at", alexander)
+        chars = sample_characters(a.num_vars, 100, seed)
+        almost_principal_sampled(a, 100, seed)
+        assert len(set(chars)) < len(chars)
+        assert calls == [(a, 1, chi) for chi in dict.fromkeys(chars)]
+
 
 class TestCharacterSampling:
     def test_never_identity_and_reproducible(self):
@@ -498,6 +510,12 @@ class TestOneColumnIdealRoute:
         assert elementary_ideal_vanishes_at(s, 1, Character(3, (1, 0, 2, 0)))  # zero ideal
         with pytest.raises(ValueError):
             elementary_ideal_vanishes_at(a, -1, chi)
+
+    def test_zero_ideal_needs_no_column(self, monkeypatch):
+        """Fewer than g - d rows: the zero ideal, answered before a column is chosen."""
+        monkeypatch.setattr(alexander, "_avoided_column", None)
+        for p, chi in ((FREE_2, Character(2, (1, 1))), (SURFACE_2, Character(3, (1, 0, 2, 0)))):
+            assert elementary_ideal_vanishes_at(alexander_matrix(p), 1, chi)
 
     def test_character_count_checked_before_identity(self):
         a = alexander_matrix(TREFOIL)

@@ -298,10 +298,27 @@ class TestBrieskorn:
         assert lines[0].startswith("exponents,orbits,g,e,b,T")
         assert len(lines) == 9
 
-    def test_csv_rejected_elsewhere(self, capsys, trefoil_file):
-        code, out, err = run_cli(capsys, ["--format", "csv", "alex", trefoil_file])
-        assert code == 1
-        validate("error", json.loads(err))
+    @pytest.mark.parametrize("argv", [
+        ["alex", "{missing}"],
+        ["charvar", "{missing}", "2:1"],
+        ["classify", "{missing}"],
+        ["holonomy", "{missing}"],
+        ["brieskorn", "2,3,5"],
+    ], ids=["alex", "charvar", "classify", "holonomy", "brieskorn"])
+    def test_csv_rejected_elsewhere(self, capsys, tmp_path, argv):
+        # refused before any input is read: an io record would show the file was opened
+        missing = str(tmp_path / "missing")
+        argv = ["--format", "csv"] + [a.format(missing=missing) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {
+            "type": "config",
+            "message": "csv output is only available for brieskorn sweeps",
+            "offset": None,
+        }
 
     def test_bad_exponents(self, capsys):
         code, out, err = run_cli(capsys, ["brieskorn", "1,2,3"])

@@ -10,13 +10,11 @@ from jumploci import (
     Character,
     LaurentPoly,
     cyclotomic_polynomial,
-    divides,
     euler_phi,
     evaluate,
     fold,
     gcd_all,
     normalize_unit,
-    parse_poly,
     poly_to_string,
     try_divide,
 )
@@ -159,7 +157,7 @@ class TestGcd:
                 assert all(p.is_zero for p in ps)
                 continue
             for p in ps:
-                assert divides(g, p)
+                assert try_divide(p, g) is not None
 
     def test_order_independent(self):
         rng = random.Random(31)
@@ -214,10 +212,10 @@ class TestGcd:
             g = gcd_all([p * q, p * r])
             assert g == normalize_unit(p)
             # brute-force oracle: every enumerated common divisor divides g
-            assert divides(g, p * q) and divides(g, p * r)
+            assert try_divide(p * q, g) is not None and try_divide(p * r, g) is not None
             for d in _enumerate_divisor_candidates(pool):
-                if divides(d, p * q) and divides(d, p * r):
-                    assert divides(d, g)
+                if try_divide(p * q, d) is not None and try_divide(p * r, d) is not None:
+                    assert try_divide(g, d) is not None
 
 
 class TestDivision:
@@ -339,7 +337,7 @@ class TestIntegerReduction:
             return real(order, coeffs)
 
         monkeypatch.setattr(laurent, "_reduce_mod_cyclotomic", spy)
-        p = parse_poly("t^7 - 3*t^-2 + 5", 1)
+        p = LaurentPoly(1, {(7,): 1, (-2,): -3, (0,): 5})
         # 5 - 3 zeta + zeta^4, and zeta^4 = -1 - zeta - zeta^2 - zeta^3
         assert evaluate(p, Character(5, (2,))) == (4, -4, -1, -1)
         assert seen and all(type(c) is int for coeffs in seen for c in coeffs)
@@ -360,8 +358,8 @@ class TestFold:
                         assert evaluate(f, chi) == evaluate(p, chi), (p, m, exps)
 
     def test_fold_combines_and_cancels_terms(self):
-        p = parse_poly("t^5 - t^-1 + 2*t^3 + 4", 1)
-        assert fold(p, 4) == parse_poly("t^3 + t + 4", 1)
+        p = LaurentPoly(1, {(5,): 1, (-1,): -1, (3,): 2, (0,): 4})
+        assert fold(p, 4) == LaurentPoly(1, {(3,): 1, (1,): 1, (0,): 4})
         assert fold(p, 3) == fold(p, 1) == LaurentPoly.constant(1, 6)
         assert fold(LaurentPoly.zero(2), 4).is_zero
 
@@ -380,21 +378,16 @@ class TestTextForm:
         assert poly_to_string(2 * t1 * t1 * t2_inv - t1 + 3) == "2*t1^2*t2^-1 - t1 + 3"
 
     def test_roundtrip_random(self):
+        """sympy reads the printed form back as the same polynomial."""
+        sympy = pytest.importorskip("sympy")
+        names = sympy.symbols("t t1 t2 t3")
         rng = random.Random(37)
         for _ in range(200):
             n = rng.randint(1, 3)
             p = random_poly(rng, n)
-            assert parse_poly(poly_to_string(p), n) == p
-
-    def test_parse_explicit_forms(self):
-        assert parse_poly("1 + t^-1", 1) == 1 + LaurentPoly.monomial(1, (-1,))
-        assert parse_poly("-2*t1*t2^-3", 2) == LaurentPoly.monomial(2, (1, -3), -2)
-        assert parse_poly("0", 1) == LaurentPoly.zero(1)
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_poly("t2", 1)
-        with pytest.raises(ValueError):
-            parse_poly("t1 + ", 2)
-        with pytest.raises(ValueError):
-            parse_poly("", 1)
+            syms = names[:1] if n == 1 else names[1:n + 1]
+            read = sympy.sympify(poly_to_string(p).replace("^", "**"),
+                                 locals={str(x): x for x in syms})
+            built = sympy.Add(*(c * sympy.Mul(*(x ** e for x, e in zip(syms, exps)))
+                                for exps, c in p.terms.items()))
+            assert sympy.expand(read - built) == 0, p

@@ -6,7 +6,8 @@ pyproject.toml must declare no dependencies.  At run time the elimination
 kernel is wrapped (in `_linalg` and under the name `holonomy` imported) and a
 float anywhere in a basis it keeps fails the test.  Rational rows are stored
 as integer rows and reduced without division, and the kernel refuses a row
-that holds a float, as the API refuses a float index, order or entry.
+that holds a float, as the API refuses a float index, order or entry, and a
+`LaurentPoly` or `Word` a float or `Fraction` exponent, coefficient or power.
 """
 
 import ast
@@ -20,6 +21,7 @@ import pytest
 
 from jumploci import (
     Character,
+    LaurentPoly,
     QuadraticData,
     ThreeForm,
     holonomy_from_threeform,
@@ -28,6 +30,7 @@ from jumploci import (
     lie_ranks,
     parse_presentation,
     twisted_h1_dim,
+    Word,
 )
 from jumploci import _linalg, holonomy
 from jumploci._linalg import rank
@@ -168,9 +171,18 @@ def test_threeform_refuses_a_float_coefficient():
     lambda: Character(6.0, (1,)),
     lambda: Character(6, (True,)),
     lambda: brieskorn_seifert((2.5, 3, 5)),  # int() reads it as (2, 3, 5)
+    lambda: LaurentPoly(1, {(1.5,): 1}),  # int() reads it as t
+    lambda: LaurentPoly(1, {(1,): Fraction(3, 2)}),
+    lambda: LaurentPoly.constant(1, 2.5),  # int() reads it as 2
+    lambda: LaurentPoly.variable(2, 0) ** 2.7,  # int() reads it as t1^2
+    lambda: LaurentPoly(1.9, {}),  # int() reads it as one variable
+    lambda: Word.generator(0) ** 2.5,  # int() reads it as x x
+    lambda: Word(((Fraction(1), 1),)),
 ], ids=["threeform-index", "threeform-n", "quadratic-entry", "quadratic-n", "in_r1",
         "contraction", "contract_pair", "subspace-entry", "subspace-n", "character-exponent",
-        "character-order", "character-bool", "brieskorn"])
+        "character-order", "character-bool", "brieskorn", "laurent-exponent",
+        "laurent-coefficient", "laurent-constant", "laurent-power", "laurent-num-vars",
+        "word-power", "word-letter"])
 def test_api_refuses_a_float_index_order_or_entry(call):
     with pytest.raises(TypeError):
         call()

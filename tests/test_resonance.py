@@ -25,7 +25,6 @@ from jumploci import (
     isotropy_lower_bound,
     lie_ranks,
     r1_fullness,
-    r1_is_full,
     restriction_rank,
     try_divide,
     zero_vector_in_r1,
@@ -337,14 +336,14 @@ def _grid_generic_oracle(eta, radius=2):
 
 class TestFullnessAndGenericity:
     def test_volume_not_full(self):
-        assert not r1_is_full(VOL)
+        assert not r1_fullness(VOL).full
         assert is_generic(VOL)
 
     def test_even_is_full(self):
         rng = random.Random(7)
         for _ in range(20):
             eta = random_threeform(rng, 4)
-            assert r1_is_full(eta)
+            assert r1_fullness(eta).full
 
     def test_model_form_generic(self):
         assert is_generic(PROD_2)
@@ -353,7 +352,7 @@ class TestFullnessAndGenericity:
         assert not is_generic(PADDED)
 
     def test_zero_form_full(self):
-        assert r1_is_full(ThreeForm.zero(3))
+        assert r1_fullness(ThreeForm.zero(3)).full
 
     def test_even_rejected_by_is_generic(self):
         with pytest.raises(ValueError):
@@ -365,7 +364,7 @@ class TestFullnessAndGenericity:
         forms += [random_threeform(rng, 3) for _ in range(10)]
         forms += [random_threeform(rng, 5, density=0.4, bound=2) for _ in range(5)]
         for eta in forms:
-            symbolic = not r1_is_full(eta)
+            symbolic = not r1_fullness(eta).full
             oracle = _grid_generic_oracle(eta)
             if oracle:
                 # grid found a witness: the symbolic answer must see it too
@@ -465,7 +464,7 @@ class TestWitnessFirstFullness:
         monkeypatch.setattr(resonance, "_symbolic_contraction", counting)
         rng = random.Random(5)
         for eta in (_scrambled_product(rng, 3), _scrambled_product(rng, 4)):
-            assert not r1_is_full(eta, symbolic_threshold=eta.n)
+            assert not r1_fullness(eta, symbolic_threshold=eta.n).full
         dense = random_threeform(rng, 11)
         assert r1_fullness(dense, symbolic_threshold=11) == R1FullnessReport(
             full=False, mode="symbolic"
