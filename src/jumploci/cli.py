@@ -141,7 +141,13 @@ class _UsageError(ValueError):
 
 
 # what a wrongly shaped JSON value raises when its fields are read
-_SHAPE_ERRORS = (TypeError, ValueError)
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _malformed(what, exc):
+    """The shape error `exc` of a `what` input as a MalformedInputError."""
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return MalformedInputError(f"malformed {what}: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def load_presentation(path):
     except PresentationParseError:
         raise
     except _SHAPE_ERRORS as exc:
-        raise MalformedInputError(f"malformed presentation: {exc}") from exc
+        raise _malformed("presentation", exc) from exc
 
 
 def _dimension(obj):
@@ -183,7 +189,7 @@ def threeform_from_json(obj):
     except LimitError:
         raise
     except _SHAPE_ERRORS as exc:
-        raise MalformedInputError(f"malformed 3-form: {exc}") from exc
+        raise _malformed("3-form", exc) from exc
 
 
 def load_threeform(path):
@@ -200,7 +206,7 @@ def load_holonomy_input(path):
         except LimitError:
             raise
         except _SHAPE_ERRORS as exc:
-            raise MalformedInputError(f"malformed holonomy relations: {exc}") from exc
+            raise _malformed("holonomy relations", exc) from exc
     return holonomy_from_threeform(threeform_from_json(obj))
 
 

@@ -10,14 +10,14 @@ where words juxtapose ``g``, ``g^-1``, ``g^k`` and nestable commutator sugar
 ``[u, v]`` = u v u^-1 v^-1, nested at most ``MAX_COMMUTATOR_DEPTH`` deep; a
 word longer than ``MAX_WORD_LENGTH`` letters before free reduction is
 refused, and a power or commutator is checked before it is built.
-A word is scanned left to right: each generator with its optional ``^k`` is
-read by one match of a compiled pattern and appended as |k| letters, while
-``1``, ``[u, v]`` and anything malformed go through a character reader.  The
-letters of a word, and of a power ``w^k``, are collected first and freely
-reduced in one pass, so parsing is linear in the expanded length.  Names
-follow ``str.isalpha`` and ``str.isalnum`` (plus ``_``), exponents
-``str.isdecimal``, and every error keeps the message and offset of the
-character reader.
+A word is scanned left to right by one loop: it reads each atom (a
+generator, ``1`` or ``[u, v]``), then the atom's optional ``^k`` through one
+set of compiled exponent groups; a generator is read with its power by one
+match and appended as |k| letters.  The letters of a word, and of a power
+``w^k``, are collected first and freely reduced in one pass, so parsing is
+linear in the expanded length.  Names follow ``str.isalpha`` and
+``str.isalnum`` (plus ``_``) in the header, in words and in JSON generator
+lists alike; an exponent is ``str.isdecimal`` digits that ``int()`` converts.
 It also computes Smith normal forms of integer matrices, the abelianization
 data (Betti number, invariant factors, generator images), and free
 derivatives pushed through the maximal torsion-free abelian quotient,
@@ -209,136 +209,95 @@ def _is_ident_start(ch):
     return ch.isalpha() or ch == "_"
 
 
-def _is_ident_char(ch):
-    return ch.isalnum() or ch == "_"
+# an atom's optional power: the '^' with the whitespace after it, then the
+# exponent if the pattern can read it.  A generator is read with its power by
+# one match, which words, the header and JSON generator lists share; `1` and
+# `[u, v]` read theirs by a match of the power alone.  In str patterns \s, \w
+# and \d match exactly what str.isspace, str.isalnum (or "_") and
+# str.isdecimal accept; a name's first character is checked apart by
+# `_is_ident_start`, since \w also admits digits such as '²' that str.isalpha
+# refuses
+_POWER = r"\s*(?:(?P<caret>\^\s*)(?P<exponent>-?\d+)?)?"
+_GENERATOR_POWER = re.compile(r"\s*(\w+)" + _POWER)
+_ATOM_POWER = re.compile(_POWER)
 
 
-def _parse_ident(cur):
-    cur.skip_ws()
-    start = cur.pos
-    if not cur.peek() or not _is_ident_start(cur.peek()):
-        cur.fail("expected identifier")
-    while cur.pos < len(cur.text) and _is_ident_char(cur.text[cur.pos]):
-        cur.pos += 1
-    return cur.text[start:cur.pos], start
-
-
-def _parse_exponent(cur):
-    # called with '^' already consumed; cur.pos sits after it
-    cur.skip_ws()
-    start = cur.pos
-    sign = 1
-    if cur.peek() == "-":
-        sign = -1
-        cur.pos += 1
-    if not cur.peek().isdigit():
-        cur.fail("malformed exponent", start)
-    first = cur.pos
-    while cur.pos < len(cur.text) and cur.text[cur.pos].isdigit():
-        cur.pos += 1
-    try:
-        return sign * int(cur.text[first:cur.pos])
-    except ValueError:  # a digit int() rejects, or more digits than it converts
-        cur.fail("malformed exponent", start)
-
-
-def _check_length(cur, length, offset):
-    if length > MAX_WORD_LENGTH:
-        cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", offset)
-
-
-# a generator atom with its optional power, read by one match: the name, then
-# the '^' if one follows, then the exponent if the pattern can read it.  In
-# str patterns \s, \w and \d match exactly what str.isspace, str.isalnum (or
-# "_") and str.isdecimal accept, so the match reads what `_parse_ident` and
-# `_parse_exponent` would; only the name's first character is checked apart,
-# since \w also admits digits such as '²' that str.isalpha refuses
-_GENERATOR_POWER = re.compile(r"\s*(\w+)\s*(\^\s*(-?\d+)?)?")
-
-# a longer exponent, sign included, is read by `_parse_exponent`, which refuses
-# what int() cannot convert; every exponent that short converts
-_SCANNED_EXPONENT_CHARS = 18
+def _match_name(text, pos=0):
+    """The name after whitespace at pos, matched with its power; None if none starts there."""
+    name = _GENERATOR_POWER.match(text, pos)
+    return name if name is not None and _is_ident_start(name[1][0]) else None
 
 
 def _parse_word(cur, gen_index, stop_chars, depth=0):
     text = cur.text
-    match = _GENERATOR_POWER.match
     letters = []
     while True:
-        atom = match(text, cur.pos)
-        if atom is not None and _is_ident_start(atom[1][0]):
-            # |k| letters (g, sign k), checked against MAX_WORD_LENGTH before
-            # they are built; an exponent the pattern does not read whole
-            # (malformed, too long, or followed by a digit that is not
-            # decimal) is read or refused by `_parse_exponent`
-            name, caret, exponent = atom.groups()
-            g = gen_index.get(name)
+        atom = _match_name(text, cur.pos)
+        if atom is not None:
+            start = atom.start(1)
+            g = gen_index.get(atom[1])
             if g is None:
-                cur.fail(f"unknown generator name '{name}'", atom.start(1))
-            cur.pos = end = atom.end()
-            if caret is None:
-                k = 1
-            elif (exponent is not None and len(exponent) <= _SCANNED_EXPONENT_CHARS
-                  and not text[end:end + 1].isdigit()):
-                k = int(exponent)
-            else:
-                cur.pos = atom.start(2) + 1
-                k = _parse_exponent(cur)
-            if len(letters) + abs(k) > MAX_WORD_LENGTH:
-                cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", atom.start(1))
-            if k == 1 or k == -1:
-                letters.append((g, k))
-            else:
-                letters += [(g, 1 if k > 0 else -1)] * abs(k)
-            continue
-        cur.skip_ws()
-        start = cur.pos
-        ch = cur.peek()
-        if ch == "" or ch in stop_chars:
-            return Word(letters)
-        if ch == "1":
-            cur.pos += 1
-            atom = Word()
-        elif ch == "[":
-            if depth >= MAX_COMMUTATOR_DEPTH:
-                cur.fail(f"commutators nested deeper than {MAX_COMMUTATOR_DEPTH}", start)
-            cur.pos += 1
-            u = _parse_word(cur, gen_index, ",]>", depth + 1)
-            cur.skip_ws()
-            if cur.peek() != ",":
-                cur.fail("unbalanced brackets: expected ',' in commutator", start)
-            cur.pos += 1
-            v = _parse_word(cur, gen_index, ",]>", depth + 1)
-            cur.skip_ws()
-            if cur.peek() != "]":
-                cur.fail("unbalanced brackets: expected ']'", start)
-            cur.pos += 1
-            _check_length(cur, len(letters) + 2 * (len(u) + len(v)), start)
-            atom = commutator(u, v)
-        elif ch == "]":
-            cur.fail("unbalanced brackets: unexpected ']'")
+                cur.fail(f"unknown generator name '{atom[1]}'", start)
+            word = None
         else:
-            cur.fail(f"unexpected character {ch!r} in word")
-        cur.skip_ws()
-        if cur.peek() == "^":
-            cur.pos += 1
-            k = _parse_exponent(cur)
-            _check_length(cur, len(letters) + len(atom) * abs(k), start)
-            atom = atom ** k
+            cur.skip_ws()
+            start = cur.pos
+            ch = cur.peek()
+            if ch == "" or ch in stop_chars:
+                return Word(letters)
+            if ch == "1":
+                cur.pos += 1
+                word = Word()
+            elif ch == "[":
+                if depth >= MAX_COMMUTATOR_DEPTH:
+                    cur.fail(f"commutators nested deeper than {MAX_COMMUTATOR_DEPTH}", start)
+                cur.pos += 1
+                u = _parse_word(cur, gen_index, ",]>", depth + 1)
+                cur.skip_ws()
+                if cur.peek() != ",":
+                    cur.fail("unbalanced brackets: expected ',' in commutator", start)
+                cur.pos += 1
+                v = _parse_word(cur, gen_index, ",]>", depth + 1)
+                cur.skip_ws()
+                if cur.peek() != "]":
+                    cur.fail("unbalanced brackets: expected ']'", start)
+                cur.pos += 1
+                if len(letters) + 2 * (len(u) + len(v)) > MAX_WORD_LENGTH:
+                    cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", start)
+                word = commutator(u, v)
+            elif ch == "]":
+                cur.fail("unbalanced brackets: unexpected ']'")
+            else:
+                cur.fail(f"unexpected character {ch!r} in word")
+            atom = _ATOM_POWER.match(text, cur.pos)
+        cur.pos = end = atom.end()
+        if atom["caret"] is None:
+            k = 1
         else:
-            _check_length(cur, len(letters) + len(atom), start)
-        letters.extend(atom.letters)
+            # malformed: no exponent the pattern reads, a digit int() refuses
+            # right after it (such as '²'), or more digits than int() converts
+            try:
+                if atom["exponent"] is None or text[end:end + 1].isdigit():
+                    raise ValueError
+                k = int(atom["exponent"])
+            except ValueError:
+                cur.fail("malformed exponent", atom.end("caret"))
+        # the power is checked against MAX_WORD_LENGTH before it is built; a
+        # generator's |k| letters (g, sign k) are appended directly
+        if len(letters) + abs(k) * (1 if word is None else len(word)) > MAX_WORD_LENGTH:
+            cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", start)
+        if word is not None:
+            letters.extend((word ** k).letters)
+        elif k == 1 or k == -1:
+            letters.append((g, k))
+        else:
+            letters += [(g, 1 if k > 0 else -1)] * abs(k)
 
 
 def parse_word(text, generator_names):
     """Parse a single word over the given generator names."""
     gen_index = {name: i for i, name in enumerate(generator_names)}
-    cur = _Cursor(text)
-    w = _parse_word(cur, gen_index, "")
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        cur.fail("trailing input after word")
-    return w
+    return _parse_word(_Cursor(text), gen_index, "")
 
 
 def parse_presentation(text):
@@ -349,10 +308,15 @@ def parse_presentation(text):
     cur.skip_ws()
     if cur.peek() != "|":
         while True:
-            name, start = _parse_ident(cur)
+            cur.skip_ws()
+            match = _match_name(cur.text, cur.pos)
+            if match is None:
+                cur.fail("expected identifier")
+            name = match[1]
             if name in names:
-                cur.fail(f"duplicate generator name '{name}'", start)
+                cur.fail(f"duplicate generator name '{name}'", match.start(1))
             names.append(name)
+            cur.pos = match.end(1)
             cur.skip_ws()
             if cur.peek() == ",":
                 cur.pos += 1
@@ -406,8 +370,18 @@ def presentation_from_json(obj):
         if not isinstance(field, (list, tuple)) or not all(isinstance(x, str) for x in field):
             raise ValueError("'generators' and 'relators' must be lists of strings")
     names = tuple(names)
-    relators = tuple(parse_word(text, names) for text in rel_texts)
-    return Presentation(names, relators)
+    for name in names:
+        match = _match_name(name)
+        if match is None or match.span(1) != (0, len(name)):
+            raise ValueError(f"generator name {name!r} is not a name of the grammar")
+    relators = []
+    for i, text in enumerate(rel_texts):
+        try:
+            relators.append(parse_word(text, names))
+        except PresentationParseError as exc:
+            # the offset counts inside the relator, so the message names it
+            raise PresentationParseError(f"relator {i}: {exc.message}", exc.offset) from None
+    return Presentation(names, tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -475,8 +475,6 @@ def _pair_masks(eta):
 def _best_coordinate_subset(eta):
     """Largest isotropic coordinate subset: exhaustive up to SUBSET_LIMIT, then greedy."""
     n = eta.n
-    if n == 0:
-        return ()
     bad = _pair_masks(eta)
 
     def isotropic(mask, members):
@@ -489,8 +487,7 @@ def _best_coordinate_subset(eta):
                 for i in members:
                     mask |= 1 << i
                 if isotropic(mask, members):
-                    return members
-        return ()
+                    return members  # at size 1 at the latest: no triple repeats an index
     # greedy fallback for large n
     mask = 0
     members = []

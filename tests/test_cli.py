@@ -671,7 +671,14 @@ class TestErrors:
         {"generators": ["x"], "relators": [5]},
         {"generators": "xy", "relators": []},
         {"generators": ["x"]},
-    ], ids=["relator-not-string", "generators-string", "missing-relators"])
+        # a generator name must be one whole name of the presentation grammar
+        {"generators": ["a", "a^2"], "relators": ["a^2"]},
+        {"generators": ["1"], "relators": []},
+        {"generators": [""], "relators": []},
+        {"generators": ["a b"], "relators": []},
+        {"generators": ["²a"], "relators": []},
+    ], ids=["relator-not-string", "generators-string", "missing-relators",
+            "name-with-power", "name-one", "name-empty", "name-with-space", "name-digit-start"])
     def test_malformed_json_presentation(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(content))
@@ -681,6 +688,41 @@ class TestErrors:
         record = json.loads(err)
         validate("error", record)
         assert record["error"]["type"] == "parse"
+
+    def test_json_presentation_names_follow_the_grammar(self, capsys, tmp_path):
+        f = tmp_path / "names.json"
+        f.write_text(json.dumps({"generators": ["é", "_x", "a²"], "relators": ["é _x a²"]}))
+        code, out, _ = run_cli(capsys, ["alex", str(f)])
+        assert code == 0
+        assert json.loads(out)["relators"] == ["é _x a²"]
+
+    def test_json_relator_error_names_the_relator(self, capsys, tmp_path):
+        # the offset counts inside the relator, not inside the file
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"generators": ["a"], "relators": ["a", "a b"]}))
+        code, _, err = run_cli(capsys, ["alex", str(f)])
+        assert code == 2
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {"type": "parse", "offset": 2,
+                                   "message": "relator 1: unknown generator name 'b'"}
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("classify", {"terms": []}, "malformed 3-form: missing key 'n'"),
+        ("classify", {"n": 3, "terms": [{"i": 1, "j": 2, "k": 3}]},
+         "malformed 3-form: missing key 'c'"),
+        ("holonomy", {"relations": []}, "malformed holonomy relations: missing key 'n'"),
+    ], ids=["classify-n", "classify-c", "holonomy-n"])
+    def test_missing_json_key_is_named(self, capsys, tmp_path, command, content, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, [command, str(f)])
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+        assert record["error"]["message"] == message
 
     def test_word_length_limit(self, capsys, tmp_path):
         f = tmp_path / "power.grp"

@@ -262,6 +262,12 @@ PINNED_ERRORS = [
     ("<a, b | [a, b]^131073>", "word longer than 262144 letters", 8),
     ("<a | a^2 [a^131072, a]>", "word longer than 262144 letters", 9),
     ("<a | " + "a " * 262145 + ">", "word longer than 262144 letters", 524293),
+    # powers of '1' and of commutators read their exponent like a generator's
+    ("<a, b | [a,b]^²>", "malformed exponent", 14),
+    ("<a, b | [a,b]^>", "malformed exponent", 14),
+    ("<a, b | [a,b]^" + "0" * 5000 + "1>", "malformed exponent", 14),
+    ("<a, b | [a,b]^ - 1>", "malformed exponent", 15),
+    ("<a | 1^-a>", "malformed exponent", 7),
     ("<²a | a>", "expected identifier", 1),
     ("<a, a | a>", "duplicate generator name 'a'", 4),
     ("a | a>", "expected '<' to open presentation", 0),
@@ -288,6 +294,10 @@ PINNED_WORDS = [
     ("<é, b | é b é^-1 b^-1>", ((0, 1), (1, 1), (0, -1), (1, -1))),
     ("<_x | _x^3>", ((0, 1),) * 3),
     ("<a | a^262144>", ((0, 1),) * 262144),
+    ("<a, b | [a,b] ^ -2>", ((1, 1), (0, 1), (1, -1), (0, -1)) * 2),
+    ("<a | 1 ^ 3 a>", ((0, 1),)),
+    ("<a | 1^99999999999999999999>", ()),
+    ("<a, b | [a,b]^٣>", ((0, 1), (1, 1), (0, -1), (1, -1)) * 3),
 ]
 
 

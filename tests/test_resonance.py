@@ -697,6 +697,18 @@ class TestIsotropySearch:
             assert res.dimension == corank_of_class(classify_malcev(eta)) == g
             assert is_isotropic(eta, res.witness)
 
+    def test_greedy_coordinate_start_above_subset_limit(self):
+        # n = 13 has 2^13 > SUBSET_LIMIT coordinate subsets, so the subset
+        # start is greedy; it finds the genus in standard coordinates, and
+        # the linear-factor start finds it after a scramble
+        base = ThreeForm.product_form(6)
+        assert 2 ** base.n > resonance.SUBSET_LIMIT
+        scrambled = base.transform(random_invertible_matrix(random.Random(0), base.n))
+        for eta, method in ((base, "coordinate-subsets"), (scrambled, "linear-factor")):
+            res = isotropy_lower_bound(eta, seed=0)
+            assert (res.dimension, res.method) == (6, method)
+            assert is_isotropic(eta, res.witness)
+
     def test_index_equals_corank_on_zero_and_volume_forms(self):
         scrambled_vol = VOL.transform(random_invertible_matrix(random.Random(3), 3))
         for eta in [ThreeForm.zero(n) for n in range(1, 8)] + [VOL, scrambled_vol]:
