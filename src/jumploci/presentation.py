@@ -209,17 +209,16 @@ def _is_ident_start(ch):
     return ch.isalpha() or ch == "_"
 
 
-# an atom's optional power: the '^' with the whitespace after it, then the
-# exponent if the pattern can read it.  A generator is read with its power by
-# one match, which words, the header and JSON generator lists share; `1` and
-# `[u, v]` read theirs by a match of the power alone.  In str patterns \s, \w
-# and \d match exactly what str.isspace, str.isalnum (or "_") and
-# str.isdecimal accept; a name's first character is checked apart by
-# `_is_ident_start`, since \w also admits digits such as '²' that str.isalpha
-# refuses
-_POWER = r"\s*(?:(?P<caret>\^\s*)(?P<exponent>-?\d+)?)?"
+# an atom's optional power: '^' with the whitespace after it (group 2), then
+# the exponent if the pattern can read it (group 3).  A generator is read with
+# its power by one match, and every name of the grammar by this pattern; `1`
+# and `[u, v]` read their power alone, the empty group keeping the numbers.
+# In str patterns \s, \w and \d match exactly what str.isspace, str.isalnum
+# (or "_") and str.isdecimal accept; `_is_ident_start` checks a name's first
+# character, since \w also admits digits such as '²' that str.isalpha refuses
+_POWER = r"\s*(?:(\^\s*)(-?\d+)?)?"
 _GENERATOR_POWER = re.compile(r"\s*(\w+)" + _POWER)
-_ATOM_POWER = re.compile(_POWER)
+_ATOM_POWER = re.compile(r"()" + _POWER)
 
 
 def _match_name(text, pos=0):
@@ -230,10 +229,11 @@ def _match_name(text, pos=0):
 
 def _parse_word(cur, gen_index, stop_chars, depth=0):
     text = cur.text
+    generator_power = _GENERATOR_POWER.match
     letters = []
     while True:
-        atom = _match_name(text, cur.pos)
-        if atom is not None:
+        atom = generator_power(text, cur.pos)
+        if atom is not None and _is_ident_start(atom[1][0]):
             start = atom.start(1)
             g = gen_index.get(atom[1])
             if g is None:
@@ -271,23 +271,23 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
                 cur.fail(f"unexpected character {ch!r} in word")
             atom = _ATOM_POWER.match(text, cur.pos)
         cur.pos = end = atom.end()
-        if atom["caret"] is None:
+        if atom[2] is None:
             k = 1
         else:
             # malformed: no exponent the pattern reads, a digit int() refuses
             # right after it (such as '²'), or more digits than int() converts
             try:
-                if atom["exponent"] is None or text[end:end + 1].isdigit():
+                if atom[3] is None or text[end:end + 1].isdigit():
                     raise ValueError
-                k = int(atom["exponent"])
+                k = int(atom[3])
             except ValueError:
-                cur.fail("malformed exponent", atom.end("caret"))
+                cur.fail("malformed exponent", atom.end(2))
         # the power is checked against MAX_WORD_LENGTH before it is built; a
         # generator's |k| letters (g, sign k) are appended directly
         if len(letters) + abs(k) * (1 if word is None else len(word)) > MAX_WORD_LENGTH:
             cur.fail(f"word longer than {MAX_WORD_LENGTH} letters", start)
         if word is not None:
-            letters.extend((word ** k).letters)
+            letters.extend((word if k == 1 else word ** k).letters)
         elif k == 1 or k == -1:
             letters.append((g, k))
         else:
