@@ -229,10 +229,10 @@ def _match_name(text, pos=0):
 
 def _parse_word(cur, gen_index, stop_chars, depth=0):
     text = cur.text
-    generator_power = _GENERATOR_POWER.match
+    match = _GENERATOR_POWER.match
     letters = []
     while True:
-        atom = generator_power(text, cur.pos)
+        atom = match(text, cur.pos)
         if atom is not None and _is_ident_start(atom[1][0]):
             start = atom.start(1)
             g = gen_index.get(atom[1])
