@@ -24,8 +24,8 @@ print(f"first Betti number b1 = {ab.b1}; torsion = {list(ab.torsion)}")
 print("generator images in Z^b1:", [g.free for g in ab.gen_images])
 
 print("\nfree derivatives of the relator, abelianized into Z[t^±1]:")
-for j, name in enumerate(trefoil.generator_names):
-    d = fox_derivative(trefoil.relators[0], j, ab)
+row = fox_derivative(trefoil.relators[0], ab)
+for name, d in zip(trefoil.generator_names, row):
     print(f"  d(relator)/d{name} = {poly_to_string(d)}")
 
 a = alexander_matrix(trefoil)

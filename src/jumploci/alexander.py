@@ -138,10 +138,7 @@ class AlexanderMatrix:
 
 def alexander_matrix(p):
     ab = abelianization(p)
-    rows = tuple(
-        tuple(fox_derivative(rel, j, ab) for j in range(p.num_generators))
-        for rel in p.relators
-    )
+    rows = tuple(fox_derivative(rel, ab) for rel in p.relators)
     return AlexanderMatrix(entries=rows, abelianization=ab)
 
 

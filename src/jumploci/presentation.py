@@ -13,15 +13,15 @@ refused, and a power or commutator is checked before it is built.
 A word is scanned left to right by one loop: it reads each atom (a
 generator, ``1`` or ``[u, v]``), then the atom's optional ``^k`` through one
 set of compiled exponent groups; a generator is read with its power by one
-match and appended as |k| letters.  The letters of a word, and of a power
-``w^k``, are collected first and freely reduced in one pass, so parsing is
-linear in the expanded length.  Names follow ``str.isalpha`` and
+match and appended as |k| letters.  The letters of a word, of a power
+``w^k`` and of a commutator are collected first and freely reduced in one
+pass, so parsing is linear in the expanded length.  Names follow ``str.isalpha`` and
 ``str.isalnum`` (plus ``_``) in the header, in words and in JSON generator
 lists alike; an exponent is ``str.isdecimal`` digits that ``int()`` converts.
 It also computes Smith normal forms of integer matrices, the abelianization
-data (Betti number, invariant factors, generator images), and free
-derivatives pushed through the maximal torsion-free abelian quotient,
-landing in the Laurent ring on b1 variables.
+data (Betti number, invariant factors, generator images), and each relator's
+row of free derivatives, read in one pass over the word and pushed through
+the maximal torsion-free abelian quotient into the Laurent ring on b1 variables.
 
 Relators are not cyclically reduced automatically; derivatives of cyclic
 permutations of a relator differ by unit monomials, which the project-wide
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import index
+from operator import add, index, sub
 
 from .laurent import LaurentPoly
 
@@ -131,7 +131,9 @@ def _reduce_letters(letters):
 
 
 def commutator(u, v):
-    return u * v * u.inverse() * v.inverse()
+    """[u, v] = u v u^-1 v^-1, freely reduced in one pass."""
+    return Word(u.letters + v.letters + tuple((g, -s) for g, s in reversed(u.letters))
+                + tuple((g, -s) for g, s in reversed(v.letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix):
-    rows = [list(map(int, r)) for r in matrix]
+    rows = [list(map(index, r)) for r in matrix]
     r = len(rows)
     g = len(rows[0]) if r else 0
     if any(len(row) != g for row in rows):
@@ -568,37 +570,28 @@ def word_image(word, ab):
 # Fox derivatives, fused with the abelianization
 # ---------------------------------------------------------------------------
 
-def fox_derivative(word, i, ab):
-    """Free derivative d(word)/d(x_i), pushed into the Laurent ring on b1 variables.
+def fox_derivative(word, ab):
+    """Row (d(word)/d(x_0), ..., d(word)/d(x_{g-1})) of the Fox Jacobian.
 
-    Product rule d(uv) = du + u dv with d(x_i) = 1 and d(x_i^-1) = -x_i^-1;
-    group-ring elements are abelianized on the fly (torsion discarded), which
-    avoids materializing exponentially long free group-ring elements.
+    Product rule d(uv) = du + u dv with d(x_i) = e_i and d(x_i^-1) = -x_i^-1 e_i,
+    pushed into the Laurent ring on b1 variables: the word is walked once,
+    keeping the image of its prefix in Z^{b1}, and each letter adds or
+    subtracts that monomial in its own generator's column only.  Torsion is
+    discarded on the fly, which avoids materializing exponentially long free
+    group-ring elements.
     """
-    if not 0 <= i < ab.num_generators:
-        raise IndexError(f"generator index {i} out of range")
-    b1 = ab.b1
-    prefix = [0] * b1
-    terms = {}
-
-    def bump(sign):
-        key = tuple(prefix)
-        c = terms.get(key, 0) + sign
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
-
+    images = [img.free for img in ab.gen_images]
+    prefix = (0,) * ab.b1
+    columns = [{} for _ in images]
     for g, s in word.letters:
-        img = ab.gen_images[g].free
-        if s == 1:
-            if g == i:
-                bump(1)
-            for k, x in enumerate(img):
-                prefix[k] += x
+        if s < 0:
+            prefix = tuple(map(sub, prefix, images[g]))
+        terms = columns[g]
+        c = terms.get(prefix, 0) + s
+        if c:
+            terms[prefix] = c
         else:
-            for k, x in enumerate(img):
-                prefix[k] -= x
-            if g == i:
-                bump(-1)
-    return LaurentPoly(b1, terms)
+            del terms[prefix]
+        if s > 0:
+            prefix = tuple(map(add, prefix, images[g]))
+    return tuple(LaurentPoly(ab.b1, terms) for terms in columns)

@@ -175,7 +175,7 @@ class ThreeForm:
         out once at the end.
         """
         n = self.n
-        flat, t_den = _scaled_to_int(Fraction(t[i][a]) for i in range(n) for a in range(n))
+        flat, t_den = _scaled_to_int(Fraction(x) for i in range(n) for x in _exact(t[i], n))
         m = [flat[i * n:(i + 1) * n] for i in range(n)]
         # Expanding each minor along its first row i: the terms sharing the
         # trailing rows (j, k) combine into one weighted row sum of m.

@@ -77,6 +77,21 @@ class TestMatrix:
                 assert total.is_zero
                 assert word_image(rel, ab) == (0,) * ab.b1
 
+    def test_one_fox_call_per_relator(self, monkeypatch):
+        calls = []
+        real = alexander.fox_derivative
+
+        def counted(word, ab):
+            calls.append(word)
+            return real(word, ab)
+
+        monkeypatch.setattr(alexander, "fox_derivative", counted)
+        for p in (FREE_2, Z2, TREFOIL, SURFACE_2, HEISENBERG, DOUBLE_COMM):
+            calls.clear()
+            a = alexander_matrix(p)
+            assert calls == list(p.relators)
+            assert [len(row) for row in a.entries] == [p.num_generators] * len(p.relators)
+
 
 class TestElementaryIdeals:
     def test_z2_first_ideal(self):

@@ -29,6 +29,7 @@ from jumploci import (
     isotropy_lower_bound,
     lie_ranks,
     parse_presentation,
+    smith_normal_form,
     twisted_h1_dim,
     Word,
 )
@@ -178,11 +179,14 @@ def test_threeform_refuses_a_float_coefficient():
     lambda: LaurentPoly(1.9, {}),  # int() reads it as one variable
     lambda: Word.generator(0) ** 2.5,  # int() reads it as x x
     lambda: Word(((Fraction(1), 1),)),
+    lambda: smith_normal_form([[2.7, 0], [0, 4.2]]),  # int() reads it as diag(2, 4)
+    lambda: smith_normal_form([[Fraction(5, 2)]]),  # int() reads it as 2
+    lambda: ThreeForm.volume().transform([[0.1, 0, 0], [0, 1, 0], [0, 0, 1]]),
 ], ids=["threeform-index", "threeform-n", "quadratic-entry", "quadratic-n", "in_r1",
         "contraction", "contract_pair", "subspace-entry", "subspace-n", "character-exponent",
         "character-order", "character-bool", "brieskorn", "laurent-exponent",
         "laurent-coefficient", "laurent-constant", "laurent-power", "laurent-num-vars",
-        "word-power", "word-letter"])
+        "word-power", "word-letter", "smith-float", "smith-fraction", "transform-float"])
 def test_api_refuses_a_float_index_order_or_entry(call):
     with pytest.raises(TypeError):
         call()
