@@ -15,13 +15,14 @@ generator, ``1`` or ``[u, v]``), then the atom's optional ``^k`` through one
 set of compiled exponent groups; a generator is read with its power by one
 match and appended as |k| letters.  The letters of a word, of a power
 ``w^k`` and of a commutator are collected first and freely reduced in one
-pass, so parsing is linear in the expanded length.  Names follow ``str.isalpha`` and
-``str.isalnum`` (plus ``_``) in the header, in words and in JSON generator
-lists alike; an exponent is ``str.isdecimal`` digits that ``int()`` converts.
-It also computes Smith normal forms of integer matrices, the abelianization
-data (Betti number, invariant factors, generator images), and each relator's
-row of free derivatives, read in one pass over the word and pushed through
-the maximal torsion-free abelian quotient into the Laurent ring on b1 variables.
+pass, so parsing is linear in the expanded length.  Names follow
+``str.isalpha`` and ``str.isalnum`` (plus ``_``) in the header, in words and
+in JSON generator lists alike; an exponent is ``str.isdecimal`` digits that
+``int()`` converts.  It also computes Smith normal forms of integer matrices,
+the abelianization data (Betti number, invariant factors, generator images),
+and each relator's row of free derivatives, read in one pass over the word
+and pushed through the maximal torsion-free abelian quotient into the
+Laurent ring on b1 variables.
 
 Relators are not cyclically reduced automatically; derivatives of cyclic
 permutations of a relator differ by unit monomials, which the project-wide

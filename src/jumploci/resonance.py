@@ -168,11 +168,11 @@ class ThreeForm:
     def transform(self, t):
         """Pullback along the invertible matrix t: result(x,y,z) = eta(tx, ty, tz).
 
-        Exact integer arithmetic.  The entries of t are scaled to integers by
-        the lcm of their denominators; the coefficient on (a, b, c) is then
-        the sum over stored (i, j, k) of mu_ijk times the 3x3 minor of t on
-        rows (i, j, k) and columns (a, b, c), and the common scale is divided
-        out once at the end.
+        Exact integer arithmetic.  The entries of t (ints or Fractions) are
+        scaled to integers by the lcm of their denominators; the coefficient
+        on (a, b, c) is then the sum over stored (i, j, k) of mu_ijk times the
+        3x3 minor of t on rows (i, j, k) and columns (a, b, c), and the common
+        scale is divided out once at the end.
         """
         n = self.n
         flat, t_den = _scaled_to_int(Fraction(x) for i in range(n) for x in _exact(t[i], n))

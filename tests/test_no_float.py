@@ -181,7 +181,7 @@ def test_threeform_refuses_a_float_coefficient():
     lambda: Word(((Fraction(1), 1),)),
     lambda: smith_normal_form([[2.7, 0], [0, 4.2]]),  # int() reads it as diag(2, 4)
     lambda: smith_normal_form([[Fraction(5, 2)]]),  # int() reads it as 2
-    lambda: ThreeForm.volume().transform([[0.1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    lambda: ThreeForm.volume().transform([[0.1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # binary 0.1
 ], ids=["threeform-index", "threeform-n", "quadratic-entry", "quadratic-n", "in_r1",
         "contraction", "contract_pair", "subspace-entry", "subspace-n", "character-exponent",
         "character-order", "character-bool", "brieskorn", "laurent-exponent",

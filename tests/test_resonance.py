@@ -85,6 +85,10 @@ class TestThreeForm:
                 mat_vec(t, x), mat_vec(t, y), mat_vec(t, z)
             )
 
+    def test_transform_rejects_a_ragged_row(self):
+        with pytest.raises(ValueError):
+            ThreeForm.volume().transform([[1, 0, 0], [0, 1], [0, 0, 1]])
+
     @staticmethod
     def _reference_pullback(eta, t):
         n = eta.n
