@@ -7,12 +7,18 @@ by the contractions of the form against the coordinate functionals; this
 convention is pinned by the surface case, where the single relation restricted
 to the surface directions is the symplectic class sum [x_1,y_1]+...+[x_g,y_g].
 
-Ranks are computed per degree inside the tensor algebra: the relation ideal
-in degree d is spanned by (d-2)-fold left brackets of generators against the
-relations, its dimension is an exact rank computation over Q, and the
-quotient dimension is the free Lie algebra's (Witt's formula, the number of
-Lyndon words of length d) minus that rank.  No bracketed Hall basis is built,
-and a request beyond `MAX_LIE_DIMENSION` is refused before any work.
+Ranks are computed per degree.  The relation ideal in degree d is spanned by
+the relations for d = 2 and by the brackets [e_i, b] of the generators with
+a basis of the ideal in degree d - 1 above, formed in tensor coordinates.  A
+Lie element of degree d is determined by its coefficients on the Lyndon
+words of length d (the standard bracketing of a Lyndon word is that word
+plus lexicographically larger words), so each bracket is reduced on those
+coordinates only, and only the brackets found independent are kept,
+unreduced, for the next degree.  The ideal's dimension is an exact rank
+over Q, and the quotient dimension is the free Lie algebra's (Witt's
+formula, the number of Lyndon words of length d) minus that rank.  No
+bracketed Hall basis is built, and a request beyond `MAX_LIE_DIMENSION` is
+refused before any work.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from ._linalg import _prime_factors, echelon_insert, reduced
 from .seifert import LimitError
@@ -46,8 +52,9 @@ DEFAULT_DEGREE_CAP = 6
 MAX_DEGREE_CAP = 18
 
 # a larger free Lie dimension at the top degree is refused before any work.
-# It admits Sigma_3 x S^1 at degree 6 (n = 7, dimension 19544: 0.64 s, 97 MiB
-# peak RSS); one dense random relation instead takes 3.1 s and 347 MiB
+# It admits Sigma_3 x S^1 at degree 6 (n = 7, dimension 19544: 0.65 s, 33 MiB
+# peak RSS on a 2-CPU Xeon); one dense relation, all 21 coordinates 1, takes
+# 2.4 s and 97 MiB, and one with random entries in [-3, 3] 3.0 s and 110 MiB
 MAX_LIE_DIMENSION = 20000
 
 
@@ -131,7 +138,11 @@ def _witt(n, d):
 
 
 def lyndon_words(n, d):
-    """All Lyndon words of length d over the alphabet 0..n-1 (Duval's algorithm)."""
+    """All Lyndon words of length d over the alphabet 0..n-1, in lexicographic order.
+
+    Duval's algorithm generates the Lyndon words of length at most d in
+    lexicographic order, so those of length d come out sorted.
+    """
     if d < 1 or n < 1:
         return []
     out = []
@@ -145,7 +156,7 @@ def lyndon_words(n, d):
             w.append(w[-m])
         while w and w[-1] == n - 1:
             w.pop()
-    return sorted(out)
+    return out
 
 
 def _ad_generator(i, vec):
@@ -164,11 +175,16 @@ def _ad_generator(i, vec):
 def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     """Graded dimensions of Lie(n)/ideal(relations) for degrees 1..up_to.
 
-    The per-degree ideal is built iteratively: degree 2 is the relation span,
-    and each next degree is spanned by brackets of the generators against a
-    basis of the previous ideal piece.  Exact arithmetic throughout; degrees
-    beyond `degree_cap` are refused because free Lie dimensions grow quickly,
-    and a free Lie dimension above `MAX_LIE_DIMENSION` with LimitError.
+    Degree 2 inserts each relation, its denominators cleared once, on the
+    words (i, j) with i < j.  Each degree d >= 3 brackets every kept row b
+    of degree d - 1 with each generator, inserts the bracket's entries on
+    the Lyndon words of length d into a fresh echelon basis, and keeps the
+    bracket itself, in full tensor coordinates, when it was independent and
+    d < up_to.  The projection is injective on Lie elements, so the rank is
+    the ideal's dimension, and the top degree keeps no rows.  Exact integer
+    arithmetic throughout; degrees beyond `degree_cap` are refused because
+    free Lie dimensions grow quickly, and a free Lie dimension above
+    `MAX_LIE_DIMENSION` with LimitError.
     """
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
@@ -181,19 +197,21 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
                          f"degree {up_to}, above MAX_LIE_DIMENSION = {MAX_LIE_DIMENSION}")
     ranks = [n]
     pairs = wedge_basis(n)
-    ideal = {}
+    basis, rows = {}, []
     for r in q.relations:
-        vec = {}
-        for (i, j), c in zip(pairs, r):
-            if c:
-                vec[(i, j)] = c
-                vec[(j, i)] = -c
-        echelon_insert(ideal, vec)
+        den = lcm(*(c.denominator for c in r))
+        vec = {p: c.numerator * (den // c.denominator) for p, c in zip(pairs, r) if c}
+        if echelon_insert(basis, vec) is not None and up_to > 2:
+            rows.append({**vec, **{(j, i): -c for (i, j), c in vec.items()}})
     for d in range(2, up_to + 1):
         if d > 2:
-            prev, ideal = ideal, {}
-            for row in prev.values():
+            lyndon = set(lyndon_words(n, d)) if rows else ()
+            prev, basis, rows = rows, {}, []
+            for b in prev:
                 for i in range(n):
-                    echelon_insert(ideal, _ad_generator(i, row))
-        ranks.append(_witt(n, d) - len(ideal))
+                    v = _ad_generator(i, b)
+                    coords = {w: c for w, c in v.items() if w in lyndon}
+                    if echelon_insert(basis, coords) is not None and d < up_to:
+                        rows.append(v)
+        ranks.append(_witt(n, d) - len(basis))
     return GradedRanks(ranks=tuple(ranks))

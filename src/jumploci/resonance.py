@@ -172,10 +172,16 @@ class ThreeForm:
         scaled to integers by the lcm of their denominators; the coefficient
         on (a, b, c) is then the sum over stored (i, j, k) of mu_ijk times the
         3x3 minor of t on rows (i, j, k) and columns (a, b, c), and the common
-        scale is divided out once at the end.
+        scale is divided out once at the end.  A matrix that is not n x n
+        raises ValueError naming its shape.
         """
         n = self.n
-        flat, t_den = _scaled_to_int(Fraction(x) for i in range(n) for x in _exact(t[i], n))
+        rows = [tuple(row) for row in t]
+        widths = {len(row) for row in rows}
+        if len(rows) != n or widths - {n}:
+            cols = "/".join(map(str, sorted(widths))) or "0"
+            raise ValueError(f"transform matrix must be {n}x{n}, got {len(rows)}x{cols}")
+        flat, t_den = _scaled_to_int(Fraction(x) for row in rows for x in _exact(row, n))
         m = [flat[i * n:(i + 1) * n] for i in range(n)]
         # Expanding each minor along its first row i: the terms sharing the
         # trailing rows (j, k) combine into one weighted row sum of m.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -46,18 +47,23 @@ def witt_dimension(n, d):
     return total // d
 
 
-def surface_lcs_rank(g, d):
-    """Rank of the d-th LCS quotient of the genus-g surface group (d >= 2).
+def one_relator_rank(n, d):
+    """Degree-d rank of a one-relator quadratic Lie algebra on n generators.
 
-    From prod_d (1 - t^d)^phi_d = 1 - 2g t + t^2: the power sums
-    p_m = a^m + b^m of the roots (a + b = 2g, ab = 1) satisfy
+    From prod_d (1 - t^d)^phi_d = 1 - n t + t^2 (Labute 1985): the power
+    sums p_m = a^m + b^m of the roots (a + b = n, ab = 1) satisfy
     sum_{e | m} e phi_e = p_m, so phi_d is their Moebius inversion.
     """
-    p = [2, 2 * g]
+    p = [2, n]
     while len(p) <= d:
-        p.append(2 * g * p[-1] - p[-2])
+        p.append(n * p[-1] - p[-2])
     total = sum(_mobius(d // e) * p[e] for e in range(1, d + 1) if d % e == 0)
     return total // d
+
+
+def surface_lcs_rank(g, d):
+    """Rank of the d-th LCS quotient of the genus-g surface group (d >= 2)."""
+    return one_relator_rank(2 * g, d)
 
 
 def _tensor_bracket(a, b):
@@ -135,6 +141,15 @@ class TestLyndon:
         assert lyndon_words(2, 2) == [(0, 1)]
         assert lyndon_words(2, 3) == [(0, 0, 1), (0, 1, 1)]
 
+    def test_lexicographic_order_matches_brute_force(self):
+        # a Lyndon word is smaller than every proper rotation of itself, and
+        # product() lists the words in lexicographic order
+        for n in range(1, 4):
+            for d in range(1, 7):
+                brute = [w for w in product(range(n), repeat=d)
+                         if all(w < w[k:] + w[:k] for k in range(1, d))]
+                assert lyndon_words(n, d) == brute, (n, d)
+
 
 class TestFreeRanks:
     def test_free_n2_through_degree_5(self):
@@ -171,19 +186,19 @@ class TestQuotients:
 
     def test_random_quotients_match_closure_oracle(self):
         rng = random.Random(71)
-        for _ in range(10):
-            n = rng.choice((2, 3))
+        cases = [(rng.choice((2, 3)), 4, 1) for _ in range(10)] + [(4, 5, 4)] * 2
+        for n, top, den in cases:
             m = n * (n - 1) // 2
             rels = []
             for _ in range(rng.randint(1, 2)):
-                vec = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
+                vec = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(m))
                 if any(vec):
                     rels.append(vec)
             if not rels:
                 continue
             q = QuadraticData(n, tuple(rels))
-            ranks = lie_ranks(q, 4).ranks
-            for d in range(2, 5):
+            ranks = lie_ranks(q, top).ranks
+            for d in range(2, top + 1):
                 ideal_dim = _closure_ideal_dimension(n, rels, d)
                 assert ranks[d - 1] == witt_dimension(n, d) - ideal_dim
 
@@ -213,6 +228,29 @@ class TestQuotients:
         ]
         q2 = QuadraticData(3, tuple(mixed))
         assert lie_ranks(q1, 5).ranks == lie_ranks(q2, 5).ranks
+
+
+class TestOneRelator:
+    DEGREES = {2: 6, 3: 6, 4: 6, 5: 6, 6: 5, 7: 5}
+
+    def test_one_relation_gives_labute_ranks(self):
+        rng = random.Random(77)
+        for n, top in self.DEGREES.items():
+            pairs = wedge_basis(n)
+            cases = [tuple(Fraction(rng.randint(-3, 3)) for _ in pairs) for _ in range(2)]
+            for _ in range(2):
+                bracket = [Fraction(0)] * len(pairs)
+                bracket[rng.randrange(len(pairs))] = Fraction(rng.choice((-2, 1, 3)))
+                cases.append(tuple(bracket))
+            for rel in cases:
+                assert any(rel)
+                ranks = lie_ranks(QuadraticData(n, (rel,)), top).ranks
+                assert ranks == tuple(one_relator_rank(n, d) for d in range(1, top + 1)), rel
+
+    def test_dense_relation_on_seven_generators_at_degree_6(self):
+        ranks = lie_ranks(QuadraticData(7, ((1,) * 21,)), 6).ranks
+        assert ranks == (7, 20, 105, 540, 3024, 17220)
+        assert ranks == tuple(one_relator_rank(7, d) for d in range(1, 7))
 
 
 class TestDimensionLimit:

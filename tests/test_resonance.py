@@ -86,8 +86,16 @@ class TestThreeForm:
             )
 
     def test_transform_rejects_a_ragged_row(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"3x3, got 3x2/3"):
             ThreeForm.volume().transform([[1, 0, 0], [0, 1], [0, 0, 1]])
+
+    def test_transform_rejects_an_extra_row(self):
+        with pytest.raises(ValueError, match=r"3x3, got 4x3"):
+            ThreeForm.volume().transform([[1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 5, 5]])
+
+    def test_transform_rejects_a_missing_row(self):
+        with pytest.raises(ValueError, match=r"3x3, got 2x3"):
+            ThreeForm.volume().transform([[1, 0, 0], [0, 1, 0]])
 
     @staticmethod
     def _reference_pullback(eta, t):
