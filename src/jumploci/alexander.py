@@ -18,9 +18,10 @@ above `MAX_CHARACTER_ORDER`.
 Every answer about E_d reads its minors from one stream, `_nonzero_minors`,
 which expands them through one Laplace memo per matrix and stops an answer
 that would read more than `DEFAULT_GENERATOR_CAP` nonzero minors with
-`LimitError`.  So an answer is exact or refused, never read from part of an
-ideal.  `elementary_ideal` lists E_d for `alex` from the Laurent memo.  The
-jump-locus route never lists E_d: by the fundamental formula of Fox calculus
+`LimitError`; a Laurent minor whose expansion would form a product of more
+than `MAX_MINOR_TERMS` terms is stopped the same way.  So an answer is exact
+or refused, never read from part of an ideal.  `elementary_ideal` lists E_d
+for `alex` from the Laurent memo.  The jump-locus route never lists E_d: by the fundamental formula of Fox calculus
 the columns satisfy sum_j u_j A_j = 0 with u_j = t^{phi(x_j)} - 1, so for any
 column j, u_j E_d lies in the ideal I_j of the minors that avoid column j,
 and I_j lies in E_d.  At chi with u_j(chi) != 0, E_d vanishes exactly when
@@ -70,6 +71,7 @@ __all__ = [
     "sample_characters",
     "CHARACTER_ORDERS",
     "MAX_CHARACTER_ORDER",
+    "MAX_MINOR_TERMS",
 ]
 
 CHARACTER_ORDERS = (2, 3, 4, 5, 6, 8, 12)
@@ -83,6 +85,16 @@ MAX_CHARACTER_ORDER = 1024
 # for the jump-locus route; one more raises LimitError.  Z^5's E_1 (625
 # minors) is listed, Z^6's (7776) refused
 DEFAULT_GENERATOR_CAP = 1024
+
+# a Laurent product inside a minor may have at most this many terms, counted
+# as the product of its factors' term counts before it is formed; one more
+# raises LimitError.  A chain <x0..xk | x_i^2 x_{i+1}^-1> doubles its minors
+# with each generator (2^k terms; `alex` at k = 16 took 0.9-1.4 s), and
+# <x, y, z, w | x^1000 y^-1, y^1000 z^-1, z^1000 w^-1, [w, x]> asks for a
+# product of 10^6 terms, which ran out of memory.  The largest product in the
+# tests, CI, demos and bench is 1936 terms (two 200-letter relators); two
+# 2000-letter relators form one of 18544
+MAX_MINOR_TERMS = 2**15
 
 
 class IdentityCharacterError(ValueError):
@@ -168,7 +180,9 @@ def _minor(entries, rows, cols, memo, m=0):
     With an order m >= 1 the minor is folded into Z[H_1/mH_1]: an entry is
     folded when a minor first reads it, and kept in `memo` as a 1-minor, and
     every product is folded.  A folded minor has at most m^b1 terms, and the
-    product of two at most (2m - 1)^b1 before it is folded.
+    product of two at most (2m - 1)^b1 before it is folded.  Unfolded (m = 0),
+    a product whose factors' term counts multiply to more than
+    `MAX_MINOR_TERMS` raises `LimitError` before it is formed.
     """
     key = (rows, cols)
     cached = memo.get(key)
@@ -186,7 +200,14 @@ def _minor(entries, rows, cols, memo, m=0):
             if e.is_zero:
                 continue
             sub = _minor(entries, rest, cols[:pos] + cols[pos + 1:], memo, m)
-            term = fold(e * sub, m) if m else e * sub
+            if m:
+                term = fold(e * sub, m)
+            else:
+                size = len(e.terms) * len(sub.terms)
+                if size > MAX_MINOR_TERMS:
+                    raise LimitError(f"a product of {size} terms in a minor exceeds "
+                                     f"MAX_MINOR_TERMS = {MAX_MINOR_TERMS}")
+                term = e * sub
             val = val + term if pos % 2 == 0 else val - term
     memo[key] = val
     return val

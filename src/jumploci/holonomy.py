@@ -14,11 +14,16 @@ Lie element of degree d is determined by its coefficients on the Lyndon
 words of length d (the standard bracketing of a Lyndon word is that word
 plus lexicographically larger words), so each bracket is reduced on those
 coordinates only, and only the brackets found independent are kept,
-unreduced, for the next degree.  The ideal's dimension is an exact rank
-over Q, and the quotient dimension is the free Lie algebra's (Witt's
-formula, the number of Lyndon words of length d) minus that rank.  No
-bracketed Hall basis is built, and a request beyond `MAX_LIE_DIMENSION` is
-refused before any work.
+unreduced, for the next degree.  A tensor word w = (w_0, ..., w_{d-1}) is
+keyed by the integer sum_k w_k n^(d-1-k), the word read as a number in base
+n.  Words of one length d have codes in [0, n^d), and two of them compare as
+integers exactly as they compare lexicographically (the first differing
+letter decides), so the echelon kernel, which orders its keys, meets the
+pivots of the lexicographic order.  The ideal's dimension is an
+exact rank over Q, and the quotient dimension is the free Lie algebra's
+(Witt's formula, the number of Lyndon words of length d) minus that rank.
+No bracketed Hall basis is built, and a request beyond `MAX_LIE_DIMENSION`
+is refused before any work.
 """
 
 from __future__ import annotations
@@ -52,9 +57,10 @@ DEFAULT_DEGREE_CAP = 6
 MAX_DEGREE_CAP = 18
 
 # a larger free Lie dimension at the top degree is refused before any work.
-# It admits Sigma_3 x S^1 at degree 6 (n = 7, dimension 19544: 0.65 s, 33 MiB
-# peak RSS on a 2-CPU Xeon); one dense relation, all 21 coordinates 1, takes
-# 2.4 s and 97 MiB, and one with random entries in [-3, 3] 3.0 s and 110 MiB
+# It admits Sigma_3 x S^1 at degree 6 (n = 7, dimension 19544: 0.4-0.6 s,
+# 29 MiB peak RSS on a 2-CPU Xeon with Python 3.11.7); one dense relation,
+# all 21 coordinates 1, takes 1.5-1.6 s and 84 MiB, and one with random
+# entries in [-3, 3] 1.3-1.5 s and 72 MiB
 MAX_LIE_DIMENSION = 20000
 
 
@@ -159,32 +165,51 @@ def lyndon_words(n, d):
     return out
 
 
-def _ad_generator(i, vec):
-    """[e_i, v] in tensor coordinates."""
-    out = {}
+def _lyndon_codes(n, d):
+    """The codes of `lyndon_words(n, d)`, in the same (increasing) order."""
+    out = []
+    for word in lyndon_words(n, d):
+        code = 0
+        for x in word:
+            code = code * n + x
+        out.append(code)
+    return out
+
+
+def _ad_generator(i, vec, n, size):
+    """[e_i, v] in tensor coordinates, for v of a degree with `size` words.
+
+    A word w of v is sent to the words (i, w) and (w, i), whose codes are
+    i * size + w and w * n + i.
+    """
+    lead = i * size
+    out = {lead + w: c for w, c in vec.items()}
     for w, c in vec.items():
-        for key, val in (((i,) + w, c), (w + (i,), -c)):
-            s = out.get(key, 0) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        key = w * n + i
+        s = out.get(key, 0) - c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
     return out
 
 
 def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     """Graded dimensions of Lie(n)/ideal(relations) for degrees 1..up_to.
 
-    Degree 2 inserts each relation, its denominators cleared once, on the
-    words (i, j) with i < j.  Each degree d >= 3 brackets every kept row b
-    of degree d - 1 with each generator, inserts the bracket's entries on
-    the Lyndon words of length d into a fresh echelon basis, and keeps the
-    bracket itself, in full tensor coordinates, when it was independent and
-    d < up_to.  The projection is injective on Lie elements, so the rank is
-    the ideal's dimension, and the top degree keeps no rows.  Exact integer
-    arithmetic throughout; degrees beyond `degree_cap` are refused because
-    free Lie dimensions grow quickly, and a free Lie dimension above
-    `MAX_LIE_DIMENSION` with LimitError.
+    Every tensor word of length d is keyed by its base-n code (the module
+    docstring), so the pair (i, j) is i * n + j.  Degree 2 inserts each
+    relation, its denominators cleared once, on the words (i, j) with i < j.
+    Each degree d >= 3 brackets every kept row b of degree d - 1 with each
+    generator, inserts the bracket's entries on the codes of the Lyndon
+    words of length d into a fresh echelon basis, and keeps the bracket
+    itself, in full tensor coordinates, when it was independent and
+    d < up_to.  Codes of one length order as the words do, so the pivots
+    are those of the lexicographic order.  The projection is injective on
+    Lie elements, so the rank is the ideal's dimension, and the top degree
+    keeps no rows.  Exact integer arithmetic throughout; degrees beyond
+    `degree_cap` are refused because free Lie dimensions grow quickly, and
+    a free Lie dimension above `MAX_LIE_DIMENSION` with LimitError.
     """
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
@@ -200,16 +225,19 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     basis, rows = {}, []
     for r in q.relations:
         den = lcm(*(c.denominator for c in r))
-        vec = {p: c.numerator * (den // c.denominator) for p, c in zip(pairs, r) if c}
+        terms = [(i, j, c.numerator * (den // c.denominator))
+                 for (i, j), c in zip(pairs, r) if c]
+        vec = {i * n + j: c for i, j, c in terms}
         if echelon_insert(basis, vec) is not None and up_to > 2:
-            rows.append({**vec, **{(j, i): -c for (i, j), c in vec.items()}})
+            rows.append({**vec, **{j * n + i: -c for i, j, c in terms}})
     for d in range(2, up_to + 1):
         if d > 2:
-            lyndon = set(lyndon_words(n, d)) if rows else ()
+            lyndon = set(_lyndon_codes(n, d)) if rows else ()
+            size = n ** (d - 1)
             prev, basis, rows = rows, {}, []
             for b in prev:
                 for i in range(n):
-                    v = _ad_generator(i, b)
+                    v = _ad_generator(i, b, n, size)
                     coords = {w: c for w, c in v.items() if w in lyndon}
                     if echelon_insert(basis, coords) is not None and d < up_to:
                         rows.append(v)

@@ -97,6 +97,16 @@ def sum_pattern_text(rng, length):
     return f"<a, b, c | {text}>"
 
 
+def chain_text(k):
+    """<x0..xk | x_i^2 x_{i+1}^-1>: expanding its E_1 forms a product of 2^k terms."""
+    gens = ", ".join(f"x{i}" for i in range(k + 1))
+    return f"<{gens} | {', '.join(f'x{i}^2 x{i + 1}^-1' for i in range(k))}>"
+
+
+# expanding its E_1 forms a product of 10^6 terms
+FOUR_POWERS = "<x, y, z, w | x^1000 y^-1, y^1000 z^-1, z^1000 w^-1, w x w^-1 x^-1>"
+
+
 def random_poly(rng, num_vars, max_terms=4, exp_bound=3, coeff_bound=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):

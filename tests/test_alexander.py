@@ -35,6 +35,7 @@ from _corpus import (
     TORUS_2_5,
     TREFOIL,
     Z2,
+    chain_text,
     cross_validation_corpus,
     mat_mul,
     random_word,
@@ -127,6 +128,26 @@ class TestElementaryIdeals:
     def test_negative_d_rejected(self):
         with pytest.raises(ValueError):
             elementary_ideal(alexander_matrix(Z2), -1)
+
+
+class TestMinorTermLimit:
+    """A Laurent product in a minor beyond MAX_MINOR_TERMS is refused before it is formed.
+
+    The CLI's refusal of the longer chain and of `FOUR_POWERS` is tested in test_cli.
+    """
+
+    def test_chain_just_under_the_limit_answers(self):
+        # the chain on k + 1 generators forms a product of 2^k terms
+        k = alexander.MAX_MINOR_TERMS.bit_length() - 1
+        assert alexander_matrix(parse_presentation(chain_text(k))).delta.is_one
+        with pytest.raises(seifert.LimitError, match="a product of 65536 terms"):
+            alexander_matrix(parse_presentation(chain_text(k + 1))).delta
+
+    def test_folded_minors_are_not_limited(self):
+        # the jump-locus route folds every product to the character's order
+        a = alexander_matrix(parse_presentation(chain_text(40)))
+        chi = Character(order=2, exponents=(1,))
+        assert elementary_ideal_vanishes_at(a, 1, chi) is False
 
 
 class TestAlexanderPolynomial:

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ import jumploci
 from jumploci import alexander, cli, holonomy, laurent, seifert
 from jumploci.cli import MAX_CHARACTER_DIGITS, MAX_TRIALS, RunConfig, main, parse_character
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH
+
+from _corpus import FOUR_POWERS, chain_text
 
 SCHEMA_DIR = pathlib.Path(jumploci.__file__).parent / "schemas"
 
@@ -112,6 +115,24 @@ class TestAlex:
         assert record["error"] == {
             "type": "config",
             "message": "listing E_1 needs more than DEFAULT_GENERATOR_CAP = 1024 nonzero minors",
+            "offset": None,
+        }
+
+    @pytest.mark.parametrize("text,size", [(chain_text(40), 65536), (FOUR_POWERS, 1000000)],
+                             ids=["chain40", "four"])
+    def test_large_minor_product_is_refused_fast(self, capsys, tmp_path, text, size):
+        f = tmp_path / "big.grp"
+        f.write_text(text + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["alex", str(f)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"] == {
+            "type": "config",
+            "message": f"a product of {size} terms in a minor exceeds MAX_MINOR_TERMS = 32768",
             "offset": None,
         }
 

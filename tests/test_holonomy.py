@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,7 @@ from jumploci import (
     wedge_basis,
 )
 from jumploci import holonomy
-from jumploci._linalg import rank
+from jumploci._linalg import echelon_insert, rank
 from jumploci.seifert import LimitError
 
 from _corpus import random_threeform
@@ -126,6 +127,43 @@ def _closure_ideal_dimension(n, relation_vecs, d):
     keys = sorted({w for v in vectors for w in v})
     rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vectors]
     return rank(rows)
+
+
+def _reference_ad_generator(i, vec):
+    out = {}
+    for w, c in vec.items():
+        for key, val in (((i,) + w, c), (w + (i,), -c)):
+            s = out.get(key, 0) + val
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def reference_lie_ranks(q, up_to):
+    """The same elimination keyed by tuple words, as `lie_ranks` ran before words became ints."""
+    n = q.n
+    ranks = [n]
+    pairs = wedge_basis(n)
+    basis, rows = {}, []
+    for r in q.relations:
+        den = lcm(*(c.denominator for c in r))
+        vec = {p: c.numerator * (den // c.denominator) for p, c in zip(pairs, r) if c}
+        if echelon_insert(basis, vec) is not None and up_to > 2:
+            rows.append({**vec, **{(j, i): -c for (i, j), c in vec.items()}})
+    for d in range(2, up_to + 1):
+        if d > 2:
+            lyndon = set(lyndon_words(n, d)) if rows else ()
+            prev, basis, rows = rows, {}, []
+            for b in prev:
+                for i in range(n):
+                    v = _reference_ad_generator(i, b)
+                    coords = {w: c for w, c in v.items() if w in lyndon}
+                    if echelon_insert(basis, coords) is not None and d < up_to:
+                        rows.append(v)
+        ranks.append(witt_dimension(n, d) - len(basis))
+    return tuple(ranks)
 
 
 # -- tests ----------------------------------------------------------------------
@@ -251,6 +289,54 @@ class TestOneRelator:
         ranks = lie_ranks(QuadraticData(7, ((1,) * 21,)), 6).ranks
         assert ranks == (7, 20, 105, 540, 3024, 17220)
         assert ranks == tuple(one_relator_rank(7, d) for d in range(1, 7))
+
+
+class TestIntegerCodes:
+    """Base-n word codes give the ranks that tuple words gave."""
+
+    @staticmethod
+    def _random_relations(rng, n, dense, fractions):
+        pairs = wedge_basis(n)
+        rels = []
+        for _ in range(rng.randint(1, 3)):
+            rel = [0] * len(pairs)
+            support = range(len(pairs))
+            for idx in (support if dense else rng.sample(support, min(2, len(support)))):
+                rel[idx] = rng.randint(-3, 3)
+            if fractions:
+                rel = [Fraction(c, rng.randint(1, 4)) for c in rel]
+            rels.append(tuple(rel))
+        return QuadraticData(n, tuple(rels))
+
+    def test_codes_increase_with_the_words(self):
+        for n in range(1, 5):
+            for d in range(1, 7):
+                codes = holonomy._lyndon_codes(n, d)
+                assert codes == [sum(x * n ** (d - 1 - k) for k, x in enumerate(w))
+                                 for w in lyndon_words(n, d)]
+                assert all(a < b for a, b in zip(codes, codes[1:])), (n, d)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_relations_match_tuple_reference(self, n):
+        rng = random.Random(80 + n)
+        for dense in (False, True):
+            for fractions in (False, True):
+                for _ in range(2):
+                    q = self._random_relations(rng, n, dense, fractions)
+                    assert lie_ranks(q, 5).ranks == reference_lie_ranks(q, 5), q
+
+    def test_product_forms_match_tuple_reference(self):
+        for g in (1, 2, 3):
+            q = holonomy_from_threeform(ThreeForm.product_form(g))
+            assert lie_ranks(q, 5).ranks == reference_lie_ranks(q, 5)
+
+    def test_zero_and_one_generator(self):
+        # base 0 and base 1 codes degenerate: no words, or one word per length
+        for n in (0, 1):
+            q = QuadraticData(n, ((),) if n == 1 else ())
+            for top in (1, 2, 5):
+                assert lie_ranks(q, top).ranks == reference_lie_ranks(q, top)
+            assert lie_ranks(q, 5).ranks == (n, 0, 0, 0, 0)
 
 
 class TestDimensionLimit:
