@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,11 +121,20 @@ def _json_int(value, what):
     return value
 
 
+# the only string coefficients: an integer or a fraction of digit strings.  A
+# wider grammar costs: Fraction("1e10000000") builds a ten-million-digit integer
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rational(value):
-    """A JSON coefficient: an integer stays an int, a 'p/q' string becomes a Fraction."""
+    """A JSON coefficient: an integer stays an int, a 'p/q' string becomes a Fraction.
+
+    A string must read `[+-]?digits(/digits)?`; exponents, decimal points,
+    spaces and underscores are refused.
+    """
     if type(value) is int:
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL_STRING.fullmatch(value):
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -182,8 +192,19 @@ def threeform_from_json(obj):
         n = _dimension(obj)
         coeffs = {}
         for term in obj.get("terms", []):
-            key = tuple(_json_int(term[name], name) - 1 for name in "ijk")
-            c = _parse_rational(term["c"])
+            i = term["i"]
+            if type(i) is not int:  # refused with _json_int's message
+                _json_int(i, "i")
+            j = term["j"]
+            if type(j) is not int:
+                _json_int(j, "j")
+            k = term["k"]
+            if type(k) is not int:
+                _json_int(k, "k")
+            c = term["c"]
+            if type(c) is not int:
+                c = _parse_rational(c)
+            key = (i - 1, j - 1, k - 1)
             coeffs[key] = coeffs[key] + c if key in coeffs else c
         return ThreeForm(n, coeffs)
     except LimitError:

@@ -13,13 +13,14 @@ a basis of the ideal in degree d - 1 above, formed in tensor coordinates.  A
 Lie element of degree d is determined by its coefficients on the Lyndon
 words of length d (the standard bracketing of a Lyndon word is that word
 plus lexicographically larger words), so each bracket is reduced on those
-coordinates only, and only the brackets found independent are kept,
-unreduced, for the next degree.  A tensor word w = (w_0, ..., w_{d-1}) is
-keyed by the integer sum_k w_k n^(d-1-k), the word read as a number in base
-n.  Words of one length d have codes in [0, n^d), and two of them compare as
-integers exactly as they compare lexicographically (the first differing
-letter decides), so the echelon kernel, which orders its keys, meets the
-pivots of the lexicographic order.  The ideal's dimension is an
+coordinates only.  Those coordinates are read straight from b, one pass over
+its words, and only the brackets found independent are built in full and
+kept, unreduced, for the next degree.  A tensor word w = (w_0, ..., w_{d-1})
+is keyed by the integer sum_k w_k n^(d-1-k), the word read as a number in
+base n.  Words of one length d have codes in [0, n^d), and two of them
+compare as integers exactly as they compare lexicographically (the first
+differing letter decides), so the echelon kernel, which orders its keys,
+meets the pivots of the lexicographic order.  The ideal's dimension is an
 exact rank over Q, and the quotient dimension is the free Lie algebra's
 (Witt's formula, the number of Lyndon words of length d) minus that rank.
 No bracketed Hall basis is built, and a request beyond `MAX_LIE_DIMENSION`
@@ -194,22 +195,48 @@ def _ad_generator(i, vec, n, size):
     return out
 
 
+def _ad_lyndon(i, vec, n, size, lyndon):
+    """The entries of `_ad_generator(i, vec, n, size)` on the codes in `lyndon`.
+
+    One pass over `vec` tests the codes of (i, w) and (w, i) for each word w;
+    the full bracket is never built.  A Lyndon word of length at least 2
+    begins with its least letter and ends in a larger one.  So (i, w), which
+    needs i <= w_0, and (w, i), which needs w_0 < i, are never both Lyndon,
+    and the words where the full bracket adds up or cancels two entries,
+    (i, w) = (w', i), begin and end with i and are never Lyndon: each Lyndon
+    code receives at most one entry, and it is nonzero.
+    """
+    lead = i * size
+    out = {}
+    for w, c in vec.items():
+        key = lead + w
+        if key in lyndon:
+            out[key] = c
+        else:
+            key = w * n + i
+            if key in lyndon:
+                out[key] = -c
+    return out
+
+
 def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     """Graded dimensions of Lie(n)/ideal(relations) for degrees 1..up_to.
 
     Every tensor word of length d is keyed by its base-n code (the module
     docstring), so the pair (i, j) is i * n + j.  Degree 2 inserts each
     relation, its denominators cleared once, on the words (i, j) with i < j.
-    Each degree d >= 3 brackets every kept row b of degree d - 1 with each
-    generator, inserts the bracket's entries on the codes of the Lyndon
-    words of length d into a fresh echelon basis, and keeps the bracket
-    itself, in full tensor coordinates, when it was independent and
-    d < up_to.  Codes of one length order as the words do, so the pivots
-    are those of the lexicographic order.  The projection is injective on
-    Lie elements, so the rank is the ideal's dimension, and the top degree
-    keeps no rows.  Exact integer arithmetic throughout; degrees beyond
-    `degree_cap` are refused because free Lie dimensions grow quickly, and
-    a free Lie dimension above `MAX_LIE_DIMENSION` with LimitError.
+    Each degree d >= 3 pairs every kept row b of degree d - 1 with each
+    generator e_i, reads the entries of [e_i, b] on the codes of the Lyndon
+    words of length d in one pass over b (`_ad_lyndon`), and inserts them
+    into a fresh echelon basis.  Only a bracket found independent below the
+    top degree is then built in full tensor coordinates and kept; a
+    dependent one, and every one at the top degree, is never built.  Codes
+    of one length order as the words do, so the pivots are those of the
+    lexicographic order.  The projection is injective on Lie elements, so
+    the rank is the ideal's dimension, and the top degree keeps no rows.
+    Exact integer arithmetic throughout; degrees beyond `degree_cap` are
+    refused because free Lie dimensions grow quickly, and a free Lie
+    dimension above `MAX_LIE_DIMENSION` with LimitError.
     """
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
@@ -237,9 +264,8 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
             prev, basis, rows = rows, {}, []
             for b in prev:
                 for i in range(n):
-                    v = _ad_generator(i, b, n, size)
-                    coords = {w: c for w, c in v.items() if w in lyndon}
+                    coords = _ad_lyndon(i, b, n, size, lyndon)
                     if echelon_insert(basis, coords) is not None and d < up_to:
-                        rows.append(v)
+                        rows.append(_ad_generator(i, b, n, size))
         ranks.append(_witt(n, d) - len(basis))
     return GradedRanks(ranks=tuple(ranks))

@@ -61,15 +61,14 @@ __all__ = [
 
 
 def _sort_triple(i, j, k, c):
-    idx = [i, j, k]
-    sign = 1
-    # three-element bubble sort, tracking the permutation sign
-    for a in range(2):
-        for b in range(2 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    return (idx[0], idx[1], idx[2]), sign * c
+    """(i, j, k) sorted, with c negated once per swap of three compare-and-swaps."""
+    if i > j:
+        i, j, c = j, i, -c
+    if j > k:
+        j, k, c = k, j, -c
+    if i > j:
+        i, j, c = j, i, -c
+    return (i, j, k), c
 
 
 class ThreeForm:
@@ -98,17 +97,32 @@ class ThreeForm:
                 else:
                     raise TypeError(f"3-form coefficients must be int or Fraction, got {c!r}")
             # operator.index refuses a float where int() would truncate it
-            i, j, k = index(i), index(j), index(k)
-            if len({i, j, k}) != 3:
+            if type(i) is not int:
+                i = index(i)
+            if type(j) is not int:
+                j = index(j)
+            if type(k) is not int:
+                k = index(k)
+            if i == j or i == k or j == k:
                 raise ValueError(f"indices in a 3-form term must be distinct: {(i, j, k)}")
-            if not all(0 <= t < n for t in (i, j, k)):
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"index out of range in {(i, j, k)} for dimension {n}")
-            key, val = _sort_triple(i, j, k, c)
-            total = clean[key] + val if key in clean else val
-            if total:
-                clean[key] = total
-            else:
-                clean.pop(key, None)
+            # the sorted triple, with the sign of its permutation on c
+            if i > j:
+                i, j, c = j, i, -c
+            if j > k:
+                j, k, c = k, j, -c
+            if i > j:
+                i, j, c = j, i, -c
+            key = (i, j, k)
+            if key in clean:
+                c += clean[key]
+                if c:
+                    clean[key] = c
+                else:
+                    del clean[key]
+            elif c:
+                clean[key] = c
         den = 1
         if rational:
             den = lcm(*(c.denominator for c in clean.values()))

@@ -688,6 +688,37 @@ class TestErrors:
         validate("error", record)
         assert record["error"]["type"] == "parse"
 
+    # Fraction() reads all of these; "1e10000000" alone costs classify 14 s
+    OFF_GRAMMAR = ["1e10000000", "1E5", "1.5", " 3/4", "3/4 ", "1_000", "3/-4", "+-1", "/4",
+                   "1/", "", "0x10", "inf", "nan", "٣"]
+
+    @pytest.mark.parametrize("command, content", [
+        ("classify", lambda c: {"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": c}]}),
+        ("holonomy", lambda c: {"n": 3, "terms": [{"i": 1, "j": 2, "k": 3, "c": c}]}),
+        ("holonomy", lambda c: {"n": 2, "relations": [[c]]}),
+    ], ids=["classify", "holonomy-form", "holonomy-relations"])
+    @pytest.mark.parametrize("c", OFF_GRAMMAR)
+    def test_coefficient_outside_the_grammar(self, capsys, tmp_path, command, content, c):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content(c)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [command, str(f)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+        assert f"expected integer or 'p/q' string, got {c!r}" in record["error"]["message"]
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", Fraction(7)), ("+7", Fraction(7)), ("-0", Fraction(0)), ("-3/6", Fraction(-1, 2)),
+        ("+3/4", Fraction(3, 4)), ("007/010", Fraction(7, 10)),
+    ])
+    def test_coefficient_grammar_accepts(self, text, value):
+        got = cli._parse_rational(text)
+        assert type(got) is Fraction and got == value
+
     @pytest.mark.parametrize("content", [
         {"generators": ["x"], "relators": [5]},
         {"generators": "xy", "relators": []},

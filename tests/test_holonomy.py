@@ -339,6 +339,85 @@ class TestIntegerCodes:
             assert lie_ranks(q, 5).ranks == (n, 0, 0, 0, 0)
 
 
+class TestLyndonProjection:
+    """The one-pass Lyndon coordinates of [e_i, b] equal the filtered full bracket."""
+
+    @staticmethod
+    def _filtered(i, b, n, size, lyndon):
+        return {w: c for w, c in holonomy._ad_generator(i, b, n, size).items() if w in lyndon}
+
+    @staticmethod
+    def _colliding_row(rng, i, n, size):
+        """A random row with pairs w, w' whose images (i, w) = (w', i) meet."""
+        coeffs = (-3, -2, -1, 1, 2, 3)
+        b = {w: rng.choice(coeffs) for w in rng.sample(range(size), min(size, 12))}
+        for _ in range(3):
+            w = rng.randrange(size // n) * n + i  # ends in i
+            other = i * (size // n) + w // n  # i followed by w without its last letter
+            c = rng.choice(coeffs)
+            b[w] = c
+            b[other] = c if rng.random() < 0.5 else rng.choice(coeffs)
+        return b
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_random_rows_match_filtered_bracket(self, n):
+        rng = random.Random(240 + n)
+        cancelled = 0
+        for d in range(3, 7):
+            size = n ** (d - 1)
+            lyndon = set(holonomy._lyndon_codes(n, d))
+            for _ in range(40):
+                i = rng.randrange(n)
+                b = self._colliding_row(rng, i, n, size)
+                full = holonomy._ad_generator(i, b, n, size)
+                cancelled += sum(i * size + w not in full for w in b)
+                got = holonomy._ad_lyndon(i, b, n, size, lyndon)
+                assert got == self._filtered(i, b, n, size, lyndon), (n, d, i, b)
+                assert all(got.values())
+        assert cancelled  # the full bracket did cancel entries that the projection never meets
+
+    def test_one_generator_cancels_everything(self):
+        # over one letter the two images of a word coincide and cancel
+        assert holonomy._ad_generator(0, {0: 5}, 1, 1) == {}
+        for d in (2, 3, 6):
+            lyndon = set(holonomy._lyndon_codes(1, d))
+            assert lyndon == set()
+            assert holonomy._ad_lyndon(0, {0: 5}, 1, 1, lyndon) == {}
+
+    @staticmethod
+    def _count_full_brackets(monkeypatch):
+        built = []
+        ad_generator = holonomy._ad_generator
+
+        def counted(*args):
+            built.append(args)
+            return ad_generator(*args)
+
+        monkeypatch.setattr(holonomy, "_ad_generator", counted)
+        return built
+
+    @pytest.mark.parametrize("up_to", [2, 3])
+    def test_no_full_bracket_at_the_top_degree(self, monkeypatch, up_to):
+        built = self._count_full_brackets(monkeypatch)
+        for g in (1, 2, 3):
+            q = holonomy_from_threeform(ThreeForm.product_form(g))
+            assert lie_ranks(q, up_to).ranks == reference_lie_ranks(q, up_to)
+        rng = random.Random(31)
+        for n in (0, 1, 2, 4):
+            relations = tuple(tuple(rng.randint(-2, 2) for _ in wedge_basis(n)) for _ in range(2))
+            q = QuadraticData(n, relations)
+            assert lie_ranks(q, up_to).ranks == reference_lie_ranks(q, up_to)
+        assert built == []
+
+    def test_full_brackets_only_for_independent_rows(self, monkeypatch):
+        built = self._count_full_brackets(monkeypatch)
+        q = holonomy_from_threeform(ThreeForm.product_form(3))
+        ranks = lie_ranks(q, 5).ranks
+        assert ranks == reference_lie_ranks(q, 5)
+        # one full bracket per independent bracket of degree 3 and 4
+        assert len(built) == sum(witt_dimension(7, d) - ranks[d - 1] for d in (3, 4))
+
+
 class TestDimensionLimit:
     def test_witt_formula_counts_lyndon_words(self, monkeypatch):
         for n in range(6):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -126,6 +127,108 @@ class TestThreeForm:
             assert list(pulled.coeffs) == list(ref)  # same canonical order
             assert all(isinstance(c, Fraction) for c in pulled.coeffs.values())
         assert fractional >= 30
+
+
+def _reference_sort_triple(i, j, k, c):
+    idx = [i, j, k]
+    sign = 1
+    for a in range(2):
+        for b in range(2 - a):
+            if idx[b] > idx[b + 1]:
+                idx[b], idx[b + 1] = idx[b + 1], idx[b]
+                sign = -sign
+    return (idx[0], idx[1], idx[2]), sign * c
+
+
+def _reference_threeform(n, coeffs):
+    """(`_coeffs`, `_den`) as the constructor built them with a loop per check and a bubble sort."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("dimension must be non-negative")
+    clean = {}
+    rational = False
+    for (i, j, k), c in (coeffs or {}).items():
+        if type(c) is not int:
+            if isinstance(c, Fraction):
+                rational = True
+            elif isinstance(c, int):
+                c = int(c)
+            else:
+                raise TypeError(f"3-form coefficients must be int or Fraction, got {c!r}")
+        i, j, k = operator.index(i), operator.index(j), operator.index(k)
+        if len({i, j, k}) != 3:
+            raise ValueError(f"indices in a 3-form term must be distinct: {(i, j, k)}")
+        if not all(0 <= t < n for t in (i, j, k)):
+            raise ValueError(f"index out of range in {(i, j, k)} for dimension {n}")
+        key, val = _reference_sort_triple(i, j, k, c)
+        total = clean[key] + val if key in clean else val
+        if total:
+            clean[key] = total
+        else:
+            clean.pop(key, None)
+    den = 1
+    if rational:
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        clean = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+    return clean, den
+
+
+class TestConstructorReference:
+    """The straight-line constructor stores what the loop-per-check one stored."""
+
+    @staticmethod
+    def _random_terms(rng, n):
+        terms = {}
+        for _ in range(rng.randint(0, 14)):
+            kind = rng.choice(("int", "int", "fraction", "bool"))
+            if kind == "int":
+                c = rng.randint(-4, 4)
+            elif kind == "fraction":
+                c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            else:
+                c = rng.random() < 0.5
+            terms[tuple(rng.sample(range(n), 3))] = c  # any of the 6 orders
+        for (i, j, k), c in list(terms.items())[:2]:
+            terms[(j, i, k)] = c  # an odd permutation of a term: the two cancel
+            terms[(k, i, j)] = c  # an even one: the same key again, adding up
+        return terms
+
+    def test_random_terms_match_reference(self):
+        rng = random.Random(2024)
+        orders, kinds, cancelled = set(), set(), 0
+        for _ in range(400):
+            n = rng.randint(3, 7)
+            terms = self._random_terms(rng, n)
+            eta = ThreeForm(n, terms)
+            clean, den = _reference_threeform(n, terms)
+            assert list(eta._coeffs.items()) == list(clean.items())
+            assert eta._den == den
+            orders.update(tuple(sorted(range(3), key=key.__getitem__)) for key in terms)
+            kinds.update(type(c) for c in terms.values())
+            cancelled += len({tuple(sorted(key)) for key in terms}) > len(clean)
+        assert len(orders) == 6
+        assert kinds == {int, Fraction, bool}
+        assert cancelled
+
+    @pytest.mark.parametrize("terms, exc, message", [
+        ({(0, 0, 1): 1}, ValueError, "indices in a 3-form term must be distinct: (0, 0, 1)"),
+        ({(0, 1, 3): 1}, ValueError, "index out of range in (0, 1, 3) for dimension 3"),
+        ({(0.0, 1, 2): 1}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({(0, 1, 2): "1"}, TypeError, "3-form coefficients must be int or Fraction, got '1'"),
+        # each check in its order: coefficient, then indices, distinctness, range
+        ({(0.0, 0, 5): "1"}, TypeError, "3-form coefficients must be int or Fraction, got '1'"),
+        ({(0, 0, 2.5): 1}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({(5, 5, 1): 1}, ValueError, "indices in a 3-form term must be distinct: (5, 5, 1)"),
+        ({(0, 1, 2): 1, (2, 1, -1): 1}, ValueError,
+         "index out of range in (2, 1, -1) for dimension 3"),
+    ], ids=["repeated-index", "out-of-range", "float-index", "string-coefficient",
+            "coefficient-first", "index-before-distinct", "distinct-before-range",
+            "second-term"])
+    def test_refusals(self, terms, exc, message):
+        for build in (ThreeForm, _reference_threeform):
+            with pytest.raises(exc) as info:
+                build(3, terms)
+            assert str(info.value) == message
 
 
 def _form_json(n, terms):
