@@ -190,8 +190,11 @@ def threeform_from_json(obj):
         raise MalformedInputError("3-form JSON must be an object")
     try:
         n = _dimension(obj)
+        terms = obj.get("terms", [])
+        if type(terms) is not list:
+            raise TypeError('"terms" must be a JSON array')
         coeffs = {}
-        for term in obj.get("terms", []):
+        for term in terms:
             i = term["i"]
             if type(i) is not int:  # refused with _json_int's message
                 _json_int(i, "i")
@@ -222,7 +225,10 @@ def load_holonomy_input(path):
     if isinstance(obj, dict) and "relations" in obj:
         try:
             n = _dimension(obj)
-            rels = tuple(tuple(_parse_rational(c) for c in row) for row in obj["relations"])
+            rows = obj["relations"]
+            if type(rows) is not list or any(type(row) is not list for row in rows):
+                raise TypeError('"relations" must be a JSON array of JSON arrays')
+            rels = tuple(tuple(_parse_rational(c) for c in row) for row in rows)
             return QuadraticData(n=n, relations=rels)
         except LimitError:
             raise
@@ -688,7 +694,7 @@ def main(argv=None):
     except (LimitError, _UsageError) as exc:
         sys.stderr.write(render_json(_error_record("config", str(exc))))
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory input
         sys.stderr.write(render_json(_error_record("io", str(exc))))
         return 2
     except (json.JSONDecodeError, KeyError, MalformedInputError, UnicodeDecodeError) as exc:

@@ -35,6 +35,7 @@ from itertools import combinations
 from math import lcm, prod
 
 from ._linalg import _prime_factors, echelon_insert, reduced
+from .resonance import _integer_contraction
 from .seifert import LimitError
 
 __all__ = [
@@ -89,7 +90,10 @@ class QuadraticData:
                 raise ValueError(f"relation vector must have length {m}")
             if not all(isinstance(c, (int, Fraction)) for c in r):
                 raise TypeError(f"relation entries must be int or Fraction, got {r!r}")
-        object.__setattr__(self, "relations", tuple(tuple(map(Fraction, r)) for r in rels))
+        # zeros share one Fraction: a relation read from a sparse form is mostly zeros
+        zero = Fraction(0)
+        object.__setattr__(self, "relations",
+                           tuple(tuple(Fraction(c) if c else zero for c in r) for r in rels))
 
 
 @dataclass(frozen=True)
@@ -107,24 +111,21 @@ def holonomy_from_threeform(eta):
 
     The relation span is the image of the duality pairing inside the wedge
     square: for each coordinate index k, the contraction with coefficients
-    eta(e_i, e_j, e_k) on the pair (i, j).  Each is read from eta's stored
-    integer coefficients, which scales it by eta's common denominator and
-    leaves the span unchanged.  A reduced echelon basis is returned, so equal
-    spans give equal data.
+    eta(e_i, e_j, e_k) on the pair (i, j), which is the upper triangle of
+    the contraction matrix A(e_k).  Each is read from the integer A(e_k) of
+    `resonance._integer_contraction`, which is scaled by eta's common
+    denominator; that leaves the span unchanged.  A reduced echelon basis
+    is returned, so equal spans give equal data.
     """
     n = eta.n
-    pairs = wedge_basis(n)
-    col = {p: q for q, p in enumerate(pairs)}
-    rows = [{} for _ in range(n)]
-    for (i, j, k), mu in eta._coeffs.items():
-        rows[k][col[i, j]] = mu
-        rows[j][col[i, k]] = -mu
-        rows[i][col[j, k]] = mu
+    m = n * (n - 1) // 2
     basis = {}
-    for row in rows:
-        echelon_insert(basis, dict(sorted(row.items())))
+    for k in range(n):
+        a, _ = _integer_contraction(eta, [int(t == k) for t in range(n)])
+        upper = (v for i, row in enumerate(a) for v in row[i + 1:])
+        echelon_insert(basis, {q: v for q, v in enumerate(upper) if v})
     relations = tuple(
-        tuple(row.get(col, 0) for col in range(len(pairs))) for row in reduced(basis).values()
+        tuple(row.get(col, 0) for col in range(m)) for row in reduced(basis).values()
     )
     return QuadraticData(n=n, relations=relations)
 

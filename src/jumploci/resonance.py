@@ -195,7 +195,7 @@ class ThreeForm:
         if len(rows) != n or widths - {n}:
             cols = "/".join(map(str, sorted(widths))) or "0"
             raise ValueError(f"transform matrix must be {n}x{n}, got {len(rows)}x{cols}")
-        flat, t_den = _scaled_to_int(Fraction(x) for row in rows for x in _exact(row, n))
+        flat, t_den = _int_vec([x for row in rows for x in row], n * n)
         m = [flat[i * n:(i + 1) * n] for i in range(n)]
         # Expanding each minor along its first row i: the terms sharing the
         # trailing rows (j, k) combine into one weighted row sum of m.
@@ -232,33 +232,28 @@ class ThreeForm:
         return f"ThreeForm(n={self.n}, {{{terms}}})"
 
 
-def _scaled_to_int(values):
-    """Rationals times the lcm `den` of their denominators, as ints; and `den`."""
-    values = list(values)
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _exact(x, n):
-    """The entries of a vector of length n, each an int or a Fraction, as a tuple."""
-    x = tuple(x)
-    if len(x) != n:
-        raise ValueError(f"vector has length {len(x)}, expected {n}")
-    for c in x:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"vector entries must be int or Fraction, got {c!r}")
-    return x
-
-
 def _int_vec(x, n):
     """A vector of length n times the lcm `den` of its denominators, as ints; and `den`.
 
-    An all-int vector is taken as it is, with `den` = 1.
+    Each entry must be an int or a Fraction.  An all-int vector is taken as
+    it is, with `den` = 1.
     """
     x = tuple(x)
-    if len(x) == n and all(type(c) is int for c in x):
+    if len(x) != n:
+        raise ValueError(f"vector has length {len(x)}, expected {n}")
+    if all(type(c) is int for c in x):
         return x, 1
-    return _scaled_to_int(map(Fraction, _exact(x, n)))
+    for c in x:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"vector entries must be int or Fraction, got {c!r}")
+    den = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (den // c.denominator) for c in x), den
+
+
+def _vec(x, n):
+    """The vector checked by `_int_vec`, as a tuple of Fractions."""
+    x, den = _int_vec(x, n)
+    return tuple(Fraction(c, den) for c in x)
 
 
 def _integer_pair(eta, x, y):
@@ -269,10 +264,6 @@ def _integer_pair(eta, x, y):
         out[b] += mu * (x[c] * y[a] - x[a] * y[c])
         out[a] += mu * (x[b] * y[c] - x[c] * y[b])
     return out
-
-
-def _vec(x, n):
-    return tuple(map(Fraction, _exact(x, n)))
 
 
 class Subspace:
@@ -344,7 +335,7 @@ def in_r1(eta, x):
     matrix with x in its kernel can have.  For even n the rank parity makes
     every nonzero vector a member.
     """
-    x = _vec(x, eta.n)
+    x, _ = _int_vec(x, eta.n)
     if not any(x):
         raise ValueError("membership of the zero vector is a convention; see zero_vector_in_r1")
     return _linalg.rank(_integer_contraction(eta, x)[0]) <= eta.n - 2
@@ -364,19 +355,16 @@ class R1FullnessReport:
 
 
 def _symbolic_contraction(eta):
-    """A(x) with x symbolic, times eta's common denominator: integer linear forms in x_1..x_n."""
+    """A(x) with x symbolic, times eta's common denominator: integer linear forms in x_1..x_n.
+
+    A(x) = sum_k x_k A(e_k), so the coefficient of x_k in entry (i, j) is
+    entry (i, j) of the integer A(e_k).
+    """
     n = eta.n
-    linear = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j, k), mu in eta._coeffs.items():
-        linear[i][j][k] = mu
-        linear[j][i][k] = -mu
-        linear[i][k][j] = -mu
-        linear[k][i][j] = mu
-        linear[j][k][i] = mu
-        linear[k][j][i] = -mu
     units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
-    return [[LaurentPoly(n, {units[k]: c for k, c in sorted(row.items())}) for row in rows]
-            for rows in linear]
+    slices = [_integer_contraction(eta, u)[0] for u in units]
+    return [[LaurentPoly(n, {u: a[i][j] for u, a in zip(units, slices) if a[i][j]})
+             for j in range(n)] for i in range(n)]
 
 
 def _pfaffian(entries, idx, memo):
@@ -457,7 +445,7 @@ def restriction_rank(eta, w):
         raise ValueError("subspace ambient dimension mismatch")
     if w.dim < 1:
         raise ValueError("restriction rank needs dim >= 1")
-    vecs = [_scaled_to_int(v)[0] for v in w.basis]
+    vecs = [_int_vec(v, eta.n)[0] for v in w.basis]
     rows = [_integer_pair(eta, x, y) for x, y in combinations(vecs, 2)]
     return _linalg.rank(rows) if rows else 0
 

@@ -602,10 +602,16 @@ class TestErrors:
         assert record["error"]["type"] == "parse"
         assert record["error"]["offset"] == 10
 
-    def test_missing_file(self, capsys):
-        code, out, err = run_cli(capsys, ["alex", "/nonexistent/file.grp"])
-        assert code == 2
-        validate("error", json.loads(err))
+    def test_missing_file(self, capsys, tmp_path):
+        # a missing file and a directory are each an io record, never a traceback
+        for command in ("alex", "classify", "holonomy"):
+            for path in ("/nonexistent/file.grp", str(tmp_path)):
+                code, out, err = run_cli(capsys, [command, path])
+                assert code == 2
+                assert out == ""
+                record = json.loads(err)
+                validate("error", record)
+                assert record["error"]["type"] == "io"
 
     def test_bad_json(self, capsys, tmp_path):
         f = tmp_path / "bad.form"
@@ -632,9 +638,15 @@ class TestErrors:
         b'{"n": 3, "terms": [{"i": true, "j": 2, "k": 3, "c": 1}]}',
         b'{"n": true, "terms": []}',
         b'{"n": "3", "terms": []}',
+        # "terms", when present, is an array: none of these is the zero form
+        b'{"n": 3, "terms": ""}',
+        b'{"n": 3, "terms": {}}',
+        b'{"n": 3, "terms": null}',
+        b'{"n": 3, "terms": "abc"}',
     ], ids=["zero-denominator", "json-array", "repeated-index", "index-out-of-range",
             "negative-n", "not-utf8", "float-n-index-bool-c", "float-index", "float-n",
-            "bool-coefficient", "float-coefficient", "bool-index", "bool-n", "string-n"])
+            "bool-coefficient", "float-coefficient", "bool-index", "bool-n", "string-n",
+            "empty-string-terms", "object-terms", "null-terms", "string-terms"])
     def test_malformed_threeform(self, capsys, tmp_path, command, content):
         f = tmp_path / "bad.form"
         f.write_bytes(content)
@@ -671,13 +683,22 @@ class TestErrors:
         eta = cli.threeform_from_json(json.loads(f'{{"n": 3, "terms": {content}}}'))
         assert eta.coeffs == coeffs
 
+    def test_missing_or_empty_terms_is_the_zero_form(self):
+        for obj in ({"n": 3}, {"n": 3, "terms": []}):
+            assert cli.threeform_from_json(obj) == jumploci.ThreeForm.zero(3)
+
     @pytest.mark.parametrize("content", [
         {"n": 3, "relations": [[1, 2]]},
         {"n": -1, "relations": [[1]]},
         {"n": 2.5, "relations": [[1]]},
         {"n": 2, "relations": [[True]]},
         {"n": 2, "relations": [[0.5]]},
-    ], ids=["wrong-length", "negative-n", "float-n", "bool-coefficient", "float-coefficient"])
+        # relations are an array of arrays, never read one character or key at a time
+        {"n": 3, "relations": ["123"]},
+        {"n": 3, "relations": ""},
+        {"n": 3, "relations": {"123": 1}},
+    ], ids=["wrong-length", "negative-n", "float-n", "bool-coefficient", "float-coefficient",
+            "string-relation", "string-relations", "object-relations"])
     def test_malformed_holonomy_relations(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(content))

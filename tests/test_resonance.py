@@ -306,7 +306,8 @@ class TestSharedIntegerForm:
 
     # (n, density, seed) -> (full, number of rank tests, the last point drawn), as
     # found by the Fraction-draw loop this replaces; the symbolic and the sampled
-    # report each follow from `full`
+    # report each follow from `full`.  A full form in symbolic mode then builds
+    # the symbolic matrix from A(e_k), one contraction per unit vector e_k
     FULLNESS_PINS = [
         ((5, 0.5, 1), (False, 1, (-3, 4, -4, -1, -4))),
         ((5, 0.2, 2), (True, 40, (-1, -5, -3, -3, -3))),
@@ -331,13 +332,16 @@ class TestSharedIntegerForm:
             return real(form, x)
 
         monkeypatch.setattr(resonance, "_integer_contraction", recording)
+        units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
         for threshold, report in (
             (n, R1FullnessReport(full=full, mode="symbolic")),
             (n - 2, R1FullnessReport(full=full, mode="sampled", trials=40, seed=seed)),
         ):
             drawn.clear()
             assert r1_fullness(eta, symbolic_threshold=threshold, trials=40, seed=seed) == report
-            assert (len(drawn), drawn[-1]) == (count, last)
+            expanded = full and report.mode == "symbolic"
+            assert drawn[count:] == (units if expanded else [])
+            assert (len(drawn[:count]), drawn[count - 1]) == (count, last)
             assert all(type(v) is int for x in drawn for v in x)
 
 
@@ -410,6 +414,19 @@ class TestContraction:
             assert a == [[sum(eta.value(i, j, k) * x[k] for k in range(n)) for j in range(n)]
                          for i in range(n)]
             assert all(type(v) is Fraction for row in a for v in row)
+
+    def test_symbolic_matrix_at_integer_points(self):
+        # the symbolic matrix, evaluated at an integer x, is the integer A(x)
+        rng = random.Random(8)
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            eta = random_threeform(rng, n, density=rng.choice((0.2, 0.5, 0.9)))
+            entries = _symbolic_contraction(eta)
+            for _ in range(3):
+                x = [rng.randint(-6, 6) for _ in range(n)]
+                at_x = [[sum(c * math.prod(v ** e for v, e in zip(x, exps))
+                             for exps, c in p.terms.items()) for p in row] for row in entries]
+                assert at_x == resonance._integer_contraction(eta, x)[0]
 
 
 class TestInR1:
