@@ -53,9 +53,9 @@ from math import comb
 from operator import mul
 
 from . import _linalg
+from ._limits import LimitError
 from .laurent import Character, LaurentPoly, evaluate, fold, gcd_all
 from .presentation import abelianization, fox_derivative
-from .seifert import LimitError
 
 __all__ = [
     "AlexanderMatrix",
@@ -168,10 +168,6 @@ class ElementaryIdeal:
     @property
     def is_zero(self):
         return not self.generators
-
-    @property
-    def is_unit(self):
-        return any(g.is_one for g in self.generators)
 
 
 def _minor(entries, rows, cols, memo, m=0):

@@ -19,7 +19,8 @@ Presentation files hold either the `< x, y | ... >` grammar or JSON
 {"n": N, "terms": [{"i":, "j":, "k":, "c":}]} with 1-based indices and
 integer or "p/q" coefficients.  Holonomy input accepts the 3-form shape or
 {"n": N, "relations": [[...]]} with wedge coordinates in lexicographic pair
-order.  Characters are written `m:e1,e2,...`.
+order.  A JSON input with any other key is refused.  Characters are written
+`m:e1,e2,...`.
 
 Randomized subroutines (character sampling, large-n genericity fallback)
 always echo their seed and trial count; output is byte-identical for a fixed
@@ -39,29 +40,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import alexander
-from .alexander import (
-    alexander_matrix,
-    almost_principal_sampled,
-    elementary_ideal_vanishes_at,
-    twisted_h1_dim,
-)
-from .holonomy import (
+# the computing modules are imported by the command or loader that calls them,
+# and their names looked up at call time, so a process loads only what its
+# subcommand runs
+from ._limits import (
     DEFAULT_DEGREE_CAP,
     MAX_DEGREE_CAP,
-    QuadraticData,
-    holonomy_from_threeform,
-    lie_ranks,
-)
-from .laurent import Character, poly_to_string
-from .presentation import (
+    MAX_INVARIANT_BITS,
+    IntegralityError,
+    LimitError,
     PresentationParseError,
-    format_word,
-    parse_presentation,
-    presentation_from_json,
 )
-from .resonance import MalcevKind, ThreeForm, classify_malcev
-from .seifert import MAX_INVARIANT_BITS, IntegralityError, LimitError, link_invariants, sweep
 
 __all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_CHARACTER_DIGITS", "MAX_FORM_DIMENSION"]
 
@@ -154,6 +143,16 @@ class _UsageError(ValueError):
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError)
 
 
+def _closed(obj, keys, where=""):
+    """Refuse a key of the JSON object `obj` that is not in `keys`, naming it.
+
+    Every JSON input is closed: an unknown key is refused, never ignored.
+    """
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ValueError(f"{where}unknown key " + ", ".join(map(repr, sorted(unknown))))
+
+
 def _malformed(what, exc):
     """The shape error `exc` of a `what` input as a MalformedInputError."""
     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -165,12 +164,15 @@ def _malformed(what, exc):
 # ---------------------------------------------------------------------------
 
 def load_presentation(path):
+    from . import presentation
+
     text = Path(path).read_text(encoding="utf-8")
     if not text.lstrip().startswith("{"):
-        return parse_presentation(text)
+        return presentation.parse_presentation(text)
     obj = json.loads(text)
     try:
-        return presentation_from_json(obj)
+        _closed(obj, ("generators", "relators"))
+        return presentation.presentation_from_json(obj)
     except PresentationParseError:
         raise
     except _SHAPE_ERRORS as exc:
@@ -186,15 +188,20 @@ def _dimension(obj):
 
 
 def threeform_from_json(obj):
+    from . import resonance
+
     if not isinstance(obj, dict):
         raise MalformedInputError("3-form JSON must be an object")
     try:
+        _closed(obj, ("n", "terms"))
         n = _dimension(obj)
         terms = obj.get("terms", [])
         if type(terms) is not list:
             raise TypeError('"terms" must be a JSON array')
         coeffs = {}
-        for term in terms:
+        for t, term in enumerate(terms):
+            if type(term) is not dict:
+                raise TypeError(f"term {t} must be a JSON object, got {term!r}")
             i = term["i"]
             if type(i) is not int:  # refused with _json_int's message
                 _json_int(i, "i")
@@ -207,9 +214,11 @@ def threeform_from_json(obj):
             c = term["c"]
             if type(c) is not int:
                 c = _parse_rational(c)
+            if len(term) != 4:  # all four keys were read, so there is another
+                _closed(term, ("i", "j", "k", "c"), f"term {t}: ")
             key = (i - 1, j - 1, k - 1)
             coeffs[key] = coeffs[key] + c if key in coeffs else c
-        return ThreeForm(n, coeffs)
+        return resonance.ThreeForm(n, coeffs)
     except LimitError:
         raise
     except _SHAPE_ERRORS as exc:
@@ -221,24 +230,29 @@ def load_threeform(path):
 
 
 def load_holonomy_input(path):
+    from . import holonomy
+
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(obj, dict) and "relations" in obj:
         try:
+            _closed(obj, ("n", "relations"))
             n = _dimension(obj)
             rows = obj["relations"]
             if type(rows) is not list or any(type(row) is not list for row in rows):
                 raise TypeError('"relations" must be a JSON array of JSON arrays')
             rels = tuple(tuple(_parse_rational(c) for c in row) for row in rows)
-            return QuadraticData(n=n, relations=rels)
+            return holonomy.QuadraticData(n=n, relations=rels)
         except LimitError:
             raise
         except _SHAPE_ERRORS as exc:
             raise _malformed("holonomy relations", exc) from exc
-    return holonomy_from_threeform(threeform_from_json(obj))
+    return holonomy.holonomy_from_threeform(threeform_from_json(obj))
 
 
 def parse_character(text):
     """Parse `m:e1,e2,...` into a Character of order at most MAX_CHARACTER_ORDER."""
+    from . import alexander, laurent
+
     head, sep, tail = text.partition(":")
     if not sep:
         raise _UsageError("character spec must look like 'm:e1,e2,...'")
@@ -260,7 +274,7 @@ def parse_character(text):
             f"MAX_CHARACTER_DIGITS = {MAX_CHARACTER_DIGITS}"
         )
     exponents = tuple(_int_token(e, "character exponent") for e in tokens)
-    return Character(order=order, exponents=exponents)
+    return laurent.Character(order=order, exponents=exponents)
 
 
 def _int_token(token, what):
@@ -291,22 +305,24 @@ def parse_exponents(spec):
 # ---------------------------------------------------------------------------
 
 def run_alex(p, config, ideal_ds=(1,)):
-    a = alexander_matrix(p)
-    delta_str = poly_to_string(a.delta)
+    from . import alexander, laurent, presentation
+
+    a = alexander.alexander_matrix(p)
+    delta_str = laurent.poly_to_string(a.delta)
     ideals = []
     for d in sorted(set(ideal_ds)):
         e = a.ideal(d)
         ideals.append(
             {
                 "d": d,
-                "generators": [poly_to_string(g) for g in e.generators],
+                "generators": [laurent.poly_to_string(g) for g in e.generators],
                 "delta": delta_str,
                 # an ideal is listed in full or refused, never cut off
                 "truncated": False,
             }
         )
     if a.num_vars >= 1:
-        rep = almost_principal_sampled(a, config.trials, config.seed)
+        rep = alexander.almost_principal_sampled(a, config.trials, config.seed)
         almost = {
             "trials": rep.trials,
             "seed": rep.seed,
@@ -319,10 +335,10 @@ def run_alex(p, config, ideal_ds=(1,)):
     return {
         "command": "alex",
         "generators": list(p.generator_names),
-        "relators": [format_word(r, p.generator_names) for r in p.relators],
+        "relators": [presentation.format_word(r, p.generator_names) for r in p.relators],
         "b1": a.abelianization.b1,
         "torsion": list(a.abelianization.torsion),
-        "matrix": [[poly_to_string(e) for e in row] for row in a.entries],
+        "matrix": [[laurent.poly_to_string(e) for e in row] for row in a.entries],
         "delta": delta_str,
         "ideals": ideals,
         "almost_principal": almost,
@@ -331,12 +347,14 @@ def run_alex(p, config, ideal_ds=(1,)):
 
 
 def run_charvar(p, chi, d, config):
+    from . import alexander
+
     if d < 1:
         raise ValueError("d must be a positive integer")
-    a = alexander_matrix(p)
-    h1 = twisted_h1_dim(a, chi)
+    a = alexander.alexander_matrix(p)
+    h1 = alexander.twisted_h1_dim(a, chi)
     rank_based = h1 >= d
-    ideal_based = elementary_ideal_vanishes_at(a, d, chi)
+    ideal_based = alexander.elementary_ideal_vanishes_at(a, d, chi)
     return {
         "command": "charvar",
         "character": {"order": chi.order, "exponents": list(chi.exponents)},
@@ -350,7 +368,9 @@ def run_charvar(p, chi, d, config):
 
 
 def run_classify(eta, config):
-    verdict = classify_malcev(
+    from . import resonance
+
+    verdict = resonance.classify_malcev(
         eta,
         symbolic_threshold=config.symbolic_threshold,
         trials=config.trials,
@@ -366,9 +386,9 @@ def run_classify(eta, config):
         "reason": verdict.reason,
         "config": config.as_dict(),
     }
-    if verdict.kind is MalcevKind.FREE:
+    if verdict.kind is resonance.MalcevKind.FREE:
         out["rank"] = verdict.rank
-    if verdict.kind is MalcevKind.Z_X_SURFACE:
+    if verdict.kind is resonance.MalcevKind.Z_X_SURFACE:
         out["g"] = verdict.genus
     rep = verdict.fullness
     out["genericity_mode"] = None if rep is None else {
@@ -407,7 +427,9 @@ def _brieskorn_record(inv):
 
 
 def run_brieskorn(exps, config):
-    record = _brieskorn_record(link_invariants(exps))
+    from . import seifert
+
+    record = _brieskorn_record(seifert.link_invariants(exps))
     record["exponents"] = list(exps)
     record["command"] = "brieskorn"
     record["config"] = config.as_dict()
@@ -416,17 +438,21 @@ def run_brieskorn(exps, config):
 
 def run_brieskorn_sweep(max_exponent, n, config):
     """A sweep report whose rows are `seifert.sweep`'s `(exponents, record)` pairs."""
+    from . import seifert
+
     return {
         "command": "brieskorn-sweep",
         "max_exponent": max_exponent,
         "n": n,
-        "rows": sweep(max_exponent, n),
+        "rows": seifert.sweep(max_exponent, n),
         "config": config.as_dict(),
     }
 
 
 def run_holonomy(data, degree, config):
-    ranks = lie_ranks(data, degree, degree_cap=config.degree_cap)
+    from . import holonomy
+
+    ranks = holonomy.lie_ranks(data, degree, degree_cap=config.degree_cap)
     return {
         "command": "holonomy",
         "n": data.n,

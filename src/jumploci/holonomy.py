@@ -34,9 +34,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
+from ._limits import DEFAULT_DEGREE_CAP, MAX_DEGREE_CAP, LimitError
 from ._linalg import _prime_factors, echelon_insert, reduced
 from .resonance import _integer_contraction
-from .seifert import LimitError
 
 __all__ = [
     "QuadraticData",
@@ -49,14 +49,6 @@ __all__ = [
     "MAX_LIE_DIMENSION",
     "MAX_DEGREE_CAP",
 ]
-
-DEFAULT_DEGREE_CAP = 6
-
-# the CLI refuses a larger --degree-cap.  MAX_LIE_DIMENSION admits no degree
-# above 18 for n >= 2 (the free Lie algebra on 2 letters has dimension 14532
-# in degree 18 and 27594 in degree 19), while for n <= 1 the dimension stays
-# 0 or 1 and the time grew quadratically in the degree: 8.2 s at degree 16000
-MAX_DEGREE_CAP = 18
 
 # a larger free Lie dimension at the top degree is refused before any work.
 # It admits Sigma_3 x S^1 at degree 6 (n = 7, dimension 19544: 0.4-0.6 s,
@@ -101,9 +93,6 @@ class GradedRanks:
     """ranks[i] is the dimension in degree i + 1; degree-1 rank is n."""
 
     ranks: tuple
-
-    def of_degree(self, d):
-        return self.ranks[d - 1]
 
 
 def holonomy_from_threeform(eta):

@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass
 from operator import add, index, sub
 
+from ._limits import PresentationParseError
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -98,13 +99,6 @@ class Word:
         base = self if k >= 0 else self.inverse()
         return Word(base.letters * abs(k))
 
-    def cyclic_permutation(self, k):
-        """The word rotated left by k letters (same conjugacy class)."""
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k])
-
     def __eq__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
@@ -165,15 +159,6 @@ class Presentation:
     @property
     def num_relators(self):
         return len(self.relators)
-
-
-class PresentationParseError(ValueError):
-    """Parse failure, carrying the byte offset of the offending token."""
-
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (at offset {offset})")
-        self.message = message
-        self.offset = offset
 
 
 # bracket nesting allowed in a word; deeper input is refused by the parser

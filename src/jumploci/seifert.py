@@ -31,6 +31,8 @@ from itertools import product as iter_product
 from math import gcd, lcm, prod
 from operator import index
 
+from ._limits import MAX_INVARIANT_BITS, IntegralityError, LimitError
+
 __all__ = [
     "BrieskornInput",
     "Orbit",
@@ -54,23 +56,6 @@ __all__ = [
 # rows a sweep may produce; (max - 1)^n is counted step by step before any
 # row is built, since a few bytes of options could otherwise ask for 10^15
 MAX_SWEEP_ROWS = 2**16
-
-# bits any integer of the invariants may need.  Bounded from bit lengths
-# before the product it bounds is formed: sum(bitlen(a_j)) for the exponent
-# product a (which bounds e, the multiplicities, the genus and b, and the
-# exponent count at MAX_INVARIANT_BITS / 2), and sum(s * bitlen(alpha)) +
-# bitlen(|e|) for |T| = prod(alpha^s) * |e|, which is doubly exponential in
-# the exponent count (2,3,...,3).  2^8192 has 2467 digits, so every integer
-# stays printable under Python's 4300-digit conversion limit.
-MAX_INVARIANT_BITS = 2**13
-
-
-class IntegralityError(ArithmeticError):
-    """A quantity that must be an integer failed to be one."""
-
-
-class LimitError(ValueError):
-    """An input beyond a documented limit, such as MAX_SWEEP_ROWS or MAX_INVARIANT_BITS."""
 
 
 @dataclass(frozen=True)
@@ -129,13 +114,6 @@ class SeifertData:
             raise ValueError("genus must be non-negative")
         object.__setattr__(self, "orbits", orbits)
         object.__setattr__(self, "euler", e)
-
-    def with_betas(self, betas):
-        """The same data with replaced beta residues (used to check inertness)."""
-        orbits = tuple(
-            Orbit(o.alpha, b, o.multiplicity) for o, b in zip(self.orbits, betas)
-        )
-        return SeifertData(orbits=orbits, genus=self.genus, euler=self.euler)
 
 
 @dataclass(frozen=True)

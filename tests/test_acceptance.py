@@ -172,7 +172,7 @@ def test_criterion_6_holonomy():
     sym = [Fraction(0)] * len(pairs)
     sym[pairs.index((0, 1))] = Fraction(1)
     sym[pairs.index((2, 3))] = Fraction(1)
-    assert lie_ranks(QuadraticData(4, (tuple(sym),)), 2).of_degree(2) == 5
+    assert lie_ranks(QuadraticData(4, (tuple(sym),)), 2).ranks[1] == 5
     rel = (Fraction(1),)
     ranks = lie_ranks(QuadraticData(2, (rel,)), 4).ranks
     assert ranks == (2, 0, 0, 0)

@@ -115,7 +115,7 @@ class TestElementaryIdeals:
     def test_unit_ideal_when_d_large(self):
         a = alexander_matrix(Z2)
         e2 = elementary_ideal(a, 2)
-        assert e2.is_unit
+        assert any(g.is_one for g in e2.generators)
 
     def test_an_ideal_beyond_the_cap_is_refused(self, monkeypatch):
         full = elementary_ideal(alexander_matrix(HEISENBERG), 1)
@@ -180,7 +180,8 @@ class TestAlexanderPolynomial:
             rel = p.relators[0]
             for _ in range(5):
                 k = rng.randrange(max(len(rel), 1))
-                moved = type(p)(p.generator_names, (rel.cyclic_permutation(k),))
+                rotated = Word(rel.letters[k:] + rel.letters[:k])
+                moved = type(p)(p.generator_names, (rotated,))
                 assert alexander_matrix(moved).delta == base
             inverted = type(p)(p.generator_names, (rel.inverse(),))
             assert alexander_matrix(inverted).delta == base

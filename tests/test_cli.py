@@ -16,7 +16,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import jumploci
-from jumploci import alexander, cli, holonomy, laurent, seifert
+from jumploci import alexander, cli, holonomy, laurent, resonance, seifert
 from jumploci.cli import MAX_CHARACTER_DIGITS, MAX_TRIALS, RunConfig, main, parse_character
 from jumploci.presentation import MAX_COMMUTATOR_DEPTH
 
@@ -571,7 +571,7 @@ class TestTrialsLimit:
             raise AssertionError("sampled past MAX_TRIALS")
 
         monkeypatch.setattr(alexander, "sample_characters", refuse)
-        monkeypatch.setattr(cli, "classify_malcev", refuse)
+        monkeypatch.setattr(resonance, "classify_malcev", refuse)
         path = trefoil_file if command == "alex" else t3_form_file
         code, out, err = run_cli(capsys, ["--trials", str(2**14 + 1), command, path])
         assert code == 2
@@ -816,6 +816,44 @@ class TestErrors:
         validate("error", record)
         assert record["error"]["type"] == "parse"
         assert record["error"]["offset"] == 8 + MAX_COMMUTATOR_DEPTH
+
+
+class TestClosedInputs:
+    """A JSON input holds only its documented keys; a term is a JSON object."""
+
+    TERM = {"i": 1, "j": 2, "k": 3, "c": 1}
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("classify", {"n": 3, "relations": [[1, 2, 3]]},
+         "malformed 3-form: unknown key 'relations'"),
+        ("holonomy", {"n": 3, "terms": [], "note": "x"}, "malformed 3-form: unknown key 'note'"),
+        ("classify", {"n": 3, "terms": [dict(TERM, x=1, note=2)]},
+         "malformed 3-form: term 0: unknown key 'note', 'x'"),
+        ("classify", {"n": 3, "terms": [TERM, "abc"]},
+         "malformed 3-form: term 1 must be a JSON object, got 'abc'"),
+        ("holonomy", {"n": 3, "terms": [[1, 2, 3, 1]]},
+         "malformed 3-form: term 0 must be a JSON object, got [1, 2, 3, 1]"),
+        ("holonomy", {"n": 3, "relations": [[1, 2, 3]], "terms": []},
+         "malformed holonomy relations: unknown key 'terms'"),
+        ("alex", {"generators": ["x"], "relators": ["x"], "name": "Z/1"},
+         "malformed presentation: unknown key 'name'"),
+    ], ids=["classify-relations", "form-key", "term-keys", "string-term", "array-term",
+            "relations-and-terms", "presentation-key"])
+    def test_refused_with_a_named_cause(self, capsys, tmp_path, command, content, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, [command, str(f)])
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "parse"
+        assert record["error"]["message"] == message
+
+    def test_documented_keys_are_read(self):
+        eta = cli.threeform_from_json({"n": 3, "terms": [self.TERM]})
+        assert eta.coeffs == {(0, 1, 2): 1}
+        p = jumploci.presentation_from_json({"generators": ["x"], "relators": ["x"]})
+        assert p.generator_names == ("x",)
 
 
 class TestParser:

@@ -220,7 +220,7 @@ class TestQuotients:
         sym[pairs.index((0, 1))] = Fraction(1)
         sym[pairs.index((2, 3))] = Fraction(1)
         q = QuadraticData(4, (tuple(sym),))
-        assert lie_ranks(q, 2).of_degree(2) == 5
+        assert lie_ranks(q, 2).ranks[1] == 5
 
     def test_random_quotients_match_closure_oracle(self):
         rng = random.Random(71)
@@ -441,7 +441,7 @@ class TestDegreeCap:
         q = QuadraticData(2, ())
         with pytest.raises(ValueError):
             lie_ranks(q, 7)
-        assert lie_ranks(q, 7, degree_cap=7).of_degree(7) == witt_dimension(2, 7)
+        assert lie_ranks(q, 7, degree_cap=7).ranks[6] == witt_dimension(2, 7)
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):

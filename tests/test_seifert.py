@@ -250,7 +250,8 @@ class TestBetaConvention:
                 for o in s.orbits:
                     choices = [b for b in range(1, o.alpha) if gcd(b, o.alpha) == 1]
                     betas.append(rng.choice(choices))
-                perturbed = s.with_betas(betas)
+                orbits = tuple(Orbit(o.alpha, b, o.multiplicity) for o, b in zip(s.orbits, betas))
+                perturbed = SeifertData(orbits=orbits, genus=s.genus, euler=s.euler)
                 assert torsion_data(perturbed) == torsion_data(s)
                 assert v1_components(perturbed) == v1_components(s)
                 assert is_one_formal_link(perturbed) == is_one_formal_link(s)
