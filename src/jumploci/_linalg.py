@@ -19,8 +19,6 @@ from itertools import accumulate, count
 from math import gcd, lcm, prod
 from operator import mul
 
-from .laurent import euler_phi
-
 __all__ = [
     "rank",
     "echelon_insert",
@@ -229,7 +227,8 @@ def _cyclotomic_rank(rows, m):
     has |N(mu)| <= H^phi(m), and the product divides N(mu), so mu = 0.  A
     zero matrix needs no prime.
     """
-    phi = euler_phi(m)
+    units = [k for k in range(m) if gcd(k, m) == 1]
+    phi = len(units)
     for row in rows:
         for x in row:
             if type(x) is not tuple or len(x) != phi or not all(type(c) is int for c in x):
@@ -238,7 +237,6 @@ def _cyclotomic_rank(rows, m):
     if not any(weights):
         return 0
     full = min(len(rows), len(rows[0]))
-    units = [k for k in range(m) if gcd(k, m) == 1]
     r, norms = 0, 1
     for i in count():
         p, w = _modular_root(m, i)

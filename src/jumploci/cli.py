@@ -24,9 +24,9 @@ order.  A JSON input with any other key is refused.  Characters are written
 
 Randomized subroutines (character sampling, large-n genericity fallback)
 always echo their seed and trial count; output is byte-identical for a fixed
-(input, seed, config) triple.  Exit codes: 0 success, 2 malformed input or a
-refused command line (with a structured error record on stderr), 1 other
-failures.
+(input, seed, config) triple.  Exit codes: 0 success, 2 malformed or unreadable
+input, a closed stdout or a refused command line, 1 other failures; the table
+`_FAILURES` gives each failure its exit code and its error record on stderr.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -52,11 +53,17 @@ from ._limits import (
     PresentationParseError,
 )
 
-__all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_CHARACTER_DIGITS", "MAX_FORM_DIMENSION"]
+__all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_SYMBOLIC_THRESHOLD", "MAX_CHARACTER_DIGITS",
+           "MAX_FORM_DIMENSION"]
 
 # sampled checks draw --trials characters (alex) or witness points (classify);
 # a larger count is refused before anything is drawn
 MAX_TRIALS = 2**14
+
+# a larger --symbolic-threshold is refused: a full odd form up to it is decided by
+# a sub-Pfaffian expansion exponential in n.  A dense form on the last n - 1
+# coordinates took 0.9 s at n = 11 and 9 s at n = 13 (whole process, 2-CPU Xeon)
+MAX_SYMBOLIC_THRESHOLD = 11
 
 # a larger "n" in a 3-form or holonomy input is refused when read: `classify` builds
 # an n x n contraction per witness draw (n = 63, one term, MAX_TRIALS draws: 1.6 s)
@@ -77,16 +84,19 @@ class RunConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise _UsageError("trials must be at least 1")
         if self.trials > MAX_TRIALS:
             raise LimitError(f"trials {self.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
         if self.symbolic_threshold < 1 or self.degree_cap < 1:
-            raise ValueError("thresholds must be positive")
+            raise _UsageError("thresholds must be positive")
+        if self.symbolic_threshold > MAX_SYMBOLIC_THRESHOLD:
+            raise LimitError(f"symbolic threshold {self.symbolic_threshold} exceeds "
+                             f"MAX_SYMBOLIC_THRESHOLD = {MAX_SYMBOLIC_THRESHOLD}")
         if self.degree_cap > MAX_DEGREE_CAP:
             raise LimitError(
                 f"degree cap {self.degree_cap} exceeds MAX_DEGREE_CAP = {MAX_DEGREE_CAP}")
         if self.output_format not in ("json", "csv", "text"):
-            raise ValueError("format must be json, csv, or text")
+            raise _UsageError("format must be json, csv, or text")
 
     def as_dict(self):
         return {
@@ -257,47 +267,41 @@ def parse_character(text):
     if not sep:
         raise _UsageError("character spec must look like 'm:e1,e2,...'")
     limit = alexander.MAX_CHARACTER_ORDER
-    if len(head.strip()) > MAX_CHARACTER_DIGITS:
-        raise LimitError(
-            f"a character order of more than {MAX_CHARACTER_DIGITS} digits exceeds "
-            f"MAX_CHARACTER_ORDER = {limit}"
-        )
-    order = _int_token(head, "character order")
+    (order,) = _integers([head], "character order", MAX_CHARACTER_DIGITS,
+                         f"MAX_CHARACTER_ORDER = {limit}")
     if order > limit:
         raise LimitError(f"character order {order} exceeds MAX_CHARACTER_ORDER = {limit}")
     if order < 1:
         raise _UsageError(f"character order {order} is not positive")
-    tokens = tail.split(",") if tail.strip() else []
-    if any(len(tok.strip()) > MAX_CHARACTER_DIGITS for tok in tokens):
-        raise LimitError(
-            f"a character exponent of more than {MAX_CHARACTER_DIGITS} digits exceeds "
-            f"MAX_CHARACTER_DIGITS = {MAX_CHARACTER_DIGITS}"
-        )
-    exponents = tuple(_int_token(e, "character exponent") for e in tokens)
+    exponents = _integers(tail.split(",") if tail.strip() else [], "character exponent",
+                          MAX_CHARACTER_DIGITS, f"MAX_CHARACTER_DIGITS = {MAX_CHARACTER_DIGITS}")
     return laurent.Character(order=order, exponents=exponents)
 
 
-def _int_token(token, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise _UsageError(f"{what} {token.strip()!r} is not an integer") from None
+def _integers(tokens, what, max_digits, limit):
+    """The ints the strings `tokens` spell, each a `what`.  A token longer than
+    `max_digits` is refused unread, naming `limit`, before `int` refuses it."""
+    if any(len(tok.strip()) > max_digits for tok in tokens):
+        article = "an" if what[0] in "aeiou" else "a"
+        raise LimitError(f"{article} {what} of more than {max_digits} digits exceeds {limit}")
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise _UsageError(f"{what} {tok.strip()!r} is not an integer") from None
+    return tuple(values)
 
 
 # an exponent written with more digits than 2^MAX_INVARIANT_BITS has is beyond
-# the limit, and `int` would refuse a long enough one with its own message
+# the limit
 _MAX_EXPONENT_DIGITS = len(str(1 << MAX_INVARIANT_BITS))
 
 
 def parse_exponents(spec):
     """Parse `a1,a2,...`; a longer number than the limit allows is refused unread."""
-    tokens = spec.split(",")
-    if any(len(tok.strip()) > _MAX_EXPONENT_DIGITS for tok in tokens):
-        raise LimitError(
-            f"an exponent of more than {_MAX_EXPONENT_DIGITS} digits exceeds "
-            f"MAX_INVARIANT_BITS = {MAX_INVARIANT_BITS}"
-        )
-    return tuple(_int_token(tok, "exponent") for tok in tokens)
+    return _integers(spec.split(","), "exponent", _MAX_EXPONENT_DIGITS,
+                     f"MAX_INVARIANT_BITS = {MAX_INVARIANT_BITS}")
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +674,8 @@ def _dispatch(args, config):
     if args.command == "charvar":
         if args.d < 1:
             raise _UsageError("d must be a positive integer")
-        p = load_presentation(args.file)
-        chi = parse_character(args.character)
-        return run_charvar(p, chi, args.d, config)
+        return run_charvar(load_presentation(args.file), parse_character(args.character),
+                           args.d, config)
     if args.command == "classify":
         return run_classify(load_threeform(args.file), config)
     if args.command == "brieskorn":
@@ -686,57 +689,51 @@ def _dispatch(args, config):
             raise _UsageError("degree must be at least 1")
         if args.degree > config.degree_cap:
             raise _UsageError(f"degree {args.degree} exceeds the cap {config.degree_cap}")
-        data = load_holonomy_input(args.file)
-        return run_holonomy(data, args.degree, config)
-    raise ValueError(f"unknown command {args.command!r}")
+        return run_holonomy(load_holonomy_input(args.file), args.degree, config)
 
 
-def _error_record(err_type, message, offset=None):
-    return {"error": {"type": err_type, "message": message, "offset": offset}}
+# each failure `main` reports, matched in this order: its classes (an OSError is an
+# unreadable input or a closed stdout), its stderr record's type, its exit code
+_FAILURES = (
+    ((PresentationParseError,), "parse", 2),
+    ((LimitError, _UsageError), "config", 2),
+    ((OSError,), "io", 2),
+    ((json.JSONDecodeError, KeyError, MalformedInputError, UnicodeDecodeError), "parse", 2),
+    ((IntegralityError,), "integrality", 1),
+    ((ValueError, IndexError), "value", 1),
+)
+_CAUGHT = tuple(cls for classes, _, _ in _FAILURES for cls in classes)
+
+
+def _silence_stdout():
+    """Point a closed stdout at os.devnull for the final flush (see `signal`'s SIGPIPE note)."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # a StringIO has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(render_json(_error_record("config", str(exc))))
-        return 2
-    try:
-        config = RunConfig(
-            seed=args.seed,
-            trials=args.trials,
-            symbolic_threshold=args.symbolic_threshold,
-            degree_cap=args.degree_cap,
-            output_format=args.format,
-        )
-    except ValueError as exc:
-        sys.stderr.write(render_json(_error_record("config", str(exc))))
-        return 2
-    try:
-        report = _dispatch(args, config)
-    except PresentationParseError as exc:
-        sys.stderr.write(render_json(_error_record("parse", exc.message, exc.offset)))
-        return 2
-    except (LimitError, _UsageError) as exc:
-        sys.stderr.write(render_json(_error_record("config", str(exc))))
-        return 2
-    except OSError as exc:  # a missing, unreadable or directory input
-        sys.stderr.write(render_json(_error_record("io", str(exc))))
-        return 2
-    except (json.JSONDecodeError, KeyError, MalformedInputError, UnicodeDecodeError) as exc:
-        sys.stderr.write(render_json(_error_record("parse", str(exc))))
-        return 2
-    except IntegralityError as exc:
-        sys.stderr.write(render_json(_error_record("integrality", str(exc))))
-        return 1
-    except (ValueError, IndexError) as exc:
-        sys.stderr.write(render_json(_error_record("value", str(exc))))
-        return 1
-    try:
-        render(report, config, sys.stdout)
-    except ValueError as exc:
-        sys.stderr.write(render_json(_error_record("value", str(exc))))
-        return 1
+        config = RunConfig(seed=args.seed, trials=args.trials,
+                           symbolic_threshold=args.symbolic_threshold,
+                           degree_cap=args.degree_cap, output_format=args.format)
+        render(_dispatch(args, config), config, sys.stdout)
+        # a reader that closed stdout is reported here, not at exit
+        sys.stdout.flush()
+    except _CAUGHT as exc:
+        err_type, code = next((t, c) for classes, t, c in _FAILURES if isinstance(exc, classes))
+        if isinstance(exc, BrokenPipeError):
+            _silence_stdout()
+        located = isinstance(exc, PresentationParseError)
+        error = {"type": err_type, "message": exc.message if located else str(exc),
+                 "offset": exc.offset if located else None}
+        sys.stderr.write(render_json({"error": error}))
+        return code
     return 0
 
 

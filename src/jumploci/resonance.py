@@ -38,7 +38,6 @@ from math import lcm
 from operator import index
 
 from . import _linalg
-from .laurent import LaurentPoly
 
 __all__ = [
     "ThreeForm",
@@ -360,6 +359,9 @@ def _symbolic_contraction(eta):
     A(x) = sum_k x_k A(e_k), so the coefficient of x_k in entry (i, j) is
     entry (i, j) of the integer A(e_k).
     """
+    # only the symbolic expansion builds Laurent polynomials, so only it loads them
+    from .laurent import LaurentPoly
+
     n = eta.n
     units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
     slices = [_integer_contraction(eta, u)[0] for u in units]
@@ -368,11 +370,12 @@ def _symbolic_contraction(eta):
 
 
 def _pfaffian(entries, idx, memo):
+    from .laurent import LaurentPoly
+
     if not idx:
         nvars = entries[0][0].num_vars if entries else 0
         return LaurentPoly.one(nvars)
-    key = idx
-    cached = memo.get(key)
+    cached = memo.get(idx)
     if cached is not None:
         return cached
     i0 = idx[0]
@@ -382,10 +385,9 @@ def _pfaffian(entries, idx, memo):
         a = entries[i0][j]
         if a.is_zero:
             continue
-        sub = _pfaffian(entries, rest[:pos] + rest[pos + 1:], memo)
-        term = a * sub
+        term = a * _pfaffian(entries, rest[:pos] + rest[pos + 1:], memo)
         acc = acc + term if pos % 2 == 0 else acc - term
-    memo[key] = acc
+    memo[idx] = acc
     return acc
 
 

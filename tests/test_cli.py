@@ -1,6 +1,8 @@
 """CLI behaviour: outputs, schemas, determinism, error records."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -290,6 +292,22 @@ class TestClassify:
         code, out, _ = run_cli(capsys, ["classify", str(f)])
         assert code == 0
         assert json.loads(out)["class"] == "ZxSurface"
+
+    def test_symbolic_threshold_at_its_limit(self, capsys, tmp_path):
+        # e1 e2 e3 on n = 11 is full, so its sub-Pfaffian is expanded; one more
+        # than the limit is refused (TestParser)
+        assert cli.MAX_SYMBOLIC_THRESHOLD == 11
+        common = json.loads((SCHEMA_DIR / "common.json").read_text())
+        assert common["$defs"]["config"]["properties"]["symbolic_threshold"]["maximum"] == 11
+        f = tmp_path / "padded11.form"
+        f.write_text(json.dumps({"n": 11, "terms": [{"i": 1, "j": 2, "k": 3, "c": 1}]}))
+        code, out, _ = run_cli(capsys, ["--symbolic-threshold", "11", "classify", str(f)])
+        assert code == 0
+        report = json.loads(out)
+        validate("classify", report)
+        assert report["class"] == "Obstructed"
+        assert report["config"]["symbolic_threshold"] == 11
+        assert report["genericity_mode"]["mode"] == "symbolic"
 
 
 class TestBrieskorn:
@@ -856,6 +874,179 @@ class TestClosedInputs:
         assert p.generator_names == ("x",)
 
 
+class TestFailureTable:
+    """Every command line ends in exit 0, 1 or 2; a failure leaves one error record."""
+
+    def test_every_record_type_is_in_the_schema(self):
+        schema = json.loads((SCHEMA_DIR / "error.json").read_text())
+        types = schema["properties"]["error"]["properties"]["type"]["enum"]
+        assert {t for _, t, _ in cli._FAILURES} <= set(types)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_closed_stdout_is_an_io_record(self, fmt):
+        # the sweep's output is far past a pipe's buffer, so a write fails once
+        # the reader has closed its end; nothing is left to fail at exit
+        src = pathlib.Path(jumploci.__file__).parents[1]
+        argv = [sys.executable, "-m", "jumploci.cli", "--format", fmt,
+                "brieskorn", "sweep", "--max", "12", "--n", "3"]
+        with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(src)),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(1)) == 1
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 2
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "io"
+        assert err == cli.render_json(record)
+
+    def test_fuzzed_command_lines(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(st.data())
+        def check(data):
+            argv = _fuzz_argv(data.draw, st, tmp_path)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2)
+            if code:
+                assert out == ""
+                record = json.loads(err)
+                validate("error", record)
+                assert err == cli.render_json(record)
+            else:
+                assert err == ""
+                if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+                    report = json.loads(out)
+                    validate(report["command"], report)
+
+        check()
+
+
+def _rarely(draw, st):
+    """True about one time in eight: how often the fuzz grammar picks a refused value."""
+    return draw(st.integers(0, 7)) == 7
+
+
+def _fuzz_json_file(draw, st, obj):
+    """`obj` as JSON text, now and then changed by one edit: a key dropped or
+    added, a value of the wrong type, or a stray character."""
+    edit = draw(st.sampled_from(["drop", "add", "type", "char"])) if draw(st.booleans()) else None
+    if edit == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif edit == "add":
+        obj["extra"] = 1
+    elif edit == "type":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(
+            st.sampled_from(["x", 1.5, None, True, [], {}, [["x"]], -1]))
+    text = json.dumps(obj)
+    if edit == "char":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from('{}[],:"x1 -')) + text[at:]
+    return text
+
+
+def _fuzz_presentation(draw, st):
+    """Presentation text or JSON on at most 4 generators, with words of at most
+    6 atoms, and its generator count."""
+    gens = draw(st.lists(st.sampled_from("xyzw"), min_size=1, max_size=4, unique=True))
+    gen = st.sampled_from(gens)
+    atom = st.one_of(
+        gen,
+        st.builds("{}^{}".format, gen, st.integers(-3, 3)),
+        st.builds("[{},{}]".format, gen, gen),
+        st.just("1"),
+    )
+    relators = draw(st.lists(st.lists(atom, min_size=1, max_size=6).map(" ".join), max_size=3))
+    if draw(st.booleans()):
+        return _fuzz_json_file(draw, st, {"generators": gens, "relators": relators}), len(gens)
+    text = f"<{', '.join(gens)} | {', '.join(relators)}>"
+    if _rarely(draw, st):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("<>|,[]^x1 -")) + text[at:]
+    return text, len(gens)
+
+
+def _fuzz_form(draw, st, relations):
+    """A 3-form, or a holonomy relation list, on n <= 8 with at most 4 terms or 2 rows."""
+    n = draw(st.integers(0 if _rarely(draw, st) else 1, 8))
+    index = st.integers(0, n + 1) if _rarely(draw, st) else st.integers(1, max(n, 1))
+    coeff = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "3"]))
+    if not relations:
+        term = st.fixed_dictionaries({"i": index, "j": index, "k": index, "c": coeff})
+        obj = {"n": n, "terms": draw(st.lists(term, max_size=4))}
+    else:
+        width = 2 if _rarely(draw, st) else n * (n - 1) // 2
+        row = st.lists(coeff, min_size=width, max_size=width)
+        obj = {"n": n, "relations": draw(st.lists(row, max_size=2))}
+    return _fuzz_json_file(draw, st, obj)
+
+
+# each global option with values the CLI takes and values it refuses
+_FUZZ_OPTIONS = {
+    "--seed": (range(-5, 1000), ["x", "1.5"]),
+    "--trials": (range(1, 31), [0, MAX_TRIALS + 1, "many"]),
+    "--symbolic-threshold": (range(1, cli.MAX_SYMBOLIC_THRESHOLD + 1),
+                             [0, cli.MAX_SYMBOLIC_THRESHOLD + 1]),
+    "--degree-cap": (range(1, 7), [0, holonomy.MAX_DEGREE_CAP + 1]),
+    "--format": (["json", "text", "csv"], ["xml"]),
+}
+
+
+def _fuzz_argv(draw, st, tmp_path):
+    """An argv from a small grammar, with its input file written under `tmp_path`."""
+    argv = []
+    for flag, (valid, refused) in _FUZZ_OPTIONS.items():
+        if draw(st.integers(0, 3)) == 3:
+            values = refused if _rarely(draw, st) else valid
+            argv += [flag, str(draw(st.sampled_from(values)))]
+    command = draw(st.sampled_from(["alex", "charvar", "classify", "brieskorn", "holonomy"]))
+    path = tmp_path / "input"
+    if command in ("alex", "charvar"):
+        text, gens = _fuzz_presentation(draw, st)
+        path.write_text(text)
+    elif command != "brieskorn":
+        # relations are a holonomy input; `classify` refuses them
+        relations = draw(st.booleans()) if command == "holonomy" else _rarely(draw, st)
+        path.write_text(_fuzz_form(draw, st, relations))
+    if _rarely(draw, st):
+        path = tmp_path / "missing"
+    depth = st.integers(-1 if _rarely(draw, st) else 1, 3).map(str)
+    if command == "alex":
+        argv += ["alex", str(path)]
+        for d in draw(st.lists(depth, max_size=2)):
+            argv += ["--ideal-d", d]
+    elif command == "charvar":
+        order = draw(st.integers(0 if _rarely(draw, st) else 1, 12))
+        # as many exponents as generators often matches b1
+        count = draw(st.integers(0, 4)) if _rarely(draw, st) else gens
+        exps = ",".join(map(str, draw(st.lists(st.integers(0, 12), min_size=count,
+                                               max_size=count))))
+        spec = f"{order}:{exps}"
+        if _rarely(draw, st):
+            spec = draw(st.sampled_from(["abc", "6:x", exps]))
+        argv += ["charvar", str(path), spec, "--d", draw(depth)]
+    elif command == "brieskorn":
+        if draw(st.booleans()):
+            argv += ["brieskorn", "sweep", "--max", str(draw(st.integers(0, 5))),
+                     "--n", str(draw(st.integers(2 if _rarely(draw, st) else 3, 4)))]
+        else:
+            exponent = st.integers(0 if _rarely(draw, st) else 2, 12).map(str)
+            exps = draw(st.lists(exponent, min_size=2, max_size=5))
+            argv += ["brieskorn", "2,x,3" if _rarely(draw, st) else ",".join(exps)]
+    else:
+        argv += [command, str(path)]
+        if command == "holonomy":
+            argv += ["--degree", str(draw(st.integers(0 if _rarely(draw, st) else 1, 5)))]
+    return argv
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [
         ["brieskorn", "sweep", "--max", "abc"],
@@ -884,7 +1075,10 @@ class TestParser:
         (["charvar", "{missing}", "2:1", "--d", "0"], "d must be a positive integer"),
         (["alex", "{missing}", "--ideal-d", "-1"], "ideal depth must be non-negative"),
         (["brieskorn", "sweep", "--n", "2"], "sweep needs n >= 3"),
-    ], ids=["degree-0", "degree-above-cap", "charvar-d-0", "negative-ideal-d", "sweep-n-2"])
+        (["--symbolic-threshold", "12", "classify", "{missing}"],
+         "symbolic threshold 12 exceeds MAX_SYMBOLIC_THRESHOLD = 11"),
+    ], ids=["degree-0", "degree-above-cap", "charvar-d-0", "negative-ideal-d", "sweep-n-2",
+            "symbolic-threshold-above-limit"])
     def test_refused_option_value_is_a_config_record(self, capsys, tmp_path, argv, message):
         # refused before any input is read: the missing file is never opened
         missing = str(tmp_path / "missing")

@@ -105,9 +105,20 @@ def test_group_commands_skip_the_form_modules(inputs, command):
 
 @pytest.mark.parametrize("command", ["classify", "holonomy"])
 def test_form_commands_skip_the_group_modules(inputs, command):
+    # the fixture's form is not full, so a witness decides `classify` and no
+    # Laurent polynomial is built
     _, form = inputs
     loaded = _loaded_by([command, form])
     assert "jumploci.resonance" in loaded
+    assert not loaded & {"jumploci.presentation", "jumploci.alexander", "jumploci.laurent"}
+
+
+def test_symbolic_expansion_loads_the_laurent_ring(tmp_path):
+    # e1 e2 e3 on n = 5 is full, so no witness exists and the sub-Pfaffian is expanded
+    form = tmp_path / "padded.json"
+    form.write_text(json.dumps({"n": 5, "terms": [{"i": 1, "j": 2, "k": 3, "c": 1}]}))
+    loaded = _loaded_by(["classify", str(form)])
+    assert {"jumploci.resonance", "jumploci.laurent"} <= loaded
     assert not loaded & {"jumploci.presentation", "jumploci.alexander"}
 
 
