@@ -32,6 +32,7 @@ input, a closed stdout or a refused command line, 1 other failures; the table
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -722,9 +723,12 @@ def main(argv=None):
         config = RunConfig(seed=args.seed, trials=args.trials,
                            symbolic_threshold=args.symbolic_threshold,
                            degree_cap=args.degree_cap, output_format=args.format)
-        render(_dispatch(args, config), config, sys.stdout)
+        out = sys.stdout
+        if out is None:  # Python's stdout when descriptor 1 was closed at start
+            raise OSError(errno.EBADF, "stdout is closed")
+        render(_dispatch(args, config), config, out)
         # a reader that closed stdout is reported here, not at exit
-        sys.stdout.flush()
+        out.flush()
     except _CAUGHT as exc:
         err_type, code = next((t, c) for classes, t, c in _FAILURES if isinstance(exc, classes))
         if isinstance(exc, BrokenPipeError):

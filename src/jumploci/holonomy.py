@@ -65,7 +65,12 @@ def wedge_basis(n):
 
 @dataclass(frozen=True)
 class QuadraticData:
-    """Degree-1 generator count plus relation vectors in wedge coordinates."""
+    """Degree-1 generator count plus relation vectors in wedge coordinates.
+
+    The relations are kept as the canonical basis of their span, the reduced
+    echelon rows over Q, each cleared to a primitive integer tuple with a
+    positive pivot: independent rows, equal for equal spans.
+    """
 
     n: int
     relations: tuple
@@ -76,16 +81,18 @@ class QuadraticData:
         if self.n < 0:
             raise ValueError("generator count must be non-negative")
         m = self.n * (self.n - 1) // 2
-        rels = tuple(map(tuple, self.relations))
-        for r in rels:
+        basis = {}
+        for r in map(tuple, self.relations):
             if len(r) != m:
                 raise ValueError(f"relation vector must have length {m}")
             if not all(isinstance(c, (int, Fraction)) for c in r):
                 raise TypeError(f"relation entries must be int or Fraction, got {r!r}")
-        # zeros share one Fraction: a relation read from a sparse form is mostly zeros
-        zero = Fraction(0)
-        object.__setattr__(self, "relations",
-                           tuple(tuple(Fraction(c) if c else zero for c in r) for r in rels))
+            echelon_insert(basis, {q: c for q, c in enumerate(r) if c})
+        rows = []
+        for row in reduced(basis).values():
+            den = lcm(*(c.denominator for c in row.values()))  # primitive: the pivot is 1
+            rows.append(tuple(int(row.get(q, 0) * den) for q in range(m)))
+        object.__setattr__(self, "relations", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -103,20 +110,12 @@ def holonomy_from_threeform(eta):
     eta(e_i, e_j, e_k) on the pair (i, j), which is the upper triangle of
     the contraction matrix A(e_k).  Each is read from the integer A(e_k) of
     `resonance._integer_contraction`, which is scaled by eta's common
-    denominator; that leaves the span unchanged.  A reduced echelon basis
-    is returned, so equal spans give equal data.
+    denominator; that leaves the span unchanged, and `QuadraticData` keeps
+    its canonical basis.
     """
     n = eta.n
-    m = n * (n - 1) // 2
-    basis = {}
-    for k in range(n):
-        a, _ = _integer_contraction(eta, [int(t == k) for t in range(n)])
-        upper = (v for i, row in enumerate(a) for v in row[i + 1:])
-        echelon_insert(basis, {q: v for q, v in enumerate(upper) if v})
-    relations = tuple(
-        tuple(row.get(col, 0) for col in range(m)) for row in reduced(basis).values()
-    )
-    return QuadraticData(n=n, relations=relations)
+    triangles = (_integer_contraction(eta, [int(t == k) for t in range(n)])[0] for k in range(n))
+    return QuadraticData(n, [[v for i, row in enumerate(a) for v in row[i + 1:]] for a in triangles])
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +212,19 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
     """Graded dimensions of Lie(n)/ideal(relations) for degrees 1..up_to.
 
     Every tensor word of length d is keyed by its base-n code (the module
-    docstring), so the pair (i, j) is i * n + j.  Degree 2 inserts each
-    relation, its denominators cleared once, on the words (i, j) with i < j.
-    Each degree d >= 3 pairs every kept row b of degree d - 1 with each
-    generator e_i, reads the entries of [e_i, b] on the codes of the Lyndon
-    words of length d in one pass over b (`_ad_lyndon`), and inserts them
-    into a fresh echelon basis.  Only a bracket found independent below the
-    top degree is then built in full tensor coordinates and kept; a
-    dependent one, and every one at the top degree, is never built.  Codes
-    of one length order as the words do, so the pivots are those of the
-    lexicographic order.  The projection is injective on Lie elements, so
-    the rank is the ideal's dimension, and the top degree keeps no rows.
+    docstring), so the pair (i, j) is i * n + j.  The relations of `q`,
+    independent integer rows, are the degree-2 basis on the words (i, j)
+    and (j, i) as given.  Each degree d >= 3 pairs every kept row b of
+    degree d - 1 with each generator e_i, reads the entries of [e_i, b] on
+    the codes of the Lyndon words of length d in one pass over b
+    (`_ad_lyndon`), and inserts them into a fresh echelon basis.  Only a
+    bracket found independent below the top degree is then built in full
+    tensor coordinates and kept; a dependent one, and every one at the top
+    degree, is never built.  Codes of one length order as the words do, so
+    the pivots are those of the lexicographic order.  The projection is
+    injective on Lie elements, so the rank is the ideal's dimension, and
+    the top degree keeps no rows.  The quotient is generated in degree 1,
+    so every degree above one of rank 0 has rank 0 and forms no bracket.
     Exact integer arithmetic throughout; degrees beyond `degree_cap` are
     refused because free Lie dimensions grow quickly, and a free Lie
     dimension above `MAX_LIE_DIMENSION` with LimitError.
@@ -239,15 +240,12 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
                          f"degree {up_to}, above MAX_LIE_DIMENSION = {MAX_LIE_DIMENSION}")
     ranks = [n]
     pairs = wedge_basis(n)
-    basis, rows = {}, []
-    for r in q.relations:
-        den = lcm(*(c.denominator for c in r))
-        terms = [(i, j, c.numerator * (den // c.denominator))
-                 for (i, j), c in zip(pairs, r) if c]
-        vec = {i * n + j: c for i, j, c in terms}
-        if echelon_insert(basis, vec) is not None and up_to > 2:
-            rows.append({**vec, **{j * n + i: -c for i, j, c in terms}})
+    # the relations are independent, so they are the degree-2 basis
+    basis = rows = [{k: v for (i, j), c in zip(pairs, r) if c
+                     for k, v in ((i * n + j, c), (j * n + i, -c))} for r in q.relations]
     for d in range(2, up_to + 1):
+        if not ranks[-1]:
+            break
         if d > 2:
             lyndon = set(_lyndon_codes(n, d)) if rows else ()
             size = n ** (d - 1)
@@ -258,4 +256,5 @@ def lie_ranks(q, up_to, degree_cap=DEFAULT_DEGREE_CAP):
                     if echelon_insert(basis, coords) is not None and d < up_to:
                         rows.append(_ad_generator(i, b, n, size))
         ranks.append(_witt(n, d) - len(basis))
+    ranks += [0] * (up_to - len(ranks))
     return GradedRanks(ranks=tuple(ranks))

@@ -378,12 +378,10 @@ def presentation_from_json(obj):
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """U*M*V = D with U, V unimodular and D = diag(d1 | d2 | ...)."""
+    """U*M*V = D = diag(d1 | d2 | ...) with U, V unimodular; only V is kept."""
 
     diagonal: tuple
-    left: tuple
     right: tuple
-    shape: tuple
 
     @property
     def rank(self):
@@ -397,12 +395,10 @@ def smith_normal_form(matrix):
     if any(len(row) != g for row in rows):
         raise ValueError("ragged matrix")
     a = [row[:] for row in rows]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
     v = [[int(i == j) for j in range(g)] for i in range(g)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -412,17 +408,12 @@ def smith_normal_form(matrix):
 
     def add_row(src, dst, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
         for row in a:
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(r, g):
@@ -470,15 +461,10 @@ def smith_normal_form(matrix):
                 break
             add_row(offender, t, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
     diag = tuple(a[i][i] for i in range(min(r, g)))
-    return SmithNormalForm(
-        diagonal=diag,
-        left=tuple(tuple(row) for row in u),
-        right=tuple(tuple(row) for row in v),
-        shape=(r, g),
-    )
+    return SmithNormalForm(diagonal=diag, right=tuple(tuple(row) for row in v))
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,8 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     for one polynomial lambda: when A(x) has rank n - 1 both span its
     kernel, and otherwise v = 0.  Every sub-Pfaffian is +/-x_i lambda(x), and
     all of them vanish identically exactly when the one for i = 0 does.
-    Larger odd n reports fullness at sampling confidence.
+    Larger odd n reports fullness at sampling confidence.  Both odd modes
+    report the `trials` and `seed` of the draws.
     """
     n = eta.n
     if n < 1:
@@ -417,11 +418,10 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     full = not any(
         any(x) and _linalg.rank(_integer_contraction(eta, x)[0]) == n - 1 for x in draws
     )
-    if n > symbolic_threshold:
-        return R1FullnessReport(full=full, mode="sampled", trials=trials, seed=seed)
-    if full:
+    mode = "sampled" if n > symbolic_threshold else "symbolic"
+    if full and mode == "symbolic":
         full = _pfaffian(_symbolic_contraction(eta), tuple(range(1, n)), {}).is_zero
-    return R1FullnessReport(full=full, mode="symbolic")
+    return R1FullnessReport(full=full, mode=mode, trials=trials, seed=seed)
 
 
 def is_generic(eta, symbolic_threshold=9, trials=200, seed=0):

@@ -37,6 +37,7 @@ from _corpus import (
     Z2,
     chain_text,
     cross_validation_corpus,
+    int_det,
     mat_mul,
     random_word,
     sum_pattern_text,
@@ -751,11 +752,24 @@ TIETZE_BASES = (TREFOIL, FIGURE_EIGHT, TORUS_2_5, Z2, Z3, HEISENBERG, DOUBLE_COM
 
 
 def _left_inverse(rows):
-    """The integer L with L * rows = 1, for integer rows that span Z^b."""
-    snf = smith_normal_form(rows)
+    """An integer L with L * rows = 1, for integer rows that span Z^b.
+
+    The Smith form's column operations V give rows^T V = (W | 0) with W
+    unimodular, so L^T = V_b W^-1 for the first b columns V_b of V; W^-1
+    is det(W) adj(W).
+    """
     b = len(rows[0])
+    snf = smith_normal_form(list(zip(*rows)))
     assert snf.diagonal == (1,) * b
-    return mat_mul(snf.right, snf.left[:b])
+    v = [row[:b] for row in snf.right]
+    w = mat_mul(tuple(zip(*rows)), v)
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for k, row in enumerate(w) if k != i]
+
+    det = int_det(w)
+    inverse = [[(-1) ** (i + j) * det * int_det(minor(j, i)) for j in range(b)] for i in range(b)]
+    return tuple(zip(*mat_mul(v, inverse)))
 
 
 class TestTietzeMoves:

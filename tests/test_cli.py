@@ -901,6 +901,20 @@ class TestFailureTable:
         assert record["error"]["type"] == "io"
         assert err == cli.render_json(record)
 
+    def test_stdout_closed_at_start_is_an_io_record(self):
+        # Python sets sys.stdout to None when descriptor 1 is closed at start
+        src = pathlib.Path(jumploci.__file__).parents[1]
+        argv = [sys.executable, "-m", "jumploci.cli", "brieskorn", "2,3,7"]
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(src)),
+                              stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                              timeout=60)
+        assert proc.returncode == 2
+        err = proc.stderr.decode()
+        record = json.loads(err)
+        validate("error", record)
+        assert record["error"]["type"] == "io"
+        assert err == cli.render_json(record)
+
     def test_fuzzed_command_lines(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies

@@ -1,9 +1,10 @@
 """Holonomy Lie algebra ranks against Witt-formula and bracket-closure oracles."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -480,7 +481,7 @@ class TestFromThreeForm:
             assert len(supported) == 1
             scaled = supported[0]
             ratio = next(c for c in scaled if c)
-            assert [c / ratio for c in scaled] == sym
+            assert [Fraction(c, ratio) for c in scaled] == sym
 
     def test_relation_count_for_product_forms(self):
         # contractions of the product form span a space of dimension 2g + 1
@@ -521,6 +522,85 @@ class TestFromThreeForm:
         for eta in forms:
             scaled = ThreeForm(eta.n, {t: 3 * c for t, c in eta.coeffs.items()})
             assert holonomy_from_threeform(scaled) == holonomy_from_threeform(eta)
+
+
+class TestCanonicalSpan:
+    """`QuadraticData` keeps the canonical integer basis of the relation span."""
+
+    @staticmethod
+    def _respellings(rng, rels):
+        m = len(rels[0])
+        scales = [Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)) for _ in rels]
+        yield [tuple(s * c for c in r) for s, r in zip(scales, rels)]
+        yield rng.sample(rels, len(rels))
+        yield rels + [rng.choice(rels)]
+        yield rels[:1] + [(0,) * m] + rels[1:]
+
+    def test_equal_spans_give_equal_data(self):
+        rng = random.Random(90)
+        for n in (2, 3, 4, 5):
+            m = n * (n - 1) // 2
+            for _ in range(4):
+                rels = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+                q = QuadraticData(n, rels)
+                for other in self._respellings(rng, rels):
+                    assert QuadraticData(n, other) == q, (rels, other)
+
+    def test_rows_are_the_reduced_primitive_basis(self):
+        rng = random.Random(91)
+        for n in (3, 4, 5, 6):
+            m = n * (n - 1) // 2
+            rels = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m))
+                    for _ in range(rng.randint(1, 4))]
+            q = QuadraticData(n, rels)
+            rows = [list(r) for r in q.relations]
+            assert rank(rows) == len(rows) == rank([list(r) for r in rels])
+            assert rank(rows + [list(r) for r in rels]) == len(rows)
+            pivots = [next(k for k, c in enumerate(r) if c) for r in rows]
+            assert pivots == sorted(pivots)
+            for r, p in zip(rows, pivots):
+                assert all(type(c) is int for c in r)
+                assert r[p] > 0 and gcd(*r) == 1
+                assert all(other[p] == 0 for other in rows if other is not r)
+
+    def test_product_forms_equal_their_contraction_rows(self):
+        # the 3-form route and the same contractions listed as relations meet
+        for g in (1, 2, 3):
+            eta = ThreeForm.product_form(g)
+            raw = [[eta.value(i, j, k) for i, j in wedge_basis(eta.n)] for k in range(eta.n)]
+            assert QuadraticData(eta.n, raw) == holonomy_from_threeform(eta)
+
+    def test_degree_two_rank_is_witt_minus_relations(self):
+        rng = random.Random(92)
+        for n in (2, 3, 4):
+            m = n * (n - 1) // 2
+            rels = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(4)]
+            q = QuadraticData(n, rels + rels)
+            assert lie_ranks(q, 2).ranks[1] == witt_dimension(n, 2) - len(q.relations)
+
+
+class TestZeroDegree:
+    """A zero degree makes every higher one zero; nothing above it is bracketed."""
+
+    def test_two_generators_one_relation_at_degree_18(self):
+        start = time.perf_counter()
+        ranks = lie_ranks(QuadraticData(2, ((7,),)), 18, degree_cap=18).ranks
+        assert time.perf_counter() - start < 1
+        assert ranks == (2,) + (0,) * 17
+
+    def test_zero_quotients_match_reference(self, monkeypatch):
+        built = TestLyndonProjection._count_full_brackets(monkeypatch)
+        cases = [QuadraticData(2, ((1,),)), QuadraticData(0, ()),
+                 holonomy_from_threeform(ThreeForm.volume())]
+        rng = random.Random(93)
+        for n in (3, 4):
+            m = n * (n - 1) // 2
+            rels = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m + 1)]
+            cases.append(QuadraticData(n, rels))
+        for q in cases:
+            assert lie_ranks(q, 5).ranks[1] == 0
+            assert lie_ranks(q, 5).ranks == reference_lie_ranks(q, 5), q
+        assert built == []
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
 """Presentation parsing, Smith normal forms, abelianization, Fox calculus."""
 
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -385,19 +387,26 @@ class TestSmithNormalForm:
         assert snf.diagonal == (2, 4)
 
     def test_transforms_multiply_out(self):
+        # d_1 ... d_k is the gcd of the k x k minors, V is unimodular, and
+        # column i of M V is divisible by d_i and zero past the rank
         rng = random.Random(21)
         for _ in range(100):
             r = rng.randint(1, 4)
             g = rng.randint(1, 4)
             m = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(r)]
             snf = smith_normal_form(m)
-            product = mat_mul(mat_mul(snf.left, m), snf.right)
-            for i in range(r):
-                for j in range(g):
-                    expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-                    assert product[i][j] == expected
-            assert abs(int_det(snf.left)) == 1
+            for k in range(1, min(r, g) + 1):
+                minors = [int_det([[m[i][j] for j in cols] for i in rows])
+                          for rows in combinations(range(r), k)
+                          for cols in combinations(range(g), k)]
+                assert prod(snf.diagonal[:k]) == gcd(*minors), (m, k)
             assert abs(int_det(snf.right)) == 1
+            product = mat_mul(m, snf.right)
+            for j in range(g):
+                if j < snf.rank:
+                    assert all(row[j] % snf.diagonal[j] == 0 for row in product)
+                else:
+                    assert all(row[j] == 0 for row in product)
             diag = [d for d in snf.diagonal if d]
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0

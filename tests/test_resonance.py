@@ -334,7 +334,7 @@ class TestSharedIntegerForm:
         monkeypatch.setattr(resonance, "_integer_contraction", recording)
         units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
         for threshold, report in (
-            (n, R1FullnessReport(full=full, mode="symbolic")),
+            (n, R1FullnessReport(full=full, mode="symbolic", trials=40, seed=seed)),
             (n - 2, R1FullnessReport(full=full, mode="sampled", trials=40, seed=seed)),
         ):
             drawn.clear()
@@ -558,7 +558,7 @@ class TestWitnessFirstFullness:
             full = _expansion_full(eta)
             fulls.append(full)
             rep = r1_fullness(eta, symbolic_threshold=eta.n)
-            assert rep == R1FullnessReport(full=full, mode="symbolic")
+            assert rep == R1FullnessReport(full=full, mode="symbolic", trials=200)
         # the corpus exercises both answers, at n = 11 too
         assert True in fulls and False in fulls
         assert {eta.n for eta, f in zip(forms, fulls) if f} >= {5, 7, 9, 11}
@@ -599,10 +599,10 @@ class TestWitnessFirstFullness:
             assert not r1_fullness(eta, symbolic_threshold=eta.n).full
         dense = random_threeform(rng, 11)
         assert r1_fullness(dense, symbolic_threshold=11) == R1FullnessReport(
-            full=False, mode="symbolic"
+            full=False, mode="symbolic", trials=200
         )
         assert calls == []
-        assert r1_fullness(PADDED) == R1FullnessReport(full=True, mode="symbolic")
+        assert r1_fullness(PADDED) == R1FullnessReport(full=True, mode="symbolic", trials=200)
         assert calls == [PADDED]
 
     def test_sampled_mode_uses_the_same_witnesses(self):
@@ -616,7 +616,7 @@ class TestWitnessFirstFullness:
                     full=exact.full, mode="sampled", trials=30, seed=3
                 )
 
-    def test_classify_echoes_no_sampling(self, capsys, tmp_path):
+    def test_classify_echoes_the_witness_draws(self, capsys, tmp_path):
         f = tmp_path / "scrambled.form"
         eta = _scrambled_product(random.Random(6), 3)
         f.write_text(json.dumps({
@@ -629,7 +629,7 @@ class TestWitnessFirstFullness:
         assert cli.main(["--seed", "7", "--trials", "40", "classify", str(f)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["class"] == "ZxSurface"
-        assert out["genericity_mode"] == {"mode": "symbolic", "trials": 0, "seed": 0}
+        assert out["genericity_mode"] == {"mode": "symbolic", "trials": 40, "seed": 7}
 
 
 class TestRestrictionRank:
@@ -942,7 +942,7 @@ class TestClassify:
         monkeypatch.setattr(cli, "r1_fullness", counting, raising=False)
         out = cli.run_classify(PROD_2, cli.RunConfig())
         assert len(calls) == 1
-        assert out["genericity_mode"] == {"mode": "symbolic", "trials": 0, "seed": 0}
+        assert out["genericity_mode"] == {"mode": "symbolic", "trials": 100, "seed": 0}
 
     def test_fullness_report_attached(self):
         c = classify_malcev(PADDED)
