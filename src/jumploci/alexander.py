@@ -31,12 +31,13 @@ minors and stops at the first one that does not vanish.
 A character of order m factors through the ring map Z[H_1] -> Z[H_1/mH_1],
 which reduces every exponent mod m (`laurent.fold`) and commutes with
 determinants.  So the jump-locus route expands its minors folded: each entry
-is folded when a minor first reads it and every Laplace product is folded,
-so no intermediate has more than (2m - 1)^b1 terms, however long the
-relators are or however high Delta's degree.  A query that expands no minor
-folds nothing.  The folded minors live in one memo per (matrix, m), next to
-the Laurent memo, and there the cap counts nonzero folded minors, never more
-than the Laurent ones, so an input can stop being refused but never start.
+is folded when a minor first reads it and every Laplace product reduces its
+exponents mod m as it multiplies, so no intermediate has more than m^b1
+terms, however long the relators are or however high Delta's degree.  A
+query that expands no minor folds nothing.  The folded minors live in one
+memo per (matrix, m), next to the Laurent memo, and there the cap counts
+nonzero folded minors, never more than the Laurent ones, so an input can
+stop being refused but never start.
 
 The sampled check chi in V(E_1) <=> Delta(chi) = 0 decides chi in V(E_1)
 through `elementary_ideal_vanishes_at`, folds Delta once per sampled order,
@@ -54,7 +55,7 @@ from operator import mul
 
 from . import _linalg
 from ._limits import LimitError
-from .laurent import Character, LaurentPoly, evaluate, fold, gcd_all
+from .laurent import Character, LaurentPoly, _folded_mul, evaluate, fold, gcd_all
 from .presentation import abelianization, fox_derivative
 
 __all__ = [
@@ -175,8 +176,8 @@ def _minor(entries, rows, cols, memo, m=0):
 
     With an order m >= 1 the minor is folded into Z[H_1/mH_1]: an entry is
     folded when a minor first reads it, and kept in `memo` as a 1-minor, and
-    every product is folded.  A folded minor has at most m^b1 terms, and the
-    product of two at most (2m - 1)^b1 before it is folded.  Unfolded (m = 0),
+    every product is formed folded (`laurent._folded_mul`), so no minor or
+    product has more than m^b1 terms.  Unfolded (m = 0),
     a product whose factors' term counts multiply to more than
     `MAX_MINOR_TERMS` raises `LimitError` before it is formed.
     """
@@ -197,7 +198,7 @@ def _minor(entries, rows, cols, memo, m=0):
                 continue
             sub = _minor(entries, rest, cols[:pos] + cols[pos + 1:], memo, m)
             if m:
-                term = fold(e * sub, m)
+                term = _folded_mul(e, sub, m)
             else:
                 size = len(e.terms) * len(sub.terms)
                 if size > MAX_MINOR_TERMS:
@@ -271,12 +272,16 @@ def twisted_h1_dim(p, chi):
 
     Equals g - 1 - rank of the Alexander matrix evaluated at chi, the exact
     rank over Q(zeta_m), m = chi.order, that `_linalg.rank` certifies from
-    ranks over F_p.
+    ranks over F_p.  That rank is at most g - 1, which `_linalg.rank` is
+    given as a bound: by the fundamental formula of Fox calculus the column
+    vector (u_j(chi)), u_j = t^{phi(x_j)} - 1, is in the kernel, and it is
+    nonzero for chi != 1 (`_avoided_column`).
     `p` is a presentation or an AlexanderMatrix already built from one.
     """
     a = p if isinstance(p, AlexanderMatrix) else alexander_matrix(p)
     _check_character(a, chi, "twisted_h1_dim")
-    return a.num_generators - 1 - _linalg.rank(a.evaluated(chi), order=chi.order)
+    g = a.num_generators
+    return g - 1 - _linalg.rank(a.evaluated(chi), order=chi.order, bound=g - 1)
 
 
 def in_vd(p, chi, d):
@@ -353,11 +358,10 @@ def sample_characters(num_vars, count, seed):
     out = []
     while len(out) < count:
         m = rng.choice(CHARACTER_ORDERS)
-        exps = tuple(rng.randrange(m) for _ in range(num_vars))
-        chi = Character(order=m, exponents=exps)
-        if chi.is_identity:
-            continue
-        out.append(chi)
+        exps = tuple([rng.randrange(m) for _ in range(num_vars)])
+        # exponents lie in [0, m), so the identity is the all-zero draw
+        if any(exps):
+            out.append(Character._of(m, exps))
     return out
 
 

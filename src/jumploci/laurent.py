@@ -9,9 +9,21 @@ integer coefficients in the power basis, reduced modulo the monic m-th
 cyclotomic polynomial without division, so zero-testing is exact.  A value
 has no arithmetic: ranks over Q(zeta_m) are taken from these integers
 modulo primes (`_linalg.rank`).  `fold(p, m)` reduces every exponent mod
-m, which keeps the value of p at every character of order m.  Exponents,
-coefficients, powers and the variable count are read with `operator.index`,
+m, which keeps the value of p at every character of order m.
+
+Which constructors check their input: the public ones (`LaurentPoly(n,
+terms)`, `zero`, `one`, `constant`, `variable`, `monomial`, `shift` and
+`**`, and `Character(order, exponents)`) read exponents, coefficients,
+powers, orders and the variable count with `operator.index` or a type test,
 so a float or a `Fraction` raises `TypeError` rather than being truncated.
+The private `LaurentPoly._of(n, terms)` and `Character._of(order, exps)`
+trust data the package built itself: a term dict of int exponent tuples of
+length n mapped to nonzero ints, taken over without a copy, and an int
+order with int exponents.  The ring operations, `normalize_unit`,
+`try_divide`, `gcd_all` and `fold` build their results that way, and so
+does `_folded_mul`, the product of two polynomials folded to m that reduces
+each exponent mod m as it multiplies.  Only `laurent`, `presentation` and
+`alexander` call them.
 
 Unit-normalization convention, fixed once for the whole project: the
 canonical associate of p is u*p, where u is the unique +/- monomial making
@@ -25,8 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index, mul
+from operator import add, index, mul, sub
 from types import MappingProxyType
+
+_set = object.__setattr__
 
 __all__ = [
     "LaurentPoly",
@@ -109,6 +123,18 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, num_vars, terms):
+        """Trusted: `terms` maps int tuples of length num_vars to nonzero ints.
+
+        The dict is kept, not copied, so the caller must not change it.
+        """
+        p = object.__new__(cls)
+        _set(p, "_num_vars", num_vars)
+        _set(p, "_terms", terms)
+        _set(p, "_hash", None)
+        return p
+
+    @classmethod
     def zero(cls, num_vars):
         return cls(num_vars, {})
 
@@ -174,30 +200,30 @@ class LaurentPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly(self._num_vars, _dict_add(self._terms, q._terms))
+        return LaurentPoly._of(self._num_vars, _dict_add(self._terms, q._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self._num_vars, _dict_neg(self._terms))
+        return LaurentPoly._of(self._num_vars, _dict_neg(self._terms))
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly(self._num_vars, _dict_sub(self._terms, q._terms))
+        return LaurentPoly._of(self._num_vars, _dict_sub(self._terms, q._terms))
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly(self._num_vars, _dict_sub(q._terms, self._terms))
+        return LaurentPoly._of(self._num_vars, _dict_sub(q._terms, self._terms))
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly(self._num_vars, _dict_mul(self._terms, q._terms))
+        return LaurentPoly._of(self._num_vars, _dict_mul(self._terms, q._terms))
 
     __rmul__ = __mul__
 
@@ -216,12 +242,12 @@ class LaurentPoly:
 
     def shift(self, exps):
         """Multiply by the monomial with the given exponent vector."""
-        e0 = tuple(exps)
+        e0 = tuple(map(index, exps))
         if len(e0) != self._num_vars:
             raise ValueError("exponent vector length mismatch")
-        return LaurentPoly(
+        return LaurentPoly._of(
             self._num_vars,
-            {tuple(a + b for a, b in zip(e, e0)): c for e, c in self._terms.items()},
+            {tuple(map(add, e, e0)): c for e, c in self._terms.items()},
         )
 
     # -- comparisons ----------------------------------------------------------
@@ -262,13 +288,11 @@ def normalize_unit(p):
     if p.is_zero:
         return p
     mins = p.min_exponents()
-    shifted = {
-        tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()
-    }
+    shifted = {tuple(map(sub, e, mins)): c for e, c in p.terms.items()}
     lead = max(shifted)
     if shifted[lead] < 0:
         shifted = {e: -c for e, c in shifted.items()}
-    return LaurentPoly(p.num_vars, shifted)
+    return LaurentPoly._of(p.num_vars, shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +417,7 @@ def gcd_all(ps):
             tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()
         }
         g = _poly_gcd(g, shifted, n)
-    return normalize_unit(LaurentPoly(n, g))
+    return normalize_unit(LaurentPoly._of(n, g))
 
 
 def try_divide(p, d):
@@ -411,10 +435,7 @@ def try_divide(p, d):
         q = _dict_divexact(sp, sd)
     except ArithmeticError:
         return None
-    quotient = LaurentPoly(p.num_vars, q).shift(
-        tuple(a - b for a, b in zip(mp, md))
-    )
-    return quotient
+    return LaurentPoly._of(p.num_vars, q).shift(tuple(map(sub, mp, md)))
 
 
 
@@ -475,6 +496,14 @@ class Character:
             raise ValueError("character order must be a positive integer")
         object.__setattr__(self, "exponents", exps)
 
+    @classmethod
+    def _of(cls, order, exps):
+        """Trusted: an int order >= 1 and a tuple of int exponents."""
+        chi = object.__new__(cls)
+        _set(chi, "order", order)
+        _set(chi, "exponents", exps)
+        return chi
+
     @property
     def is_identity(self):
         return all(e % self.order == 0 for e in self.exponents)
@@ -533,13 +562,30 @@ def fold(p, m):
     only on e mod m, so evaluating the folded polynomial (at most m^n terms)
     gives exactly `evaluate(p, chi)` for every chi with chi.order == m.
     """
+    m = index(m)
     if m < 1:
         raise ValueError("order must be positive")
     terms = {}
     for exps, c in p.terms.items():
-        key = tuple(e % m for e in exps)
+        key = tuple([e % m for e in exps])
         terms[key] = terms.get(key, 0) + c
-    return LaurentPoly(p.num_vars, terms)
+    return LaurentPoly._of(p.num_vars, {e: c for e, c in terms.items() if c})
+
+
+def _folded_mul(p, q, m):
+    """fold(p * q, m) for p and q folded to m, reduced mod m as it multiplies.
+
+    `fold` is a ring map, so folding each product of two terms gives the
+    same polynomial, and the unfolded product, of up to (2m - 1)^n terms, is
+    never formed.
+    """
+    out = {}
+    get = out.get
+    for ea, ca in p._terms.items():
+        for eb, cb in q._terms.items():
+            e = tuple([(x + y) % m for x, y in zip(ea, eb)])
+            out[e] = get(e, 0) + ca * cb
+    return LaurentPoly._of(p._num_vars, {e: c for e, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,17 @@ Laurent ring on b1 variables.
 Relators are not cyclically reduced automatically; derivatives of cyclic
 permutations of a relator differ by unit monomials, which the project-wide
 unit normalization absorbs.
+
+Which constructors check their input: `Word(letters)` reads each generator
+index and sign with `operator.index` and refuses a sign other than +/-1, and
+`Presentation(names, relators)` refuses repeated names and generator
+indices out of range.  The private `Word._of(letters)` and
+`Presentation._of(names, relators)` trust data the package built itself: a
+freely reduced tuple of (int, +/-1) letters, and distinct names with
+relators over them.  Products, powers, inverses and commutators of words,
+the parser and `parse_presentation` build their results that way, and
+`fox_derivative` hands its term maps to `LaurentPoly._of`.  JSON input goes
+through the checking constructors.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from operator import add, index, sub
 
 from ._limits import PresentationParseError
 from .laurent import LaurentPoly
+
+_set = object.__setattr__
 
 __all__ = [
     "Word",
@@ -67,10 +80,23 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        object.__setattr__(self, "letters", _reduce_letters(letters))
+        checked = []
+        for g, s in letters:
+            g, s = index(g), index(s)
+            if s not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {s}")
+            checked.append((g, s))
+        _set(self, "letters", _reduce_letters(checked))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    @classmethod
+    def _of(cls, letters):
+        """Trusted: a freely reduced tuple of (int, +/-1) letters."""
+        w = object.__new__(cls)
+        _set(w, "letters", letters)
+        return w
 
     @classmethod
     def generator(cls, i, sign=1):
@@ -84,10 +110,11 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        return Word._of(_reduce_letters(self.letters + other.letters))
 
     def inverse(self):
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        # the inverse of a freely reduced word is freely reduced
+        return Word._of(_inverse_letters(self.letters))
 
     def __pow__(self, k):
         # free reduction is confluent: reducing the |k|-fold concatenation once
@@ -96,8 +123,8 @@ class Word:
         k = index(k)
         if not self.letters:
             return self
-        base = self if k >= 0 else self.inverse()
-        return Word(base.letters * abs(k))
+        base = self.letters if k >= 0 else _inverse_letters(self.letters)
+        return Word._of(_reduce_letters(base * abs(k)))
 
     def __eq__(self, other):
         if not isinstance(other, Word):
@@ -112,23 +139,26 @@ class Word:
 
 
 def _reduce_letters(letters):
+    """Free reduction of (int, +/-1) letters in one pass; the letters are not checked."""
     stack = []
-    for g, s in letters:
-        g = index(g)
-        s = index(s)
-        if s not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {s}")
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
+    push, pop = stack.append, stack.pop
+    for letter in letters:
+        g, s = letter
+        if stack and stack[-1] == (g, -s):
+            pop()
         else:
-            stack.append((g, s))
+            push(letter)
     return tuple(stack)
+
+
+def _inverse_letters(letters):
+    return tuple([(g, -s) for g, s in reversed(letters)])
 
 
 def commutator(u, v):
     """[u, v] = u v u^-1 v^-1, freely reduced in one pass."""
-    return Word(u.letters + v.letters + tuple((g, -s) for g, s in reversed(u.letters))
-                + tuple((g, -s) for g, s in reversed(v.letters)))
+    a, b = u.letters, v.letters
+    return Word._of(_reduce_letters(a + b + _inverse_letters(a) + _inverse_letters(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +181,14 @@ class Presentation:
                     raise ValueError(f"generator index {g} out of range")
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", rels)
+
+    @classmethod
+    def _of(cls, names, relators):
+        """Trusted: a tuple of distinct names and a tuple of words over them."""
+        p = object.__new__(cls)
+        _set(p, "generator_names", names)
+        _set(p, "relators", relators)
+        return p
 
     @property
     def num_generators(self):
@@ -232,10 +270,10 @@ def _parse_word(cur, gen_index, stop_chars, depth=0):
             start = cur.pos
             ch = cur.peek()
             if ch == "" or ch in stop_chars:
-                return Word(letters)
+                return Word._of(_reduce_letters(letters))
             if ch == "1":
                 cur.pos += 1
-                word = Word()
+                word = Word._of(())
             elif ch == "[":
                 if depth >= MAX_COMMUTATOR_DEPTH:
                     cur.fail(f"commutators nested deeper than {MAX_COMMUTATOR_DEPTH}", start)
@@ -328,7 +366,7 @@ def parse_presentation(text):
     cur.skip_ws()
     if cur.pos != len(cur.text):
         cur.fail("trailing input after '>'")
-    return Presentation(tuple(names), tuple(relators))
+    return Presentation._of(tuple(names), tuple(relators))
 
 
 def format_word(word, generator_names):
@@ -566,4 +604,4 @@ def fox_derivative(word, ab):
             del terms[prefix]
         if s > 0:
             prefix = tuple(map(add, prefix, images[g]))
-    return tuple(LaurentPoly(ab.b1, terms) for terms in columns)
+    return tuple(LaurentPoly._of(ab.b1, terms) for terms in columns)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -20,9 +21,9 @@ from referencing import Registry, Resource
 import jumploci
 from jumploci import alexander, cli, holonomy, laurent, resonance, seifert
 from jumploci.cli import MAX_CHARACTER_DIGITS, MAX_TRIALS, RunConfig, main, parse_character
-from jumploci.presentation import MAX_COMMUTATOR_DEPTH
+from jumploci.presentation import MAX_COMMUTATOR_DEPTH, format_presentation
 
-from _corpus import FOUR_POWERS, chain_text
+from _corpus import FOUR_POWERS, chain_text, cross_validation_corpus, sum_pattern_text
 
 SCHEMA_DIR = pathlib.Path(jumploci.__file__).parent / "schemas"
 
@@ -259,6 +260,147 @@ class TestCharvar:
         code, _, err = run_cli(capsys, ["charvar", trefoil_file, "7:1"])
         assert code == 2
         assert "MAX_CHARACTER_ORDER = 6" in json.loads(err)["error"]["message"]
+
+
+class TestAlexanderGoldenBytes:
+    """sha256 of `alex` and `charvar` stdout, recorded before the trusted
+    constructors and the fused folded product entered the Fox and minor path."""
+
+    @staticmethod
+    def inputs():
+        out = {f"corpus{i}": format_presentation(p)
+               for i, p in enumerate(cross_validation_corpus())}
+        out["z4"] = "<x1, x2, x3, x4 | [x1,x2], [x1,x3], [x1,x4], [x2,x3], [x2,x4], [x3,x4]>"
+        out["t75"] = "<x, y | x^7 y^-5>"
+        out["sigma3"] = "<a1, b1, a2, b2, a3, b3 | [a1,b1] [a2,b2] [a3,b3]>"
+        out["power1003"] = "<x, y | x^1003 y^-1>"
+        out["sum200"] = sum_pattern_text(random.Random(5), 200)
+        return out
+
+    GOLDEN_DIGESTS = {
+        ("corpus0", "alex {}"):
+            "11a8da1894f61a131666487d49f8d2ec2022e7ccfe9712a8ed994c22cbb5447a",
+        ("corpus0", "charvar {} 6:1,2"):
+            "c64604a431da4241dda64821511b85867f49808941421492cc0643eb4c3bad42",
+        ("corpus0", "charvar {} 4:1,3 --d 2"):
+            "9e14a0c117b1d2a1b987dde34dee430ed0157ee5354a38637b4d1e47346ffe56",
+        ("corpus1", "alex {}"):
+            "9e5999388337e18afec0edf85136e0542e832e2821e1a616e9213e50ea3be8a7",
+        ("corpus1", "charvar {} 6:1,2,3"):
+            "30cab2ac0ed22ef2c4731fb4a3bb091f635248c671c3a1194df12200ca1080e6",
+        ("corpus1", "charvar {} 4:1,3,5 --d 2"):
+            "bc4c355e0fdc65d8a81ee9d5c4643d9d3fdc14f5575fea13d62c991ae3acb1fc",
+        ("corpus2", "alex {}"):
+            "1be5362c8f374376ba609e7774faea3bdcba8421660c01133d9ed3bbd528e676",
+        ("corpus2", "charvar {} 6:1,2"):
+            "2ff0b6c49bdcb7a0f0c7af494800883f78e3964ee3bff3f273398444d41aa5a6",
+        ("corpus2", "charvar {} 4:1,3 --d 2"):
+            "6113807e0b11746d6209789f738eccdacc526fbd903898c82b7a33ee15831916",
+        ("corpus3", "alex {}"):
+            "478e9e2bb8b5c68f889d90c711771eeed15ceabac448a4142272bf89d1c97f1d",
+        ("corpus3", "charvar {} 6:1"):
+            "6a38522f31c4efcda5fd38206b46c2b21e1e32ef4c216e5254e1d0e776fa6730",
+        ("corpus3", "charvar {} 4:1 --d 2"):
+            "b0c47cc5ab27b720f8507cb62f8a805af411725a76ebc5c6192a52860369f5a4",
+        ("corpus4", "alex {}"):
+            "21aa3b278d294a80bfa8a2f6cdc2252c36c390b5a741ec5e055bc10bc69e87f4",
+        ("corpus4", "charvar {} 6:1"):
+            "5280299d26faf19fe3c9b3a99825cc10d9c927d8fbde254aaa076706d0072a87",
+        ("corpus4", "charvar {} 4:1 --d 2"):
+            "b0c47cc5ab27b720f8507cb62f8a805af411725a76ebc5c6192a52860369f5a4",
+        ("corpus5", "alex {}"):
+            "9573e9c48ae932d5943ca1601ce8f81ead3b80b0de4465186ac3fbdfb0da40b5",
+        ("corpus5", "charvar {} 6:1,2,3,4"):
+            "7ae5bbf25df3dbfc477325c8cc855014571adeed6990eb9bd7f71f02dca5f36e",
+        ("corpus5", "charvar {} 4:1,3,5,7 --d 2"):
+            "c09af5b74698424301e41b0b933236a2c08035ba0d9b85988aa2b76d9bc7c027",
+        ("corpus6", "alex {}"):
+            "ef4aceda5b9325f49dad0068cf44c52700a0395799eb57abdf5b29ca6dd04d72",
+        ("corpus6", "charvar {} 6:1"):
+            "5280299d26faf19fe3c9b3a99825cc10d9c927d8fbde254aaa076706d0072a87",
+        ("corpus6", "charvar {} 4:1 --d 2"):
+            "b0c47cc5ab27b720f8507cb62f8a805af411725a76ebc5c6192a52860369f5a4",
+        ("corpus7", "alex {}"):
+            "bf88ccd7bcb492e8faf57472ac2568207fe09966071ca352c766844e5b56692e",
+        ("corpus7", "charvar {} 6:1,2"):
+            "2ff0b6c49bdcb7a0f0c7af494800883f78e3964ee3bff3f273398444d41aa5a6",
+        ("corpus7", "charvar {} 4:1,3 --d 2"):
+            "6113807e0b11746d6209789f738eccdacc526fbd903898c82b7a33ee15831916",
+        ("corpus8", "alex {}"):
+            "0ec71714240d66ba92336704aa6d9bd4fa1fa17c9c8fa44e46a1eca816928923",
+        ("corpus8", "charvar {} 6:1,2"):
+            "2ff0b6c49bdcb7a0f0c7af494800883f78e3964ee3bff3f273398444d41aa5a6",
+        ("corpus8", "charvar {} 4:1,3 --d 2"):
+            "6113807e0b11746d6209789f738eccdacc526fbd903898c82b7a33ee15831916",
+        ("corpus9", "alex {}"):
+            "08f2d17e19a230ffbc1b815b1c73d790f0f0f8033397cbafae1e0c49e01d5689",
+        ("corpus9", "charvar {} 6:1,2,3"):
+            "7c25410ea79a973169ef18c6682a35f6cb163c96edf1b71035e78e0a0975d2bd",
+        ("corpus9", "charvar {} 4:1,3,5 --d 2"):
+            "ad7d55164ac50801da4959eda8f81769429f0008ff2dfd2a48990d4ef1cbcb66",
+        ("corpus10", "alex {}"):
+            "1f76bc0612cb01c5858dbfb4d34f7e9ce1ffe75db992e800ed936983218e5765",
+        ("corpus10", "charvar {} 6:1,2,3"):
+            "7c25410ea79a973169ef18c6682a35f6cb163c96edf1b71035e78e0a0975d2bd",
+        ("corpus10", "charvar {} 4:1,3,5 --d 2"):
+            "ad7d55164ac50801da4959eda8f81769429f0008ff2dfd2a48990d4ef1cbcb66",
+        ("corpus11", "alex {}"):
+            "5bf8f4f5b209eb8194a6a213f59e403ef421822d0a88c763f7f7703034cb29f2",
+        ("corpus11", "charvar {} 6:1,2,3"):
+            "25a34ca8b2fa10d9c0a8e73f7e7cc4e272611887d0bb47768adc312f1fe8e997",
+        ("corpus11", "charvar {} 4:1,3,5 --d 2"):
+            "464ec6a43e2021f17124abdda29d0a59939fb1bd3cfdb470458769161ef05f30",
+        ("z4", "alex {}"):
+            "5297f83f0b73eafb3a09aa54f49fee2b6ef2f9c2aa4a5f5b83a407915e012443",
+        ("z4", "charvar {} 6:1,2,3,4"):
+            "6e118c055e8a13f53ee02b61204ed7f75e0a69b96ec0c84297194ec9ddcf6588",
+        ("z4", "charvar {} 4:1,3,5,7 --d 2"):
+            "2a9351afdb330b881ca4a8035bc71cc03ef486d8f9694d19ad727ea4baede011",
+        ("t75", "alex {}"):
+            "ff249a6e5cbd79a62abaf213147aa3c4cfea6b5e213d9bf278b3c4bd451e38c7",
+        ("t75", "charvar {} 6:1"):
+            "5280299d26faf19fe3c9b3a99825cc10d9c927d8fbde254aaa076706d0072a87",
+        ("t75", "charvar {} 4:1 --d 2"):
+            "b0c47cc5ab27b720f8507cb62f8a805af411725a76ebc5c6192a52860369f5a4",
+        ("sigma3", "alex {}"):
+            "eeefaf261b6e49a4dab221bf1cf4b2419ca7f6b58a866e040d726d2038f63015",
+        ("sigma3", "charvar {} 6:1,2,3,4,5,6"):
+            "87f39b490adcc7c72472d44672e883aa67570b64efb15d6a20f66da25d27ac18",
+        ("sigma3", "charvar {} 4:1,3,5,7,9,11 --d 2"):
+            "764d9d85d298a71bc13f97ef91ba4d0c1a02fc9a70cdb82ad29617360e2a56e2",
+        ("power1003", "alex {}"):
+            "ff9225553473a88beaf58726600cce2a171daa533136b41d13b38a8733f183b7",
+        ("power1003", "charvar {} 6:1"):
+            "5280299d26faf19fe3c9b3a99825cc10d9c927d8fbde254aaa076706d0072a87",
+        ("power1003", "charvar {} 4:1 --d 2"):
+            "b0c47cc5ab27b720f8507cb62f8a805af411725a76ebc5c6192a52860369f5a4",
+        ("sum200", "alex {}"):
+            "d296dcd4fa716d85f144bfdb455db9a46271ac118fd727db82a43130cfbcccf1",
+        ("sum200", "charvar {} 6:1"):
+            "5280299d26faf19fe3c9b3a99825cc10d9c927d8fbde254aaa076706d0072a87",
+        ("sum200", "charvar {} 4:1 --d 2"):
+            "b0c47cc5ab27b720f8507cb62f8a805af411725a76ebc5c6192a52860369f5a4",
+        ("z4", "charvar {} 1021:1,2,3,4"):
+            "d97d02220dd6ea2604a127fc24c4c09691af32d070864f59ec3788aded647b05",
+        ("t75", "charvar {} 35:1"):
+            "2bfb576afd70d6b10d09f25afad9835a13729c3caf747cbc8098373f1b611d08",
+        ("sigma3", "alex {} --ideal-d 1 --ideal-d 2"):
+            "44871b16c40db16ed4d36362e2cdc139b3b5799f2a944045ddd4e1c1b1763e4b",
+        ("power1003", "charvar {} 1003:5"):
+            "c040e01e85ab8d18b49b9ed9afdf4c63b3d404ab587eb39b87ce1548c2131f4a",
+        ("sum200", "charvar {} 1021:1"):
+            "0f9c40f9f1fcecbd07544c525533c7da9ede7897149604decb93eeb73422c0e6",
+        ("sum200", "--seed 3 --trials 40 alex {}"):
+            "a4191144d490e43d42b902a51468d4b7d5fc776a7e16143928931adf8ba3f861",
+    }
+
+    @pytest.mark.parametrize("name,args", sorted(GOLDEN_DIGESTS))
+    def test_golden_bytes(self, capsys, tmp_path, name, args):
+        f = tmp_path / f"{name}.grp"
+        f.write_text(self.inputs()[name] + "\n")
+        code, out, _ = run_cli(capsys, [str(f) if tok == "{}" else tok for tok in args.split()])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_DIGESTS[name, args]
 
 
 class TestClassify:

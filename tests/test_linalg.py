@@ -10,9 +10,9 @@ import pytest
 from jumploci import Character, euler_phi, parse_presentation
 from jumploci import _linalg
 from jumploci._linalg import echelon_insert, kernel, rank, reduced
-from jumploci.alexander import alexander_matrix
+from jumploci.alexander import alexander_matrix, sample_characters, twisted_h1_dim
 
-from _corpus import random_field_matrix, regular_representation
+from _corpus import cross_validation_corpus, random_field_matrix, regular_representation
 
 
 def _rational(rng, bound=3):
@@ -168,6 +168,55 @@ def test_cyclotomic_rank_matches_the_regular_representation():
         assert rank(rows, order=m) == 2
         assert rank(rows[:2], order=m) == 1
         assert rank([[(0,), (0,)]], order=m) == 0
+
+
+def test_rank_bound_gives_the_unbounded_rank_on_the_regular_representation():
+    # a product of nrows x k and k x ncols factors has rank at most k, a
+    # proven bound; stopping there, or at any larger bound, reads the rank
+    # that the unbounded certificate and the regular representation give
+    rng = random.Random(61)
+    stopped = 0
+    for m in range(1, 41):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        k = rng.randint(0, min(nrows, ncols))
+        rows = random_field_matrix(rng, m, nrows, ncols, k)
+        r = rank(rows, order=m)
+        assert euler_phi(m) * r == rank(regular_representation(m, rows)), (m, rows)
+        for bound in range(k, min(nrows, ncols) + 2):
+            assert rank(rows, order=m, bound=bound) == r, (m, rows, bound)
+        stopped += r == k < min(nrows, ncols)
+    assert stopped >= 5
+
+
+def test_rank_bound_gives_the_unbounded_rank_on_the_corpus():
+    # by the fundamental formula of Fox calculus the evaluated Alexander
+    # matrix has rank at most g - 1 at chi != 1, the bound twisted_h1_dim uses
+    rng = random.Random(62)
+    checked = 0
+    for p in cross_validation_corpus():
+        a = alexander_matrix(p)
+        for chi in sample_characters(a.num_vars, 6, rng.randrange(1000)):
+            rows = a.evaluated(chi)
+            full = rank(rows, order=chi.order)
+            assert full <= a.num_generators - 1
+            assert rank(rows, order=chi.order, bound=a.num_generators - 1) == full
+            assert twisted_h1_dim(a, chi) == a.num_generators - 1 - full
+            checked += 1
+    assert checked == 6 * len(cross_validation_corpus())
+
+
+def test_rank_bound_saves_the_hadamard_certificate(monkeypatch):
+    # Z^4 at an order-1021 character: the 6 x 4 matrix has rank 3 = g - 1,
+    # so the bounded rank is settled by the first prime
+    drawn = []
+    real = _linalg._modular_root
+    monkeypatch.setattr(_linalg, "_modular_root", lambda m, i: drawn.append(i) or real(m, i))
+    gens = ["x1", "x2", "x3", "x4"]
+    rels = [f"[{a},{b}]" for i, a in enumerate(gens) for b in gens[i + 1:]]
+    a = alexander_matrix(parse_presentation(f"<{', '.join(gens)} | {', '.join(rels)}>"))
+    chi = Character(1021, (1, 2, 3, 4))
+    assert twisted_h1_dim(a, chi) == 0
+    assert set(drawn) == {0}
 
 
 def _small_roots(m, count):
