@@ -128,16 +128,14 @@ def reduced(basis):
     return {p: out[p] for p in sorted(out)}
 
 
-def rank(rows, order=None, bound=None):
+def rank(rows, order=None):
     """Rank of dense rows over Q, or with an order m over Q(zeta_m).
 
     Over Q(zeta_m) every entry must be a tuple of phi(m) ints, the
     coefficients of a value in Z[zeta_m]; any other entry raises TypeError.
-    A `bound` there is a proven upper bound on the rank, which the
-    certificate may stop at; a bound below the rank gives a wrong answer.
     """
     if order is not None:
-        return _cyclotomic_rank(rows, order, bound)
+        return _cyclotomic_rank(rows, order)
     basis = {}
     for row in rows:
         echelon_insert(basis, {j: x for j, x in enumerate(row) if x})
@@ -216,15 +214,14 @@ def _rank_mod(rows, p):
     return r
 
 
-def _cyclotomic_rank(rows, m, bound=None):
+def _cyclotomic_rank(rows, m):
     """Rank over Q(zeta_m) of rows of values in Z[zeta_m], from ranks over F_p.
 
     Each entry is the tuple of its phi(m) integer coefficients in the power
     basis.  Each prime (p, zeta - w^k) of Z[zeta_m], for p = 1 (mod m), w of
     order m in F_p and k prime to m, maps the rows to F_p.  A minor nonzero
     there is nonzero, so the largest modular rank r is a lower bound.  It is
-    exact once r = min(rows, cols, bound), where `bound` is a proven upper
-    bound on the rank or None, or once the product of the norms p used,
+    exact once r = min(rows, cols), or once the product of the norms p used,
     squared, exceeds (H^2)^phi(m), H^2 being the product of the r + 1 largest
     row weights sum_j |a_ij|_1^2: by Hadamard's bound every (r+1)-minor mu
     has |N(mu)| <= H^phi(m), and the product divides N(mu), so mu = 0.  A
@@ -240,8 +237,6 @@ def _cyclotomic_rank(rows, m, bound=None):
     if not any(weights):
         return 0
     full = min(len(rows), len(rows[0]))
-    if bound is not None:
-        full = min(full, bound)
     r, norms = 0, 1
     for i in count():
         p, w = _modular_root(m, i)

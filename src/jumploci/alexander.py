@@ -272,16 +272,19 @@ def twisted_h1_dim(p, chi):
 
     Equals g - 1 - rank of the Alexander matrix evaluated at chi, the exact
     rank over Q(zeta_m), m = chi.order, that `_linalg.rank` certifies from
-    ranks over F_p.  That rank is at most g - 1, which `_linalg.rank` is
-    given as a bound: by the fundamental formula of Fox calculus the column
-    vector (u_j(chi)), u_j = t^{phi(x_j)} - 1, is in the kernel, and it is
-    nonzero for chi != 1 (`_avoided_column`).
+    ranks over F_p.  By the fundamental formula of Fox calculus the column
+    vector (u_j(chi)), u_j = t^{phi(x_j)} - 1, is in the kernel, and its
+    entry at j = `_avoided_column(a, chi)` is nonzero, so column j is a
+    combination of the others.  The rank is read with column j dropped: it
+    is the same, and the g - 1 columns left let the certificate stop at
+    rank g - 1.
     `p` is a presentation or an AlexanderMatrix already built from one.
     """
     a = p if isinstance(p, AlexanderMatrix) else alexander_matrix(p)
     _check_character(a, chi, "twisted_h1_dim")
-    g = a.num_generators
-    return g - 1 - _linalg.rank(a.evaluated(chi), order=chi.order, bound=g - 1)
+    j = _avoided_column(a, chi)
+    rows = [[evaluate(e, chi) for c, e in enumerate(row) if c != j] for row in a.entries]
+    return a.num_generators - 1 - _linalg.rank(rows, order=chi.order)
 
 
 def in_vd(p, chi, d):

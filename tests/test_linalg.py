@@ -12,7 +12,13 @@ from jumploci import _linalg
 from jumploci._linalg import echelon_insert, kernel, rank, reduced
 from jumploci.alexander import alexander_matrix, sample_characters, twisted_h1_dim
 
-from _corpus import cross_validation_corpus, random_field_matrix, regular_representation
+from _corpus import (
+    cross_validation_corpus,
+    field_add,
+    field_mul,
+    random_field_matrix,
+    regular_representation,
+)
 
 
 def _rational(rng, bound=3):
@@ -170,44 +176,53 @@ def test_cyclotomic_rank_matches_the_regular_representation():
         assert rank([[(0,), (0,)]], order=m) == 0
 
 
-def test_rank_bound_gives_the_unbounded_rank_on_the_regular_representation():
-    # a product of nrows x k and k x ncols factors has rank at most k, a
-    # proven bound; stopping there, or at any larger bound, reads the rank
-    # that the unbounded certificate and the regular representation give
+def test_a_dependent_column_dropped_keeps_the_cyclotomic_rank():
+    # twisted_h1_dim drops a column that is a Z[zeta_m]-combination of the
+    # others; with it dropped or kept the rank is the one the regular
+    # representation gives, and a narrower matrix of full column rank lets
+    # the certificate stop at its first prime
     rng = random.Random(61)
     stopped = 0
     for m in range(1, 41):
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 3)
         k = rng.randint(0, min(nrows, ncols))
         rows = random_field_matrix(rng, m, nrows, ncols, k)
+        u = random_field_matrix(rng, m, 1, ncols)[0]
+        extra = []
+        for row in rows:
+            acc = (0,) * euler_phi(m)
+            for a, b in zip(row, u):
+                acc = field_add(acc, field_mul(m, a, b))
+            extra.append(acc)
+        j = rng.randint(0, ncols)
+        wide = [row[:j] + [x] + row[j:] for row, x in zip(rows, extra)]
         r = rank(rows, order=m)
         assert euler_phi(m) * r == rank(regular_representation(m, rows)), (m, rows)
-        for bound in range(k, min(nrows, ncols) + 2):
-            assert rank(rows, order=m, bound=bound) == r, (m, rows, bound)
-        stopped += r == k < min(nrows, ncols)
+        assert rank(wide, order=m) == r, (m, wide)
+        stopped += r == ncols < nrows
     assert stopped >= 5
 
 
-def test_rank_bound_gives_the_unbounded_rank_on_the_corpus():
+def test_twisted_h1_dim_reads_the_full_rank_on_the_corpus():
     # by the fundamental formula of Fox calculus the evaluated Alexander
-    # matrix has rank at most g - 1 at chi != 1, the bound twisted_h1_dim uses
+    # matrix has rank at most g - 1 at chi != 1, and dropping the avoided
+    # column, as twisted_h1_dim does, keeps that rank
     rng = random.Random(62)
     checked = 0
     for p in cross_validation_corpus():
         a = alexander_matrix(p)
         for chi in sample_characters(a.num_vars, 6, rng.randrange(1000)):
-            rows = a.evaluated(chi)
-            full = rank(rows, order=chi.order)
+            full = rank(a.evaluated(chi), order=chi.order)
             assert full <= a.num_generators - 1
-            assert rank(rows, order=chi.order, bound=a.num_generators - 1) == full
             assert twisted_h1_dim(a, chi) == a.num_generators - 1 - full
             checked += 1
     assert checked == 6 * len(cross_validation_corpus())
 
 
-def test_rank_bound_saves_the_hadamard_certificate(monkeypatch):
+def test_dropped_column_saves_the_hadamard_certificate(monkeypatch):
     # Z^4 at an order-1021 character: the 6 x 4 matrix has rank 3 = g - 1,
-    # so the bounded rank is settled by the first prime
+    # which the 6 x 3 matrix left after the avoided column is dropped
+    # reaches at the first prime
     drawn = []
     real = _linalg._modular_root
     monkeypatch.setattr(_linalg, "_modular_root", lambda m, i: drawn.append(i) or real(m, i))
