@@ -107,25 +107,15 @@ def echelon_insert(basis, vec):
 def reduced(basis):
     """Reduced echelon form over Q of a rational basis kept by `echelon_insert`.
 
-    Returns a new map from each pivot to a `Fraction` row that holds 1 at
-    its pivot and 0 at every other pivot; it is determined by the span.
+    The stored rows are inserted again into a new basis, largest pivot
+    first, so each is cleared at every larger pivot already there.  Returns
+    that basis in pivot order: primitive integer rows with a positive entry
+    at their pivot and 0 at every other pivot, determined by the span.
     """
     out = {}
     for p in sorted(basis, reverse=True):
-        row = basis[p]
-        a = row[p]
-        r = {k: Fraction(v, a) for k, v in row.items()}
-        for q in [k for k in r if k != p and k in out]:
-            c = r.get(q)
-            if c:
-                for k, v in out[q].items():
-                    s = r.get(k, 0) - c * v
-                    if s:
-                        r[k] = s
-                    else:
-                        del r[k]
-        out[p] = r
-    return {p: out[p] for p in sorted(out)}
+        echelon_insert(out, basis[p])
+    return dict(sorted(out.items()))
 
 
 def rank(rows, order=None):
@@ -146,10 +136,10 @@ def kernel(basis, n):
     """Nullspace over Q of a rational echelon system on columns 0..n-1.
 
     `basis` is as kept by `echelon_insert`; its `reduced` form is read.  Each
-    free column f gives one vector: 1 at f, -row[f] at each pivot, 0
-    elsewhere; these vectors form a basis of the nullspace, returned in
-    free-column order.  Every entry is a `Fraction`, the 0 and 1 entries
-    too, so reducing the vectors again stays exact.
+    free column f gives one vector: 1 at f, -row[f]/row[pivot] at each
+    pivot, 0 elsewhere; these vectors form a basis of the nullspace,
+    returned in free-column order.  Every entry is a `Fraction`, the 0 and
+    1 entries too, so reducing the vectors again stays exact.
     """
     basis = reduced(basis)
     vecs = []
@@ -161,7 +151,7 @@ def kernel(basis, n):
         for pivot, row in basis.items():
             c = row.get(f)
             if c:
-                v[pivot] = -c
+                v[pivot] = Fraction(-c, row[pivot])
         vecs.append(tuple(v))
     return vecs
 

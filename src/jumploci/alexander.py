@@ -130,9 +130,6 @@ class AlexanderMatrix:
     def num_vars(self):
         return self.abelianization.b1
 
-    def evaluated(self, chi):
-        return [[evaluate(e, chi) for e in row] for row in self.entries]
-
     def ideal(self, d):
         """The elementary ideal E_d, memoized."""
         e = self._ideals.get(d)

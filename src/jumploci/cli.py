@@ -109,11 +109,6 @@ class RunConfig:
         }
 
 
-def _frac_str(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _json_int(value, what):
     """A JSON integer as an int; a float, a boolean or any other value is refused."""
     if type(value) is not int:
@@ -410,7 +405,7 @@ def _brieskorn_record(inv):
     return {
         "orbits": [[o.alpha, o.beta, o.multiplicity] for o in s.orbits],
         "g": s.genus,
-        "e": _frac_str(s.euler),
+        "e": str(s.euler),
         "b": inv["obstruction"],
         "torsion": {
             "T": t.torsion_order,

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 from ._limits import DEFAULT_DEGREE_CAP, MAX_DEGREE_CAP, LimitError
 from ._linalg import _prime_factors, echelon_insert, reduced
@@ -68,8 +68,8 @@ class QuadraticData:
     """Degree-1 generator count plus relation vectors in wedge coordinates.
 
     The relations are kept as the canonical basis of their span, the reduced
-    echelon rows over Q, each cleared to a primitive integer tuple with a
-    positive pivot: independent rows, equal for equal spans.
+    echelon rows over Q as `_linalg.reduced` gives them: primitive integer
+    tuples with a positive pivot, independent, equal for equal spans.
     """
 
     n: int
@@ -88,11 +88,8 @@ class QuadraticData:
             if not all(isinstance(c, (int, Fraction)) for c in r):
                 raise TypeError(f"relation entries must be int or Fraction, got {r!r}")
             echelon_insert(basis, {q: c for q, c in enumerate(r) if c})
-        rows = []
-        for row in reduced(basis).values():
-            den = lcm(*(c.denominator for c in row.values()))  # primitive: the pivot is 1
-            rows.append(tuple(int(row.get(q, 0) * den) for q in range(m)))
-        object.__setattr__(self, "relations", tuple(rows))
+        rows = tuple(tuple(row.get(q, 0) for q in range(m)) for row in reduced(basis).values())
+        object.__setattr__(self, "relations", rows)
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,12 @@ class LaurentPoly:
 # unit normalization
 # ---------------------------------------------------------------------------
 
+def _at_origin(p):
+    """(mins, terms): the minimal exponents of p and its terms shifted by -mins."""
+    mins = p.min_exponents()
+    return mins, {tuple(map(sub, e, mins)): c for e, c in p.terms.items()}
+
+
 def normalize_unit(p):
     """Canonical associate of p: minimal exponents 0, lex-leading coefficient > 0.
 
@@ -287,8 +293,7 @@ def normalize_unit(p):
     """
     if p.is_zero:
         return p
-    mins = p.min_exponents()
-    shifted = {tuple(map(sub, e, mins)): c for e, c in p.terms.items()}
+    shifted = _at_origin(p)[1]
     lead = max(shifted)
     if shifted[lead] < 0:
         shifted = {e: -c for e, c in shifted.items()}
@@ -412,11 +417,7 @@ def gcd_all(ps):
             break
         if p.is_zero:
             continue
-        mins = p.min_exponents()
-        shifted = {
-            tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()
-        }
-        g = _poly_gcd(g, shifted, n)
+        g = _poly_gcd(g, _at_origin(p)[1], n)
     return normalize_unit(LaurentPoly._of(n, g))
 
 
@@ -428,9 +429,8 @@ def try_divide(p, d):
         return None if not p.is_zero else LaurentPoly.zero(p.num_vars)
     if p.is_zero:
         return p
-    mp, md = p.min_exponents(), d.min_exponents()
-    sp = {tuple(a - b for a, b in zip(e, mp)): c for e, c in p.terms.items()}
-    sd = {tuple(a - b for a, b in zip(e, md)): c for e, c in d.terms.items()}
+    mp, sp = _at_origin(p)
+    md, sd = _at_origin(d)
     try:
         q = _dict_divexact(sp, sd)
     except ArithmeticError:

@@ -106,14 +106,7 @@ class ThreeForm:
                 raise ValueError(f"indices in a 3-form term must be distinct: {(i, j, k)}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"index out of range in {(i, j, k)} for dimension {n}")
-            # the sorted triple, with the sign of its permutation on c
-            if i > j:
-                i, j, c = j, i, -c
-            if j > k:
-                j, k, c = k, j, -c
-            if i > j:
-                i, j, c = j, i, -c
-            key = (i, j, k)
+            key, c = _sort_triple(i, j, k, c)
             if key in clean:
                 c += clean[key]
                 if c:

@@ -1,5 +1,6 @@
 """Holonomy Lie algebra ranks against Witt-formula and bracket-closure oracles."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -562,6 +563,28 @@ class TestCanonicalSpan:
                 assert all(type(c) is int for c in r)
                 assert r[p] > 0 and gcd(*r) == 1
                 assert all(other[p] == 0 for other in rows if other is not r)
+
+    def test_rational_rows_keep_their_integer_basis(self):
+        # relations computed by the earlier intake, which reduced in Fraction
+        # rows and cleared them to integers; the third row below is the sum
+        # of the first two
+        rows = [["1/2", "2/3", "-2/3", 1, 0, "3/4"], [0, "5/6", 1, "-1/3", 2, 0],
+                ["1/2", "3/2", "1/3", "2/3", 2, "3/4"]]
+        q = QuadraticData(4, [tuple(Fraction(c) for c in r) for r in rows])
+        assert q.relations == ((30, 0, -88, 76, -96, 45), (0, 5, 6, -2, 12, 0))
+        rng = random.Random(30)
+        out = []
+        for n in (3, 4, 5, 6, 7):
+            m = n * (n - 1) // 2
+            for _ in range(6):
+                rels = [tuple(Fraction(f"{rng.randint(-4, 4)}/{rng.randint(1, 6)}")
+                              if rng.random() < 0.6 else 0 for _ in range(m))
+                        for _ in range(rng.randint(1, 5))]
+                rels.append(tuple(sum(c) for c in zip(*rels)))
+                out.append(QuadraticData(n, rels).relations)
+        assert sum(map(len, out)) == 81
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "8ec54e5034b325a5fabb8271b5e059243db860d63b0f9d4f4e2b6f9a45849ebd")
 
     def test_product_forms_equal_their_contraction_rows(self):
         # the 3-form route and the same contractions listed as relations meet

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from jumploci import Character, euler_phi, parse_presentation
+from jumploci import Character, euler_phi, evaluate, parse_presentation
 from jumploci import _linalg
 from jumploci._linalg import echelon_insert, kernel, rank, reduced
 from jumploci.alexander import alexander_matrix, sample_characters, twisted_h1_dim
@@ -53,6 +53,26 @@ def _basis(rows):
     return basis
 
 
+def _reference_reduced(basis):
+    """Reduced echelon form by back-substitution in `Fraction` rows with pivot entry 1."""
+    out = {}
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        a = row[p]
+        r = {k: Fraction(v, a) for k, v in row.items()}
+        for q in [k for k in r if k != p and k in out]:
+            c = r.get(q)
+            if c:
+                for k, v in out[q].items():
+                    s = r.get(k, 0) - c * v
+                    if s:
+                        r[k] = s
+                    else:
+                        del r[k]
+        out[p] = r
+    return {p: out[p] for p in sorted(out)}
+
+
 def _assert_primitive_rows(basis):
     """Every stored rational row is a primitive integer row led by a positive pivot."""
     for pivot, row in basis.items():
@@ -65,6 +85,31 @@ def _assert_primitive_rows(basis):
         assert g == 1
 
 
+def _assert_reduced(red):
+    """Primitive integer rows with a positive pivot and 0 at every other pivot, in pivot order."""
+    _assert_primitive_rows(red)
+    assert list(red) == sorted(red)
+    for p, row in red.items():
+        assert not any(q in row for q in red if q != p)
+
+
+def test_reduced_matches_the_fraction_back_substitution():
+    rng = random.Random(30)
+    shapes = [(1, 1), (2, 2), (3, 5), (4, 4), (5, 3), (6, 9), (8, 8)]
+    checked = 0
+    for _ in range(40):
+        for nrows, ncols in shapes:
+            basis = _basis(_random_matrix(rng, nrows, ncols))
+            red = reduced(basis)
+            _assert_reduced(red)
+            scaled = {p: {k: Fraction(v, row[p]) for k, v in row.items()}
+                      for p, row in red.items()}
+            assert scaled == _reference_reduced(basis)
+            # a stored row that meets another pivot has to be cleared there
+            checked += any(q in row for p, row in basis.items() for q in basis if q != p)
+    assert checked >= 120
+
+
 def test_matches_sympy_rref():
     sympy = pytest.importorskip("sympy")
     for rows in _matrices():
@@ -72,8 +117,9 @@ def test_matches_sympy_rref():
         basis = _basis(rows)
         _assert_primitive_rows(basis)
         red = reduced(basis)
+        _assert_reduced(red)
         pivots = list(red)
-        got = [[red[p].get(j, 0) for j in range(ncols)] for p in pivots]
+        got = [[Fraction(red[p].get(j, 0), red[p][p]) for j in range(ncols)] for p in pivots]
         m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                           for row in rows])
         ref, ref_pivots = m.rref()
@@ -81,7 +127,6 @@ def test_matches_sympy_rref():
                     for i in range(len(ref_pivots))]
         assert (got, pivots) == (expected, list(ref_pivots))
         assert sorted(basis) == pivots
-        assert all(type(x) is Fraction for row in red.values() for x in row.values())
         assert rank(rows) == m.rank() == len(ref_pivots)
 
 
@@ -156,8 +201,10 @@ def test_cyclotomic_rank_matches_the_regular_representation():
     # m <= 60, products of two factors among them, have phi(m) times their
     # rank as the rank over Q of their regular representation
     trefoil = alexander_matrix(parse_presentation("<x, y | x y x y^-1 x^-1 y^-1>"))
-    assert rank(trefoil.evaluated(Character(6, (1,))), order=6) == 0
-    assert rank(trefoil.evaluated(Character(3, (1,))), order=3) == 1
+    for m, expected in ((6, 0), (3, 1)):
+        chi = Character(m, (1,))
+        rows = [[evaluate(e, chi) for e in row] for row in trefoil.entries]
+        assert rank(rows, order=m) == expected
     rng = random.Random(60)
     deficient = 0
     for m in range(1, 61):
@@ -212,7 +259,7 @@ def test_twisted_h1_dim_reads_the_full_rank_on_the_corpus():
     for p in cross_validation_corpus():
         a = alexander_matrix(p)
         for chi in sample_characters(a.num_vars, 6, rng.randrange(1000)):
-            full = rank(a.evaluated(chi), order=chi.order)
+            full = rank([[evaluate(e, chi) for e in row] for row in a.entries], order=chi.order)
             assert full <= a.num_generators - 1
             assert twisted_h1_dim(a, chi) == a.num_generators - 1 - full
             checked += 1
