@@ -7,7 +7,8 @@ row.  `reduced` gives the reduced echelon form over Q and `kernel` reads the
 nullspace off it.  `rank(rows, order=m)` takes rows of values in Z[zeta_m],
 each the tuple of phi(m) integer coefficients that `laurent.evaluate` gives;
 its rank over Q(zeta_m) is certified from ranks over F_p (`_cyclotomic_rank`)
-and inverts nothing in the field.
+and inverts nothing in the field.  Every Moebius sum in the package
+(Phi_m, Euler's phi, Witt's formula) reads mu from `_moebius`.
 """
 
 from __future__ import annotations
@@ -178,6 +179,18 @@ def _is_prime(n):
 def _prime_factors(m):
     """The distinct primes dividing m, ascending."""
     return [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+
+
+def _moebius(m):
+    """The pairs (mu(d), d) over the squarefree divisors d of m; a float or bool m raises TypeError."""
+    if type(m) is not int:
+        raise TypeError(f"a divisor sum needs an int, got {m!r}")
+    if m < 1:
+        raise ValueError(f"a divisor sum needs a positive int, got {m}")
+    pairs = [(1, 1)]
+    for q in _prime_factors(m):
+        pairs += [(-s, d * q) for s, d in pairs]
+    return pairs
 
 
 @lru_cache(maxsize=None)

@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 
 from ._limits import DEFAULT_DEGREE_CAP, MAX_DEGREE_CAP, LimitError
-from ._linalg import _prime_factors, echelon_insert, reduced
+from ._linalg import _moebius, echelon_insert, reduced
 from .resonance import _integer_contraction
 
 __all__ = [
@@ -121,13 +120,7 @@ def holonomy_from_threeform(eta):
 
 def _witt(n, d):
     """Witt's formula (1/d) sum_{k | d} mu(k) n^(d/k): the number of Lyndon words of length d."""
-    total = 0
-    for k in range(1, d + 1):
-        if d % k == 0:
-            primes = _prime_factors(k)
-            if prod(primes) == k:  # k is squarefree, mu(k) = (-1)^len(primes)
-                total += (-1) ** len(primes) * n ** (d // k)
-    return total // d
+    return sum(s * n ** (d // k) for s, k in _moebius(d)) // d
 
 
 def lyndon_words(n, d):

@@ -40,6 +40,8 @@ from functools import lru_cache
 from operator import add, index, mul, sub
 from types import MappingProxyType
 
+from ._linalg import _moebius
+
 _set = object.__setattr__
 
 __all__ = [
@@ -443,36 +445,34 @@ def try_divide(p, d):
 # cyclotomic fields and characters
 # ---------------------------------------------------------------------------
 
-def _int_poly_divexact(a, b):
-    """Exact division of integer coefficient lists (ascending powers)."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c % b[-1]:
-            raise ArithmeticError("not exactly divisible")
-        q[i] = c // b[-1]
-        for j, bc in enumerate(b):
-            a[i + j] -= q[i] * bc
-    if any(a):
-        raise ArithmeticError("not exactly divisible")
-    return q
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(m):
-    """Coefficients of the m-th cyclotomic polynomial, ascending, monic."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _int_poly_divexact(poly, list(cyclotomic_polynomial(d)))
+    """Coefficients of the m-th cyclotomic polynomial, ascending, monic.
+
+    Phi_m = prod_{d | m} (x^k - 1)^mu(d), k = m/d, by Moebius inversion of
+    x^m - 1 = prod_{d | m} Phi_d.  The factors with mu(d) = 1 multiply in,
+    p_i <- p_{i-k} - p_i; those with mu(d) = -1 then divide out exactly,
+    q_i = q_{i-k} - p_i.  The cache is typed, so 12.0 reaches `_moebius`
+    and raises TypeError even once 12 is cached.
+    """
+    poly = [1]
+    for s, d in sorted(_moebius(m), reverse=True):
+        k = m // d
+        if s > 0:
+            out = [0] * k + poly
+            for i, c in enumerate(poly):
+                out[i] -= c
+        else:
+            out = []
+            for i in range(len(poly) - k):
+                out.append((out[i - k] if i >= k else 0) - poly[i])
+        poly = out
     return tuple(poly)
 
 
 def euler_phi(m):
-    return len(cyclotomic_polynomial(m)) - 1
+    """Euler's phi, sum_{d | m} mu(d) m/d: the degree of Phi_m."""
+    return sum(s * (m // d) for s, d in _moebius(m))
 
 
 @dataclass(frozen=True)
@@ -592,22 +592,13 @@ def _folded_mul(p, q, m):
 # textual form: sum of c*t1^a1*...*tn^an terms
 # ---------------------------------------------------------------------------
 
-def _var_name(num_vars, i):
-    return "t" if num_vars == 1 else f"t{i + 1}"
-
-
 def poly_to_string(p):
     if p.is_zero:
         return "0"
+    names = ["t"] if p.num_vars == 1 else [f"t{i + 1}" for i in range(p.num_vars)]
     pieces = []
-    for exps in sorted(p.terms, reverse=True):
-        c = p.terms[exps]
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = _var_name(p.num_vars, i)
-            factors.append(name if e == 1 else f"{name}^{e}")
+    for exps, c in sorted(p.terms.items(), reverse=True):
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
         mag = abs(c)
         if not factors:
             body = str(mag)

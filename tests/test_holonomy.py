@@ -174,7 +174,13 @@ class TestLyndon:
     def test_counts_match_witt(self):
         for n in (2, 3, 4):
             for d in range(1, 7):
-                assert len(lyndon_words(n, d)) == witt_dimension(n, d)
+                assert len(lyndon_words(n, d)) == witt_dimension(n, d) == holonomy._witt(n, d)
+
+    def test_witt_at_three_prime_factors(self):
+        # 30 = 2*3*5 and 42 = 2*3*7: eight squarefree divisors, four of each sign of mu
+        for n in range(1, 6):
+            for d in (30, 42):
+                assert holonomy._witt(n, d) == witt_dimension(n, d), (n, d)
 
     def test_explicit_words(self):
         assert lyndon_words(2, 1) == [(0,), (1,)]

@@ -1,7 +1,9 @@
 """Laurent ring arithmetic, normalization, gcd, and cyclotomic evaluation."""
 
 import random
+from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -24,6 +26,32 @@ from _corpus import field_add, field_mul, random_poly, random_unit_monomial
 
 def t(n=1, i=0):
     return LaurentPoly.variable(n, i)
+
+
+def _int_poly_divexact(a, b):
+    """Exact division of integer coefficient lists (ascending powers)."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        if c % b[-1]:
+            raise ArithmeticError("not exactly divisible")
+        q[i] = c // b[-1]
+        for j, bc in enumerate(b):
+            a[i + j] -= q[i] * bc
+    if any(a):
+        raise ArithmeticError("not exactly divisible")
+    return q
+
+
+@lru_cache(maxsize=None)
+def _recursive_cyclotomic(m):
+    """Reference Phi_m: x^m - 1 divided by every Phi_d with d | m, d < m, by long division."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _int_poly_divexact(poly, list(_recursive_cyclotomic(d)))
+    return tuple(poly)
 
 
 class TestRingOps:
@@ -248,6 +276,26 @@ class TestCyclotomic:
     def test_phi(self):
         assert [euler_phi(m) for m in (1, 2, 3, 4, 5, 6, 8, 12)] == [1, 1, 2, 2, 4, 2, 4, 4]
 
+    def test_phi_counts_the_residues_prime_to_m(self):
+        for m in range(1, 501):
+            assert euler_phi(m) == sum(gcd(k, m) == 1 for k in range(m)), m
+
+    def test_matches_the_recursive_construction(self):
+        """The Moebius product equals x^m - 1 divided by every Phi_d, d | m, d < m."""
+        for m in [*range(1, 301), 720, 840, 960, 1008, 1020, 1024]:
+            phi_m = cyclotomic_polynomial(m)
+            assert phi_m == _recursive_cyclotomic(m), m
+            assert phi_m[-1] == 1 and len(phi_m) == euler_phi(m) + 1, m
+            assert all(type(c) is int for c in phi_m), m
+
+    def test_matches_sympy_at_large_orders(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(47)
+        for m in [3960, 4096, *rng.sample(range(1025, 4097), 8)]:
+            want = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="ZZ").all_coeffs()[::-1]
+            assert cyclotomic_polynomial(m) == tuple(int(c) for c in want), m
+
     def test_root_power_order(self):
         # t -> zeta_m: t^k - 1 vanishes exactly when m divides k
         for m in (1, 2, 3, 4, 5, 6, 8, 12):
@@ -326,7 +374,7 @@ class TestIntegerReduction:
             # coeffs - r is an exact multiple of Phi_m, so r is the remainder
             padded = coeffs + [0] * (len(r) - len(coeffs))
             diff = [c - (r[i] if i < len(r) else 0) for i, c in enumerate(padded)]
-            laurent._int_poly_divexact(diff, cyclotomic_polynomial(m))
+            _int_poly_divexact(diff, cyclotomic_polynomial(m))
 
     def test_evaluate_sums_integers_before_the_element(self, monkeypatch):
         seen = []

@@ -21,6 +21,20 @@ from _corpus import (
 )
 
 
+def _brute_moebius(d):
+    """mu(d) from the primes found by trial division."""
+    primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+    return 0 if any(d % (q * q) == 0 for q in primes) else (-1) ** len(primes)
+
+
+def test_moebius_lists_mu_on_the_divisors():
+    for m in range(1, 501):
+        pairs = _linalg._moebius(m)
+        want = {d: _brute_moebius(d) for d in range(1, m + 1) if m % d == 0}
+        assert len(pairs) == len({d for _, d in pairs}), m
+        assert {d: s for s, d in pairs} == {d: mu for d, mu in want.items() if mu}, m
+
+
 def _rational(rng, bound=3):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
 

@@ -24,6 +24,8 @@ from jumploci import (
     LaurentPoly,
     QuadraticData,
     ThreeForm,
+    cyclotomic_polynomial,
+    euler_phi,
     holonomy_from_threeform,
     is_isotropic,
     isotropy_lower_bound,
@@ -171,6 +173,8 @@ def test_threeform_refuses_a_float_coefficient():
     lambda: Character(6, (1.5,)),  # int() reads it as exponent 1
     lambda: Character(6.0, (1,)),
     lambda: Character(6, (True,)),
+    lambda: cyclotomic_polynomial(m=12) and cyclotomic_polynomial(m=12.0),  # one key if the cache is untyped
+    lambda: euler_phi(12.0),
     lambda: brieskorn_seifert((2.5, 3, 5)),  # int() reads it as (2, 3, 5)
     lambda: LaurentPoly(1, {(1.5,): 1}),  # int() reads it as t
     lambda: LaurentPoly(1, {(1,): Fraction(3, 2)}),
@@ -184,7 +188,7 @@ def test_threeform_refuses_a_float_coefficient():
     lambda: ThreeForm.volume().transform([[0.1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # binary 0.1
 ], ids=["threeform-index", "threeform-n", "quadratic-entry", "quadratic-n", "in_r1",
         "contraction", "contract_pair", "subspace-entry", "subspace-n", "character-exponent",
-        "character-order", "character-bool", "brieskorn", "laurent-exponent",
+        "character-order", "character-bool", "cyclotomic-order", "euler-phi-order", "brieskorn", "laurent-exponent",
         "laurent-coefficient", "laurent-constant", "laurent-power", "laurent-num-vars",
         "word-power", "word-letter", "smith-float", "smith-fraction", "transform-float"])
 def test_api_refuses_a_float_index_order_or_entry(call):
