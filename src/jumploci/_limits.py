@@ -36,8 +36,10 @@ MAX_INVARIANT_BITS = 2**13
 
 DEFAULT_DEGREE_CAP = 6
 
-# the CLI refuses a larger --degree-cap.  MAX_LIE_DIMENSION admits no degree
-# above 18 for n >= 2 (the free Lie algebra on 2 letters has dimension 14532
-# in degree 18 and 27594 in degree 19), while for n <= 1 the dimension stays
-# 0 or 1 and the time grew quadratically in the degree: 8.2 s at degree 16000
+# the CLI refuses a larger --degree-cap.  For n >= 2 it bounds nothing more:
+# MAX_LIE_DIMENSION already refuses degree 19 (the free Lie algebra on 2
+# letters has dimension 14532 in degree 18 and 27594 in degree 19).  For
+# n <= 1 the ranks stop at the first zero degree, so the cap bounds only the
+# length of the ranks list and the divisor sum _moebius(up_to); degree 16000
+# on one generator takes about 2 ms
 MAX_DEGREE_CAP = 18

@@ -78,8 +78,9 @@ __all__ = [
 CHARACTER_ORDERS = (2, 3, 4, 5, 6, 8, 12)
 
 # the CLI refuses characters of larger order: certifying a rank-deficient
-# rank over Q(zeta_m) costs about phi(m)^2, so Z^4's 6x4 matrix (rank 3)
-# takes 0.065 s at m = 1021 and 0.82 s at m = 4093
+# rank over Q(zeta_m) costs about phi(m)^2, so twisted_h1_dim of
+# <a,b | a^2 b^-q> at the character 2q:1 (rank 0, dimension 1) takes 0.014,
+# 0.05 and 0.20 s for q = 509, 1021 and 2039
 MAX_CHARACTER_ORDER = 1024
 
 # an answer about E_d may read at most this many nonzero minors, folded ones

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import index
+from operator import index, mul
 
 from . import _linalg
 
@@ -161,11 +161,11 @@ class ThreeForm:
         return Fraction(sign * self._coeffs.get(key, 0), self._den)
 
     def contract_pair(self, x, y):
-        """The functional eta(x, y, .) as a coordinate vector of length n."""
+        """The functional eta(x, y, .) as a coordinate vector of length n: A(y) x."""
         x, x_den = _int_vec(x, self.n)
-        y, y_den = _int_vec(y, self.n)
-        scale = self._den * x_den * y_den
-        return tuple(Fraction(v, scale) for v in _integer_pair(self, x, y))
+        a, scale = _integer_contraction(self, y)
+        scale *= x_den
+        return tuple(Fraction(v, scale) for v in _apply(a, x))
 
     def evaluate(self, x, y, z):
         z = _vec(z, self.n)
@@ -175,11 +175,11 @@ class ThreeForm:
         """Pullback along the invertible matrix t: result(x,y,z) = eta(tx, ty, tz).
 
         Exact integer arithmetic.  The entries of t (ints or Fractions) are
-        scaled to integers by the lcm of their denominators; the coefficient
-        on (a, b, c) is then the sum over stored (i, j, k) of mu_ijk times the
-        3x3 minor of t on rows (i, j, k) and columns (a, b, c), and the common
-        scale is divided out once at the end.  A matrix that is not n x n
-        raises ValueError naming its shape.
+        scaled to integers by the lcm of their denominators.  With t_a the
+        scaled column a, the coefficient on (a, b, c) is <A(t_b) t_a, t_c> =
+        eta(t_a, t_b, t_c), read from one integer contraction A(t_b) per
+        column, and the common scale is divided out once at the end.  A
+        matrix that is not n x n raises ValueError naming its shape.
         """
         n = self.n
         rows = [tuple(row) for row in t]
@@ -188,27 +188,18 @@ class ThreeForm:
             cols = "/".join(map(str, sorted(widths))) or "0"
             raise ValueError(f"transform matrix must be {n}x{n}, got {len(rows)}x{cols}")
         flat, t_den = _int_vec([x for row in rows for x in row], n * n)
-        m = [flat[i * n:(i + 1) * n] for i in range(n)]
-        # Expanding each minor along its first row i: the terms sharing the
-        # trailing rows (j, k) combine into one weighted row sum of m.
-        weighted = {}
-        for (i, j, k), mu in self._coeffs.items():
-            acc = weighted.setdefault((j, k), [0] * n)
-            for a, x in enumerate(m[i]):
-                acc[a] += mu * x
-        pairs = list(combinations(range(n), 2))
-        pos = {p: q for q, p in enumerate(pairs)}
-        triples = [(a, b, c, pos[b, c], pos[a, c], pos[a, b])
-                   for a, b, c in combinations(range(n), 3)]
-        totals = [0] * len(triples)
-        for (j, k), w in weighted.items():
-            rj, rk = m[j], m[k]
-            minor2 = [rj[b] * rk[c] - rj[c] * rk[b] for b, c in pairs]
-            for q, (a, b, c, bc, ac, ab) in enumerate(triples):
-                totals[q] += w[a] * minor2[bc] - w[b] * minor2[ac] + w[c] * minor2[ab]
+        columns = [flat[a::n] for a in range(n)]
+        slices = [_integer_contraction(self, col)[0] for col in columns]
         scale = self._den * t_den ** 3
-        coeffs = {(a, b, c): Fraction(s, scale)
-                  for (a, b, c, *_), s in zip(triples, totals) if s}
+        coeffs = {}
+        # a, then b, then c: the keys go in in the canonical sorted order
+        for a, col in enumerate(columns):
+            for b in range(a + 1, n):
+                v = _apply(slices[b], col)
+                for c in range(b + 1, n):
+                    s = sum(map(mul, v, columns[c]))
+                    if s:
+                        coeffs[a, b, c] = Fraction(s, scale)
         return ThreeForm(n, coeffs)
 
     def __eq__(self, other):
@@ -246,16 +237,6 @@ def _vec(x, n):
     """The vector checked by `_int_vec`, as a tuple of Fractions."""
     x, den = _int_vec(x, n)
     return tuple(Fraction(c, den) for c in x)
-
-
-def _integer_pair(eta, x, y):
-    """eta(x, y, .) times eta's common denominator, for integer x and y."""
-    out = [0] * eta.n
-    for (a, b, c), mu in eta._coeffs.items():
-        out[c] += mu * (x[a] * y[b] - x[b] * y[a])
-        out[b] += mu * (x[c] * y[a] - x[a] * y[c])
-        out[a] += mu * (x[b] * y[c] - x[c] * y[b])
-    return out
 
 
 class Subspace:
@@ -299,7 +280,9 @@ def _integer_contraction(eta, x):
     """A(x) times a positive integer `scale`, as an int matrix; and `scale`.
 
     It has the rank and the nullspace of A(x), so rank tests and the
-    isotropy system use it directly.
+    isotropy system use it directly.  It is the one place that spreads the
+    signs of a stored triple: since (A(y) x)_i = eta(e_i, x, y), every
+    contraction eta(x, y, .), and with it the pullback, reads A(y) x.
     """
     n = eta.n
     x, x_den = _int_vec(x, n)
@@ -312,6 +295,11 @@ def _integer_contraction(eta, x):
         a[j][k] += mu * x[i]
         a[k][j] -= mu * x[i]
     return a, x_den * eta._den
+
+
+def _apply(a, x):
+    """The matrix a times the vector x, as a list."""
+    return [sum(map(mul, row, x)) for row in a]
 
 
 def contraction_matrix(eta, x):
@@ -431,7 +419,8 @@ def is_generic(eta, symbolic_threshold=9, trials=200, seed=0):
 def restriction_rank(eta, w):
     """Rank of the restricted cup pairing on a subspace of dimension >= 1.
 
-    Computed as the dimension of span{ eta(w_a, w_b, .) } over basis pairs.
+    Computed as the dimension of span{ eta(w_a, w_b, .) = A(w_b) w_a : a < b }
+    over the basis, with one integer contraction A(w_b) per basis vector.
     Each basis vector is scaled to integers and eta's integer coefficients
     are read as stored; that multiplies each row by a nonzero constant, so
     the rank is unchanged and every row is built in integer arithmetic.
@@ -441,7 +430,10 @@ def restriction_rank(eta, w):
     if w.dim < 1:
         raise ValueError("restriction rank needs dim >= 1")
     vecs = [_int_vec(v, eta.n)[0] for v in w.basis]
-    rows = [_integer_pair(eta, x, y) for x, y in combinations(vecs, 2)]
+    rows = []
+    for b in range(1, len(vecs)):
+        a_b = _integer_contraction(eta, vecs[b])[0]
+        rows.extend(_apply(a_b, x) for x in vecs[:b])
     return _linalg.rank(rows) if rows else 0
 
 

@@ -15,8 +15,6 @@ import types
 from fractions import Fraction
 
 import pytest
-from jsonschema import Draft202012Validator
-from referencing import Registry, Resource
 
 import jumploci
 from jumploci import alexander, cli, holonomy, laurent, resonance, seifert
@@ -29,16 +27,20 @@ SCHEMA_DIR = pathlib.Path(jumploci.__file__).parent / "schemas"
 
 
 def _registry():
+    # imported here, so that without the schema tools (absent, or failing to
+    # import) only the tests that validate a record skip, not the whole module
+    referencing = pytest.importorskip("referencing", exc_type=ImportError)
     resources = []
     for f in SCHEMA_DIR.glob("*.json"):
         obj = json.loads(f.read_text())
-        resources.append((obj["$id"], Resource.from_contents(obj)))
-    return Registry().with_resources(resources)
+        resources.append((obj["$id"], referencing.Resource.from_contents(obj)))
+    return referencing.Registry().with_resources(resources)
 
 
 def validate(name, instance):
+    jsonschema = pytest.importorskip("jsonschema", exc_type=ImportError)
     schema = json.loads((SCHEMA_DIR / f"{name}.json").read_text())
-    Draft202012Validator(schema, registry=_registry()).validate(instance)
+    jsonschema.Draft202012Validator(schema, registry=_registry()).validate(instance)
 
 
 @pytest.fixture

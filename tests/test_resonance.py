@@ -41,6 +41,7 @@ from jumploci.resonance import (
 from _corpus import (
     int_det,
     isotropy_corpus,
+    mat_mul,
     mat_vec,
     random_invertible_matrix,
     random_nonzero_vector,
@@ -100,11 +101,12 @@ class TestThreeForm:
 
     @staticmethod
     def _reference_pullback(eta, t):
+        """eta(t_a, t_b, t_c) on each sorted triple, summed in Fractions by `_reference_pair`."""
         n = eta.n
         cols = [tuple(t[i][a] for i in range(n)) for a in range(n)]
         coeffs = {}
         for a, b, c in combinations(range(n), 3):
-            val = eta.evaluate(cols[a], cols[b], cols[c])
+            val = sum(map(operator.mul, _reference_pair(eta, cols[a], cols[b]), cols[c]))
             if val:
                 coeffs[(a, b, c)] = val
         return coeffs
@@ -127,6 +129,70 @@ class TestThreeForm:
             assert list(pulled.coeffs) == list(ref)  # same canonical order
             assert all(isinstance(c, Fraction) for c in pulled.coeffs.values())
         assert fractional >= 30
+
+    @staticmethod
+    def _seeded_matrix(rng, n, kind):
+        """An n x n matrix of ints, of Fractions, or of ints with a dependent last column."""
+        if kind == "fraction":
+            return [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(n)]
+        t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if kind == "singular" and n:
+            weights = [rng.randint(-2, 2) for _ in range(n - 1)]
+            for row in t:
+                row[-1] = sum(map(operator.mul, weights, row))
+        return t
+
+    def test_transform_matches_the_minor_kernel(self):
+        rng = random.Random(16)
+        for trial in range(150):
+            n = trial % 10
+            eta = random_threeform(rng, n, density=rng.choice((0.2, 0.5, 1.0)))
+            t = self._seeded_matrix(rng, n, ("int", "fraction", "singular")[trial // 10 % 3])
+            pulled = eta.transform(t).coeffs
+            ref = _minor_kernel_pullback(eta, t)
+            assert pulled == ref
+            assert list(pulled) == list(ref)
+
+    def test_transform_is_a_right_action(self):
+        rng = random.Random(17)
+        kinds = ("int", "fraction", "singular")
+        for trial in range(60):
+            n = rng.randint(0, 7)
+            eta = random_threeform(rng, n)
+            s = self._seeded_matrix(rng, n, kinds[trial % 3])
+            t = self._seeded_matrix(rng, n, kinds[trial // 3 % 3])
+            assert eta.transform(s).transform(t) == eta.transform(mat_mul(s, t))
+
+
+def _minor_kernel_pullback(eta, t):
+    """The coefficients of eta.transform(t) by a route that shares no code with A(x).
+
+    The coefficient on (a, b, c) is the sum of mu_ijk times the 3x3 minor of
+    the scaled t on rows (i, j, k) and columns (a, b, c).  Each minor is
+    expanded along its first row i, and the terms sharing the trailing rows
+    (j, k) combine into one weighted row sum of t.
+    """
+    n = eta.n
+    flat, t_den = resonance._int_vec([x for row in t for x in row], n * n)
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    weighted = {}
+    for (i, j, k), mu in eta._coeffs.items():
+        acc = weighted.setdefault((j, k), [0] * n)
+        for a, x in enumerate(m[i]):
+            acc[a] += mu * x
+    pairs = list(combinations(range(n), 2))
+    pos = {p: q for q, p in enumerate(pairs)}
+    triples = [(a, b, c, pos[b, c], pos[a, c], pos[a, b])
+               for a, b, c in combinations(range(n), 3)]
+    totals = [0] * len(triples)
+    for (j, k), w in weighted.items():
+        rj, rk = m[j], m[k]
+        minor2 = [rj[b] * rk[c] - rj[c] * rk[b] for b, c in pairs]
+        for q, (a, b, c, bc, ac, ab) in enumerate(triples):
+            totals[q] += w[a] * minor2[bc] - w[b] * minor2[ac] + w[c] * minor2[ab]
+    scale = eta._den * t_den ** 3
+    return {(a, b, c): Fraction(s, scale) for (a, b, c, *_), s in zip(triples, totals) if s}
 
 
 def _reference_sort_triple(i, j, k, c):
