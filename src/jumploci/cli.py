@@ -62,8 +62,10 @@ __all__ = ["main", "RunConfig", "MAX_TRIALS", "MAX_SYMBOLIC_THRESHOLD", "MAX_CHA
 MAX_TRIALS = 2**14
 
 # a larger --symbolic-threshold is refused: a full odd form up to it is decided by
-# a sub-Pfaffian expansion exponential in n.  A dense form on the last n - 1
-# coordinates took 0.9 s at n = 11 and 9 s at n = 13 (whole process, 2-CPU Xeon)
+# one rank test per point of a lattice whose size C(n + k - 1, k), k = (n - 3)/2,
+# grows exponentially in n: 1001 tests at n = 11 took 0.09-0.22 s per whole
+# process, and 6188 at n = 13 took 0.14 s (sparse) to 1.4 s (dense) in-process
+# (2-CPU Xeon)
 MAX_SYMBOLIC_THRESHOLD = 11
 
 # a larger "n" in a 3-form or holonomy input is refused when read: `classify` builds
@@ -614,14 +616,16 @@ def build_parser():
         prog="jumploci",
         description="Exact invariants of 3-manifold groups and Brieskorn links.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--trials", type=int, default=100, help="sample count")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
+                        help="seed for sampled checks")
+    parser.add_argument("--trials", type=int, default=RunConfig.trials, help="sample count")
     parser.add_argument(
-        "--symbolic-threshold", type=int, default=9,
-        help="max odd n decided by symbolic sub-Pfaffians",
+        "--symbolic-threshold", type=int, default=RunConfig.symbolic_threshold,
+        help="max odd n whose fullness is decided exactly",
     )
-    parser.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    parser.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
+    parser.add_argument("--format", choices=["json", "csv", "text"],
+                        default=RunConfig.output_format)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_alex = sub.add_parser("alex", help="Alexander matrix, ideals, polynomial")

@@ -3,12 +3,12 @@
 A `ThreeForm` models the triple cup product of a closed orientable 3-manifold
 on H^1 = Q^n.  Contraction against a vector x gives a skew matrix A(x) with
 A(x) x = 0; a nonzero x avoids the degree-1 resonance variety exactly when
-rank A(x) = n - 1.  Whether resonance fills all of H^1 is decided exactly up to
-a size threshold: by a seeded random x with rank A(x) = n - 1 when one is
-found, which is an exact witness of non-fullness, and otherwise by expanding
-one principal sub-Pfaffian of the generic contraction matrix.  Above the
-threshold the same witness search runs, and a form without a witness is
-reported full at sampling confidence.
+rank A(x) = n - 1.  Whether resonance fills all of H^1 is decided by that rank
+test alone: a seeded random x with rank A(x) = n - 1, when one is found, is an
+exact witness of non-fullness.  Up to a size threshold the test then runs on a
+finite lattice of points fixed by n, which holds a witness whenever one exists,
+so the answer is exact either way.  Above the threshold a form without a
+witness among the draws is reported full at sampling confidence.
 
 Isotropy is exact linear algebra: an isotropic W extends by v exactly when
 A(w) v = 0 for every w in W, so `isotropy_lower_bound` grows a coordinate
@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
 from operator import index, mul
 
@@ -334,42 +334,13 @@ class R1FullnessReport:
     seed: int = 0
 
 
-def _symbolic_contraction(eta):
-    """A(x) with x symbolic, times eta's common denominator: integer linear forms in x_1..x_n.
-
-    A(x) = sum_k x_k A(e_k), so the coefficient of x_k in entry (i, j) is
-    entry (i, j) of the integer A(e_k).
-    """
-    # only the symbolic expansion builds Laurent polynomials, so only it loads them
-    from .laurent import LaurentPoly
-
-    n = eta.n
-    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
-    slices = [_integer_contraction(eta, u)[0] for u in units]
-    return [[LaurentPoly(n, {u: a[i][j] for u, a in zip(units, slices) if a[i][j]})
-             for j in range(n)] for i in range(n)]
-
-
-def _pfaffian(entries, idx, memo):
-    from .laurent import LaurentPoly
-
-    if not idx:
-        nvars = entries[0][0].num_vars if entries else 0
-        return LaurentPoly.one(nvars)
-    cached = memo.get(idx)
-    if cached is not None:
-        return cached
-    i0 = idx[0]
-    rest = idx[1:]
-    acc = LaurentPoly.zero(entries[0][0].num_vars)
-    for pos, j in enumerate(rest):
-        a = entries[i0][j]
-        if a.is_zero:
-            continue
-        term = a * _pfaffian(entries, rest[:pos] + rest[pos + 1:], memo)
-        acc = acc + term if pos % 2 == 0 else acc - term
-    memo[idx] = acc
-    return acc
+def _lattice(n, k):
+    """The points x of Z^n with every x_i >= 0 and sum x = k, one per multiset of k indices."""
+    for multiset in combinations_with_replacement(range(n), k):
+        x = [0] * n
+        for i in multiset:
+            x[i] += 1
+        yield x
 
 
 def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
@@ -377,15 +348,25 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
 
     Even n: parity decides.  Odd n: seeded random integer vectors are tried
     first; a single x with rank A(x) = n - 1 is an exact witness that the form
-    is not full.  Without a witness, odd n <= symbolic_threshold is decided
-    exactly by expanding one principal (n-1)-sub-Pfaffian of the symbolic
-    contraction matrix and testing it for identical vanishing; a full form
-    therefore pays for `trials` rank computations before the expansion.
-    One suffices.  For odd n, adj A(x) = v v^T with v_i = +/-Pf of A(x)
-    without row and column i, and A(x) v = 0 = A(x) x.  So v = lambda(x) x
-    for one polynomial lambda: when A(x) has rank n - 1 both span its
-    kernel, and otherwise v = 0.  Every sub-Pfaffian is +/-x_i lambda(x), and
-    all of them vanish identically exactly when the one for i = 0 does.
+    is not full.  For odd n <= symbolic_threshold the same rank test then
+    runs on the finite lattice S_k = {x in Z^n : x_i >= 0, sum x = k} with
+    k = max((n - 3)/2, 1), C(n + k - 1, k) points, and the answer is exact
+    either way:
+    - For odd n, adj A(x) = v v^T with v_i = +/-Pf of A(x) without row and
+      column i, and A(x) v = 0 = A(x) x.  So v = lambda(x) x for one
+      polynomial lambda: when A(x) has rank n - 1 both span its kernel, and
+      otherwise v = 0.  For x != 0, rank A(x) = n - 1 exactly when
+      lambda(x) != 0.
+    - Each sub-Pfaffian, of degree (n - 1)/2, is +/-x_i lambda(x), so lambda
+      is homogeneous of degree (n - 3)/2 <= k.
+    - With x_n = k - (x_1 + ... + x_{n-1}), S_k is the principal lattice of
+      order k in n - 1 variables, on which a polynomial of degree <= k that
+      vanishes is zero (Chung and Yao 1977).  So lambda vanishing on S_k
+      vanishes on the hyperplane sum x = k, by homogeneity wherever
+      sum x != 0, and so identically.
+    - So no witness in S_k means full, and a witness means not full.  For
+      n = 3 lambda is constant, and for n = 1 every x != 0 is a witness; k >= 1
+      keeps 0 out of S_k.
     Larger odd n reports fullness at sampling confidence.  Both odd modes
     report the `trials` and `seed` of the draws.
     """
@@ -395,13 +376,13 @@ def r1_fullness(eta, symbolic_threshold=9, trials=200, seed=0):
     if n % 2 == 0:
         return R1FullnessReport(full=True, mode="parity")
     rng = random.Random(seed)
-    draws = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(trials))
-    full = not any(
-        any(x) and _linalg.rank(_integer_contraction(eta, x)[0]) == n - 1 for x in draws
-    )
+    points = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(trials))
     mode = "sampled" if n > symbolic_threshold else "symbolic"
-    if full and mode == "symbolic":
-        full = _pfaffian(_symbolic_contraction(eta), tuple(range(1, n)), {}).is_zero
+    if mode == "symbolic":
+        points = chain(points, _lattice(n, max((n - 3) // 2, 1)))
+    full = not any(
+        any(x) and _linalg.rank(_integer_contraction(eta, x)[0]) == n - 1 for x in points
+    )
     return R1FullnessReport(full=full, mode=mode, trials=trials, seed=seed)
 
 

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -33,9 +34,8 @@ from jumploci import (
 from jumploci._linalg import rank
 from jumploci.resonance import (
     R1FullnessReport,
+    _lattice,
     _pair_masks,
-    _pfaffian,
-    _symbolic_contraction,
 )
 
 from _corpus import (
@@ -372,8 +372,8 @@ class TestSharedIntegerForm:
 
     # (n, density, seed) -> (full, number of rank tests, the last point drawn), as
     # found by the Fraction-draw loop this replaces; the symbolic and the sampled
-    # report each follow from `full`.  A full form in symbolic mode then builds
-    # the symbolic matrix from A(e_k), one contraction per unit vector e_k
+    # report each follow from `full`.  A full form in symbolic mode then tests
+    # every point of the lattice S_k, in order, and nothing else
     FULLNESS_PINS = [
         ((5, 0.5, 1), (False, 1, (-3, 4, -4, -1, -4))),
         ((5, 0.2, 2), (True, 40, (-1, -5, -3, -3, -3))),
@@ -398,15 +398,15 @@ class TestSharedIntegerForm:
             return real(form, x)
 
         monkeypatch.setattr(resonance, "_integer_contraction", recording)
-        units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+        lattice = [tuple(x) for x in _lattice(n, max((n - 3) // 2, 1))]
         for threshold, report in (
             (n, R1FullnessReport(full=full, mode="symbolic", trials=40, seed=seed)),
             (n - 2, R1FullnessReport(full=full, mode="sampled", trials=40, seed=seed)),
         ):
             drawn.clear()
             assert r1_fullness(eta, symbolic_threshold=threshold, trials=40, seed=seed) == report
-            expanded = full and report.mode == "symbolic"
-            assert drawn[count:] == (units if expanded else [])
+            on_lattice = full and report.mode == "symbolic"
+            assert drawn[count:] == (lattice if on_lattice else [])
             assert (len(drawn[:count]), drawn[count - 1]) == (count, last)
             assert all(type(v) is int for x in drawn for v in x)
 
@@ -482,7 +482,7 @@ class TestContraction:
             assert all(type(v) is Fraction for row in a for v in row)
 
     def test_symbolic_matrix_at_integer_points(self):
-        # the symbolic matrix, evaluated at an integer x, is the integer A(x)
+        # the reference's symbolic matrix, evaluated at an integer x, is the integer A(x)
         rng = random.Random(8)
         for _ in range(40):
             n = rng.randint(3, 9)
@@ -586,6 +586,41 @@ class TestFullnessAndGenericity:
         assert rep.mode == "parity" and rep.full
 
 
+def _symbolic_contraction(eta):
+    """A(x) with x symbolic, times eta's common denominator: integer linear forms in x_1..x_n.
+
+    A(x) = sum_k x_k A(e_k), so the coefficient of x_k in entry (i, j) is
+    entry (i, j) of the integer A(e_k).  With `_pfaffian`, the exact expansion
+    that decided fullness before the lattice test, kept as its reference.
+    """
+    n = eta.n
+    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    slices = [resonance._integer_contraction(eta, u)[0] for u in units]
+    return [[LaurentPoly(n, {u: a[i][j] for u, a in zip(units, slices) if a[i][j]})
+             for j in range(n)] for i in range(n)]
+
+
+def _pfaffian(entries, idx, memo):
+    """The Pfaffian of the principal submatrix on `idx`, expanded along its first row."""
+    if not idx:
+        nvars = entries[0][0].num_vars if entries else 0
+        return LaurentPoly.one(nvars)
+    cached = memo.get(idx)
+    if cached is not None:
+        return cached
+    i0 = idx[0]
+    rest = idx[1:]
+    acc = LaurentPoly.zero(entries[0][0].num_vars)
+    for pos, j in enumerate(rest):
+        a = entries[i0][j]
+        if a.is_zero:
+            continue
+        term = a * _pfaffian(entries, rest[:pos] + rest[pos + 1:], memo)
+        acc = acc + term if pos % 2 == 0 else acc - term
+    memo[idx] = acc
+    return acc
+
+
 def _sub_pfaffians(eta):
     """All n principal (n-1)-sub-Pfaffians of the symbolic contraction matrix."""
     n = eta.n
@@ -604,7 +639,7 @@ def _scrambled_product(rng, g):
 
 
 class TestWitnessFirstFullness:
-    """A rank-(n-1) point settles non-fullness before any expansion."""
+    """A rank-(n-1) point settles non-fullness before the lattice is reached."""
 
     @staticmethod
     def _corpus():
@@ -630,9 +665,9 @@ class TestWitnessFirstFullness:
         assert {eta.n for eta, f in zip(forms, fulls) if f} >= {5, 7, 9, 11}
 
     def test_one_sub_pfaffian_decides(self):
-        # with no draws the expansion alone decides, from the sub-Pfaffian
-        # without row and column 0; the all-n expansion is the reference.
-        # Each sub-Pfaffian is (-1)^i x_i lambda(x) for one polynomial lambda
+        # with no draws the lattice S_k alone decides; the all-n expansion is
+        # the reference.  Each sub-Pfaffian is (-1)^i x_i lambda(x) for one
+        # polynomial lambda, of degree (n - 3)/2 <= k
         rng = random.Random(13)
         forms = [VOL, PROD_2, PADDED, ThreeForm.zero(5)]
         for n in (3, 5, 7, 9, 11):
@@ -651,15 +686,16 @@ class TestWitnessFirstFullness:
             assert all(q == (-1) ** i * quotients[0] for i, q in enumerate(quotients)), eta
         assert {(n, f) for n in (3, 5, 7, 9, 11) for f in (True, False)} <= fulls
 
-    def test_expansion_skipped_for_generic_forms(self, monkeypatch):
+    def test_lattice_skipped_for_generic_forms(self, monkeypatch):
         calls = []
-        real = resonance._symbolic_contraction
+        real = resonance._lattice
 
-        def counting(eta):
-            calls.append(eta)
-            return real(eta)
+        def counting(n, k):
+            # a generator: the call is recorded when the first point is taken
+            calls.append((n, k))
+            yield from real(n, k)
 
-        monkeypatch.setattr(resonance, "_symbolic_contraction", counting)
+        monkeypatch.setattr(resonance, "_lattice", counting)
         rng = random.Random(5)
         for eta in (_scrambled_product(rng, 3), _scrambled_product(rng, 4)):
             assert not r1_fullness(eta, symbolic_threshold=eta.n).full
@@ -669,7 +705,36 @@ class TestWitnessFirstFullness:
         )
         assert calls == []
         assert r1_fullness(PADDED) == R1FullnessReport(full=True, mode="symbolic", trials=200)
-        assert calls == [PADDED]
+        assert calls == [(5, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lattice_points(self, n):
+        # S_k has C(n + k - 1, k) distinct points, each non-negative with sum k
+        for k in range(5):
+            points = [tuple(x) for x in _lattice(n, k)]
+            assert len(set(points)) == len(points) == comb(n + k - 1, k)
+            assert all(len(x) == n and min(x) >= 0 and sum(x) == k for x in points)
+
+    def test_sparse_forms_match_expansion(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def sparse_forms(draw):
+            n = draw(st.sampled_from((3, 5, 7, 9)))
+            triples = draw(st.lists(st.sampled_from(list(combinations(range(n), 3))),
+                                    max_size=n, unique=True))
+            coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                                   min_size=len(triples), max_size=len(triples)))
+            return ThreeForm(n, dict(zip(triples, coeffs)))
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(sparse_forms())
+        def check(eta):
+            report = r1_fullness(eta, symbolic_threshold=eta.n, trials=0)
+            assert report.full == _expansion_full(eta)
+
+        check()
 
     def test_sampled_mode_uses_the_same_witnesses(self):
         rng = random.Random(12)
