@@ -326,54 +326,51 @@ def _dict_divexact(a, b):
     return q
 
 
-def _split_main(a):
-    """Group an n-variable term dict by the exponent of the last variable."""
-    out = {}
-    for e, c in a.items():
-        out.setdefault(e[-1], {})[e[:-1]] = c
-    return out
-
-
 def _main_deg(a):
     return max(e[-1] for e in a)
 
 
-def _main_lc(a):
-    """Leading coefficient w.r.t. the last variable, as a full-width dict."""
-    d = _main_deg(a)
-    return {e[:-1] + (0,): c for e, c in a.items() if e[-1] == d}
-
-
-def _shift_main(a, k):
-    return {e[:-1] + (e[-1] + k,): c for e, c in a.items()}
+def _main_terms(a, d, k):
+    """The terms of a whose last exponent is d, moved to last exponent k."""
+    return {e[:-1] + (k,): c for e, c in a.items() if e[-1] == d}
 
 
 def _prem(f, g):
     """Pseudo-remainder of f by g w.r.t. the last variable."""
     dg = _main_deg(g)
-    glc = _main_lc(g)
+    glc = _main_terms(g, dg, 0)
     while f and _main_deg(f) >= dg:
         df = _main_deg(f)
-        flc = _main_lc(f)
-        f = _dict_sub(_dict_mul(glc, f), _dict_mul(_shift_main(flc, df - dg), g))
+        f = _dict_sub(_dict_mul(glc, f), _dict_mul(_main_terms(f, df, df - dg), g))
     return f
 
 
 def _content_and_pp(a, n):
-    """Content (w.r.t. the last variable) and primitive part of a term dict."""
-    parts = _split_main(a)
+    """Content w.r.t. the last variable and primitive part of a term dict.
+
+    The terms are grouped by last exponent once.  The content is the gcd of
+    those slices, unpadded in the first n - 1 variables: in one variable it
+    is the integer content {(): c}, which is kept.  The primitive part is
+    each slice divided exactly by the content.
+    """
+    slices = {}
+    for e, c in a.items():
+        slices.setdefault(e[-1], {})[e[:-1]] = c
     cont = {}
-    for coeff in parts.values():
-        cont = _poly_gcd(cont, coeff, n - 1)
-    cont_full = {e + (0,): c for e, c in cont.items()}
-    return cont_full, _dict_divexact(a, cont_full)
+    for s in slices.values():
+        cont = _poly_gcd(cont, s, n - 1)
+    pp = {e + (k,): c for k, s in slices.items() for e, c in _dict_divexact(s, cont).items()}
+    return cont, pp
 
 
 def _poly_gcd(a, b, n):
     """Gcd of term dicts with non-negative exponents over Z, up to sign.
 
     Primitive pseudo-remainder sequences with content/primitive-part recursion
-    on the variable count; the integer base case keeps integer content.
+    on the variable count.  Each content is taken slice by slice in the last
+    variable and recursed on in n - 1 variables as it is; it is padded to n
+    variables only when it multiplies the result.  The integer base case
+    keeps integer content.
     """
     if not a:
         return dict(b)
@@ -383,12 +380,7 @@ def _poly_gcd(a, b, n):
         return {(): math.gcd(a[()], b[()])}
     ca, pa = _content_and_pp(a, n)
     cb, pb = _content_and_pp(b, n)
-    cg_low = _poly_gcd(
-        {e[:-1]: c for e, c in ca.items()},
-        {e[:-1]: c for e, c in cb.items()},
-        n - 1,
-    )
-    cg = {e + (0,): c for e, c in cg_low.items()}
+    cg = {e + (0,): c for e, c in _poly_gcd(ca, cb, n - 1).items()}
     f, g = (pa, pb) if _main_deg(pa) >= _main_deg(pb) else (pb, pa)
     while g:
         r = _prem(f, g)

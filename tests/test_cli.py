@@ -266,7 +266,10 @@ class TestCharvar:
 
 class TestAlexanderGoldenBytes:
     """sha256 of `alex` and `charvar` stdout, recorded before the trusted
-    constructors and the fused folded product entered the Fox and minor path."""
+    constructors and the fused folded product entered the Fox and minor path.
+    The `comm2` and `power301` digests were recorded before the gcd took its
+    content one main-variable slice at a time: Delta = 2 keeps integer content
+    through the n = 0 base, and x^301 y^-2 runs the content pass on 300 terms."""
 
     @staticmethod
     def inputs():
@@ -277,6 +280,8 @@ class TestAlexanderGoldenBytes:
         out["sigma3"] = "<a1, b1, a2, b2, a3, b3 | [a1,b1] [a2,b2] [a3,b3]>"
         out["power1003"] = "<x, y | x^1003 y^-1>"
         out["sum200"] = sum_pattern_text(random.Random(5), 200)
+        out["comm2"] = "<x, y | [x,y]^2>"
+        out["power301"] = "<x, y | x^301 y^-2>"
         return out
 
     GOLDEN_DIGESTS = {
@@ -394,6 +399,14 @@ class TestAlexanderGoldenBytes:
             "0f9c40f9f1fcecbd07544c525533c7da9ede7897149604decb93eeb73422c0e6",
         ("sum200", "--seed 3 --trials 40 alex {}"):
             "a4191144d490e43d42b902a51468d4b7d5fc776a7e16143928931adf8ba3f861",
+        ("comm2", "alex {}"):
+            "0ec71714240d66ba92336704aa6d9bd4fa1fa17c9c8fa44e46a1eca816928923",
+        ("comm2", "charvar {} 2:1,0"):
+            "312b5a143186320be34b021079157aaddb63ba08dd4fec65df01ec225407237c",
+        ("power301", "alex {}"):
+            "b9b9e7d692584a2c520c35b8e147642e06682e0c90c086fb7134ddeb0197193a",
+        ("power301", "charvar {} 602:1"):
+            "d8584225c50bbf3b065321bd25fa21877becb4ff8b67a49d7e2c5a6f4131ee04",
     }
 
     @pytest.mark.parametrize("name,args", sorted(GOLDEN_DIGESTS))

@@ -146,6 +146,18 @@ def _enumerate_divisor_candidates(pool, contents=(1, 2, 3, 4)):
                 yield d
 
 
+def _whole_content_and_pp(a, n):
+    """Reference content pass: pad the content to n variables and long-divide all of a by it."""
+    parts = {}
+    for e, c in a.items():
+        parts.setdefault(e[-1], {})[e[:-1]] = c
+    cont = {}
+    for coeff in parts.values():
+        cont = laurent._poly_gcd(cont, coeff, n - 1)
+    cont_full = {e + (0,): c for e, c in cont.items()}
+    return cont_full, laurent._dict_divexact(a, cont_full)
+
+
 class TestGcd:
     def test_coprime_linear_factors(self):
         t1 = LaurentPoly.variable(2, 0)
@@ -244,6 +256,61 @@ class TestGcd:
             for d in _enumerate_divisor_candidates(pool):
                 if try_divide(p * q, d) is not None and try_divide(p * r, d) is not None:
                     assert try_divide(g, d) is not None
+
+    @pytest.mark.parametrize("num_vars", [1, 2, 3])
+    def test_matches_sympy_gcd(self, num_vars):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols(f"t1:{num_vars + 1}")
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(dict(normalize_unit(p).terms), *gens, domain="ZZ")
+
+        rng = random.Random(71 + num_vars)
+        for _ in range(30):
+            f, u, v = (random_poly(rng, num_vars, max_terms=3, exp_bound=2) for _ in range(3))
+            f = f * rng.choice((1, 2, 3, 6))
+            a, b = f * u, f * v
+            if a.is_zero or b.is_zero:
+                continue
+            h = sympy.gcd(to_sympy(a), to_sympy(b))
+            want = normalize_unit(LaurentPoly(num_vars, {e: int(c) for e, c in h.as_dict().items()}))
+            assert gcd_all([a, b]) == want, (a, b)
+
+    @pytest.mark.parametrize("num_vars", [1, 2, 3])
+    def test_content_matches_whole_division(self, num_vars):
+        rng = random.Random(5 + num_vars)
+        for _ in range(40):
+            # a content free of the last variable times a random polynomial
+            low = random_poly(rng, num_vars, max_terms=2).terms
+            c = LaurentPoly(num_vars, {e[:-1] + (0,): k for e, k in low.items()}) or 1
+            p = random_poly(rng, num_vars) * c * rng.choice((1, 2, 3, 6))
+            if p.is_zero:
+                continue
+            a = laurent._at_origin(p)[1]
+            cont, pp = laurent._content_and_pp(a, num_vars)
+            want_cont, want_pp = _whole_content_and_pp(a, num_vars)
+            assert {e + (0,): k for e, k in cont.items()} == want_cont
+            assert pp == want_pp
+
+    @pytest.mark.parametrize("num_vars", [1, 2, 3])
+    def test_divides_one_slice_at_a_time(self, monkeypatch, num_vars):
+        seen = []
+        real = laurent._dict_divexact
+
+        def spy(a, b):
+            seen.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(laurent, "_dict_divexact", spy)
+        x = [LaurentPoly.variable(num_vars, i) for i in range(num_vars)]
+        common = 2 * (x[0] - 1) ** 2 * (x[-1] + 1)
+        g = gcd_all([3 * common * (x[0] + 2) ** 3, 2 * common * (x[-1] ** 2 + x[0])])
+        assert g == normalize_unit(common)
+        # every dividend is one slice in fewer than n variables; in one
+        # variable each is a single term divided by the integer content
+        assert seen and all(len(e) < num_vars for a, _ in seen for e in a)
+        if num_vars == 1:
+            assert all(len(a) == 1 and len(b) == 1 for a, b in seen)
 
 
 class TestDivision:
